@@ -130,12 +130,19 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_input(path: str) -> str:
+    """The text of a file, or of standard input for '-'."""
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CritickitError(f"cannot read {path}: {exc}") from None
+
+
 def _build_source(kind: str, value) -> Graph:
     if kind == "graph6":
         return parse_graph6(value)
     if kind == "edges":
-        text = sys.stdin.read() if value == "-" else Path(value).read_text()
-        return parse_edgelist(text)
+        return parse_edgelist(_read_input(value))
     if kind == "clique":
         return clique(value)
     if kind == "cycle":
@@ -312,8 +319,11 @@ def _cmd_count(args, config) -> tuple[int, dict, str]:
     limits = config.limits()
     what = args.what
     if what == "transversals" and args.cover is not None:
-        text = sys.stdin.read() if args.cover == "-" else Path(args.cover).read_text()
-        cover = jsonio.cover_from_doc(json.loads(text))
+        try:
+            document = json.loads(_read_input(args.cover))
+        except json.JSONDecodeError as exc:
+            raise CritickitError(f"{args.cover} is not JSON: {exc}") from None
+        cover = jsonio.cover_from_doc(document)
         value = count_transversals(cover)
         doc = {"schema": "critickit/count/1", "what": what, "value": value}
         return EXIT_YES, doc, str(value)
@@ -404,37 +414,37 @@ _COMMANDS = {
 }
 
 
+def _wants_json(argv: list[str]) -> bool:
+    """Whether ``--json`` was given, for arguments that failed to parse."""
+    probe = _Parser(add_help=False)
+    probe.add_argument("--json", action="store_true")
+    try:
+        return probe.parse_known_args(argv)[0].json
+    except UsageError:
+        return False
+
+
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one CLI invocation; returns (exit status, stdout text)."""
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
         status, doc, text = _COMMANDS[args.command](args, config)
     except UsageError as exc:
-        message = f"usage error: {exc}"
-        if "--json" in argv:
-            return EXIT_USAGE, jsonio.dumps(
-                {"schema": jsonio.SCHEMA_ERROR, "error": message}
-            )
-        return EXIT_USAGE, message + "\n"
+        status, error = EXIT_USAGE, {"error": f"usage error: {exc}"}
     except BudgetExceeded as exc:
-        message = f"unknown: {exc}"
-        if "--json" in argv:
-            return EXIT_UNKNOWN, jsonio.dumps(
-                {"schema": jsonio.SCHEMA_ERROR, "error": message, "spent": exc.spent}
-            )
-        return EXIT_UNKNOWN, message + "\n"
+        status, error = EXIT_UNKNOWN, {"error": f"unknown: {exc}", "spent": exc.spent}
     except CritickitError as exc:
-        message = f"error: {exc}"
-        if "--json" in argv:
-            return EXIT_USAGE, jsonio.dumps(
-                {"schema": jsonio.SCHEMA_ERROR, "error": message}
-            )
-        return EXIT_USAGE, message + "\n"
-    if config.output_mode == "json":
-        return status, jsonio.dumps(doc)
-    return status, text + "\n"
+        status, error = EXIT_USAGE, {"error": f"error: {exc}"}
+    else:
+        if config.output_mode == "json":
+            return status, jsonio.dumps(doc)
+        return status, text + "\n"
+    if args.json if args is not None else _wants_json(argv):
+        return status, jsonio.dumps({"schema": jsonio.SCHEMA_ERROR, **error})
+    return status, error["error"] + "\n"
 
 
 def main() -> None:

@@ -6,11 +6,15 @@ Colors of a cover are (vertex, index) pairs; the auxiliary color graph is
 never materialized.  Each host edge carries a partial injection between the
 two index ranges, stored once per edge with ``u < v``.
 
-Full covers are scanned up to per-vertex index relabeling by gauge fixing on
-a spanning tree: tree matchings are forced to the identity, non-tree
-matchings range over all permutations.  Every full cover is
-relabel-equivalent to exactly one gauge-fixed cover, and in the gauge-fixed
-picture a cover is canonical iff every non-tree permutation is the identity.
+Full covers of a connected host are scanned up to per-vertex index
+relabeling by gauge fixing on a spanning tree: tree matchings are forced to
+the identity, non-tree matchings range over all permutations.  Every full
+cover is relabel-equivalent to a gauge-fixed cover, unique only up to the
+relabelings that keep the tree matchings at the identity: the same sigma in
+Sym(k) at every vertex, which conjugates each non-tree permutation.  The
+scans further quotient by that conjugation (see :class:`_GaugeScan`).  In
+the gauge-fixed picture a cover is canonical iff every non-tree permutation
+is the identity.
 """
 
 from __future__ import annotations
@@ -379,8 +383,11 @@ def enumerate_full_covers(
 ) -> Iterator[Cover]:
     """All gauge-fixed full k-fold covers, in lexicographic permutation order
     over the sorted non-tree edges (last edge varies fastest).  Every full
-    k-fold cover of g is relabel-equivalent to exactly one emitted cover.
-    Raises :class:`BudgetExceeded` as an explicit truncation signal."""
+    k-fold cover of a connected g is relabel-equivalent to an emitted cover,
+    and two emitted covers are equivalent iff relabeling every vertex by one
+    sigma in Sym(k) maps one onto the other, so for k >= 3 most equivalence
+    classes are emitted several times.  Raises :class:`BudgetExceeded` as an
+    explicit truncation signal."""
     if k < 1:
         raise CoverError(f"enumerate_full_covers needs k >= 1, got {k}")
     tree, nontree = _gauge_edges(g)
@@ -403,8 +410,17 @@ class _GaugeScan:
     assignment-sum of its pair-count matrix, and if the sum of those bounds
     is below the current survivor count, every completion stays colorable.
 
-    Work is accounted per cover decided; subtrees dismissed by the bound are
-    charged in full.
+    Relabeling every vertex by the same sigma keeps the tree matchings at the
+    identity and conjugates each non-tree permutation, so both scans visit
+    only prefixes that are the lexicographic leader of their conjugation
+    orbit (lex-leader symmetry breaking).  A node carries the stabilizer of
+    its prefix: None for all of Sym(k), else a tuple of the non-identity
+    elements.  Badness, canonicity and transversal counts are invariant under
+    the relabeling, so the lexicographically first bad cover or minimizer is
+    always a leader and the witnesses are unchanged.
+
+    Work is accounted per cover decided; subtrees dismissed by the bound or
+    by symmetry are charged in full.
     """
 
     def __init__(self, g: Graph, k: int, budget: Budget):
@@ -418,6 +434,9 @@ class _GaugeScan:
         transversals = self._tree_transversals()
         self.full_mask = (1 << len(transversals)) - 1
         self.kill = self._kill_masks(transversals)
+        self._index = {p: i for i, p in enumerate(self.perms)}
+        self._conj_rows: dict[int, list[int]] = {}
+        self._steps: dict[tuple[int, ...] | None, list] = {(): [()] * self.nperm}
 
     def _tree_transversals(self) -> list[tuple[int, ...]]:
         n, k = self.g.n, self.k
@@ -459,19 +478,86 @@ class _GaugeScan:
     def _subtree_size(self, depth: int) -> int:
         return self.nperm ** (self.depth_total - depth)
 
-    def _no_completion_is_bad(self, depth: int, survivors: int) -> bool:
-        size = survivors.bit_count()
+    def _kills_at_most(self, depth: int, survivors: int, cap: int) -> bool:
+        """True iff the edges from ``depth`` on, each taking its most
+        destructive permutation, remove at most ``cap`` survivors in total."""
         bound = 0
-        for e in range(depth, self.depth_total):
-            best = 0
-            for mask in self.kill[e]:
-                c = (survivors & mask).bit_count()
-                if c > best:
-                    best = c
-            bound += best
-            if bound >= size:
+        for masks in self.kill[depth:]:
+            bound += max(map(int.bit_count, map(survivors.__and__, masks)))
+            if bound > cap:
                 return False
-        return bound < size
+        return bound <= cap
+
+    # -- lex-leader symmetry breaking -------------------------------------
+
+    def _conj_row(self, s: int) -> list[int]:
+        """``row[p]`` is the index of sigma p sigma^-1 for sigma = perms[s]."""
+        row = self._conj_rows.get(s)
+        if row is None:
+            sigma = self.perms[s]
+            q = [0] * self.k
+            row = []
+            for p in self.perms:
+                for i in range(self.k):
+                    q[sigma[i]] = sigma[p[i]]
+                row.append(self._index[tuple(q)])
+            self._conj_rows[s] = row
+        return row
+
+    def _full_group_step(self) -> list:
+        """Children of a prefix fixed by all of Sym(k): p is a leader iff it
+        is the first permutation of its conjugacy class (cycle type), and the
+        child's stabilizer is the centralizer of p."""
+        seen = set()
+        step: list = []
+        for p in self.perms:
+            cycle_type = []
+            done = [False] * self.k
+            for start in range(self.k):
+                length, i = 0, start
+                while not done[i]:
+                    done[i] = True
+                    i = p[i]
+                    length += 1
+                if length:
+                    cycle_type.append(length)
+            cycle_type = tuple(sorted(cycle_type))
+            if cycle_type in seen:
+                step.append(False)
+                continue
+            seen.add(cycle_type)
+            centralizer = tuple(
+                s
+                for s, sigma in enumerate(self.perms)
+                if s and all(sigma[p[i]] == p[sigma[i]] for i in range(self.k))
+            )
+            step.append(None if len(centralizer) == self.nperm - 1 else centralizer)
+        return step
+
+    def _leader_step(self, stab: tuple[int, ...] | None) -> list:
+        """Per child permutation p of a node whose prefix has stabilizer
+        ``stab``: the child's stabilizer, or False when some sigma in
+        ``stab`` conjugates p to an earlier permutation, so that no cover
+        below the child is its orbit's lex-leader."""
+        step = self._steps.get(stab)
+        if step is not None:
+            return step
+        if stab is None:
+            step = self._full_group_step()
+        else:
+            rows = [(s, self._conj_row(s)) for s in stab]
+            step = []
+            for p in range(self.nperm):
+                kept: tuple[int, ...] | bool = ()
+                for s, row in rows:
+                    if row[p] < p:
+                        kept = False
+                        break
+                    if row[p] == p:
+                        kept += (s,)
+                step.append(kept)
+        self._steps[stab] = step
+        return step
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
@@ -481,9 +567,11 @@ class _GaugeScan:
     def find_bad(self, skip_canonical: bool, first_perm: int | None = None):
         """Lexicographically first bad gauge-fixed cover (skipping the
         all-identity one when ``skip_canonical``), or None after deciding the
-        whole space.  Returns (combo or None)."""
+        whole space.  With ``first_perm``, only the covers whose first
+        non-tree permutation is ``first_perm`` are decided.  Returns (combo
+        or None)."""
 
-        def dfs(depth: int, survivors: int, prefix: tuple[int, ...], identity: bool):
+        def dfs(depth, survivors, prefix, identity, stab):
             if survivors == 0:
                 count = self._subtree_size(depth)
                 rest = self.depth_total - depth
@@ -497,29 +585,40 @@ class _GaugeScan:
             if depth == self.depth_total:
                 self.budget.spend(1)
                 return None  # survivors nonempty: colorable
-            if self._no_completion_is_bad(depth, survivors):
+            if self._kills_at_most(depth, survivors, survivors.bit_count() - 1):
                 self.budget.spend(self._subtree_size(depth))
                 return None
-            for p in range(self.nperm):
+            below = self._subtree_size(depth + 1)
+            kill = self.kill[depth]
+            for p, child in enumerate(self._leader_step(stab)):
+                if child is False:
+                    self.budget.spend(below)
+                    continue
                 found = dfs(
                     depth + 1,
-                    survivors & ~self.kill[depth][p],
+                    survivors & ~kill[p],
                     prefix + (p,),
                     identity and p == 0,
+                    child,
                 )
                 if found is not None:
                     return found
             return None
 
         if first_perm is None:
-            return dfs(0, self.full_mask, (), True)
+            return dfs(0, self.full_mask, (), True, None)
         if self.depth_total == 0:
             raise CoverError("no non-tree edge to partition on")
+        child = self._leader_step(None)[first_perm]
+        if child is False:
+            self.budget.spend(self._subtree_size(1))
+            return None
         return dfs(
             1,
             self.full_mask & ~self.kill[0][first_perm],
             (first_perm,),
             first_perm == 0,
+            child,
         )
 
     # -- minimize the transversal count -----------------------------------
@@ -531,7 +630,7 @@ class _GaugeScan:
         self.best_value: int | None = None
         self.best_combo: tuple[int, ...] | None = None
 
-        def dfs(depth: int, survivors: int, prefix: tuple[int, ...]):
+        def dfs(depth, survivors, prefix, stab):
             if survivors == 0:
                 self.budget.spend(self._subtree_size(depth))
                 if self.best_value is None or self.best_value > 0:
@@ -545,23 +644,20 @@ class _GaugeScan:
                     self.best_value = count
                     self.best_combo = prefix
                 return
-            if self.best_value is not None:
-                size = survivors.bit_count()
-                bound = 0
-                for e in range(depth, self.depth_total):
-                    most = 0
-                    for mask in self.kill[e]:
-                        c = (survivors & mask).bit_count()
-                        if c > most:
-                            most = c
-                    bound += most
-                if size - bound >= self.best_value:
-                    self.budget.spend(self._subtree_size(depth))
-                    return
-            for p in range(self.nperm):
-                dfs(depth + 1, survivors & ~self.kill[depth][p], prefix + (p,))
+            if self.best_value is not None and self._kills_at_most(
+                depth, survivors, survivors.bit_count() - self.best_value
+            ):
+                self.budget.spend(self._subtree_size(depth))
+                return
+            below = self._subtree_size(depth + 1)
+            kill = self.kill[depth]
+            for p, child in enumerate(self._leader_step(stab)):
+                if child is False:
+                    self.budget.spend(below)
+                else:
+                    dfs(depth + 1, survivors & ~kill[p], prefix + (p,), child)
 
-        dfs(0, self.full_mask, ())
+        dfs(0, self.full_mask, (), None)
         return self.best_value, self.best_combo
 
 

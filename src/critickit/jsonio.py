@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 
-from .covers import Cover, PdpResult, RobustVerdict
+from .covers import Cover, PdpResult, RobustVerdict, cover_violation
 from .coloring import ColoringVerdict, Polynomial
-from .errors import CoverError
+from .errors import AssignmentError, CoverError
 from .graphs import Graph, parse_graph6, encode_graph6
 from .listcoloring import ListAssignment, StrongVerdict
 
@@ -35,10 +35,24 @@ def assignment_to_doc(assignment: ListAssignment) -> dict:
     }
 
 
+def _ints(values, what: str, error: type, length: int | None = None) -> tuple[int, ...]:
+    values = tuple(values)
+    if any(type(x) is not int for x in values) or length not in (None, len(values)):
+        raise error(f"bad {what} {list(values)!r}")
+    return values
+
+
 def assignment_from_doc(document: dict) -> ListAssignment:
-    lists = document["lists"]
-    n = len(lists)
-    return ListAssignment(tuple(frozenset(lists[str(v)]) for v in range(n)))
+    """Parse an assignment document; raises :class:`AssignmentError` when it
+    is malformed or a color is negative."""
+    try:
+        lists = document["lists"]
+        lists = [_ints(lists[str(v)], "colors", AssignmentError) for v in range(len(lists))]
+    except (KeyError, TypeError) as exc:
+        raise AssignmentError(f"malformed assignment document ({exc!r})") from None
+    if any(c < 0 for colors in lists for c in colors):
+        raise AssignmentError("colors must be non-negative")
+    return ListAssignment.of(lists)
 
 
 def cover_to_doc(cover: Cover) -> dict:
@@ -58,22 +72,35 @@ def cover_to_doc(cover: Cover) -> dict:
 
 
 def cover_from_doc(document: dict) -> Cover:
-    graph = parse_graph6(document["graph6"])
-    if "k" in document:
-        sizes = (document["k"],) * graph.n
-    elif "sizes" in document:
-        sizes = tuple(document["sizes"])
-    else:
-        raise CoverError("cover document needs 'k' or 'sizes'")
-    matchings = tuple(
-        (
-            entry["u"],
-            entry["v"],
-            tuple(sorted((i, j) for i, j in entry.get("pairs", []))),
+    """Parse a cover document; raises :class:`CoverError` when it is
+    malformed or violates a cover invariant (see :func:`cover_violation`)."""
+    try:
+        graph = parse_graph6(document["graph6"])
+        if "k" in document:
+            sizes = _ints((document["k"],), "k", CoverError) * graph.n
+        elif "sizes" in document:
+            sizes = _ints(document["sizes"], "sizes", CoverError)
+        else:
+            raise CoverError("cover document needs 'k' or 'sizes'")
+        matchings = tuple(
+            _ints((entry["u"], entry["v"]), "matching endpoints", CoverError)
+            + (
+                tuple(
+                    sorted(
+                        _ints(pair, "matched pair", CoverError, length=2)
+                        for pair in entry.get("pairs", [])
+                    )
+                ),
+            )
+            for entry in document["matchings"]
         )
-        for entry in document["matchings"]
-    )
-    return Cover(graph, sizes, matchings)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CoverError(f"malformed cover document ({exc!r})") from None
+    cover = Cover(graph, sizes, matchings)
+    problem = cover_violation(cover)
+    if problem is not None:
+        raise CoverError(problem)
+    return cover
 
 
 def _deletion_witness_doc(witness) -> dict:

@@ -4,8 +4,9 @@ Every potentially explosive search in the package accounts its work against
 a budget and raises :class:`~critickit.errors.BudgetExceeded` instead of
 silently truncating.  Work units are search-specific and documented on the
 operations: cover scans charge one unit per cover decided (covers dismissed
-in bulk by a pruning argument are still charged), assignment searches charge
-one unit per enumeration node.
+in bulk by the survivor bound or by symmetry, as not the lex-leader of their
+relabeling orbit, are still charged), assignment searches charge one unit
+per enumeration node.
 """
 
 from __future__ import annotations

@@ -316,12 +316,21 @@ def list_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
 
     Starts at the chromatic number (below it the constant assignment is
     already bad) and grows k until the block-system search finds nothing.
+    On budget exhaustion raises :class:`BudgetExceeded` with ``lower_bound``
+    set to the best proven bound.
     """
     if g.n == 0:
         return 0
     k = chromatic_number(g)
-    while find_bad_nonconstant_assignment(g, k, limits) is not None:
-        k += 1
+    try:
+        while find_bad_nonconstant_assignment(g, k, limits) is not None:
+            k += 1
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"list_chromatic_number undecided at k={k}",
+            spent=exc.spent,
+            lower_bound=k,
+        ) from exc
     return k
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from critickit import (
+    AssignmentError,
+    CoverError,
     cover_from_assignment,
     cycle,
     ListAssignment,
@@ -208,6 +210,47 @@ def test_count_transversals_from_cover_file(tmp_path):
     assert (status, out) == (0, "30\n")
 
 
+def _bad_cover_texts():
+    out_of_range = cover_to_doc(make_canonical_cover(cycle(5), 2))
+    out_of_range["matchings"].append({"u": 0, "v": 8, "pairs": [[0, 0]]})
+    return {
+        "missing": None,
+        "malformed": '{"schema": "critickit/cover/1", "graph6": "Dhc"',
+        "not_a_cover": "[1, 2]",
+        "edge_out_of_range": dumps(out_of_range),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_cover_texts()))
+def test_count_transversals_bad_cover_file(tmp_path, name):
+    text = _bad_cover_texts()[name]
+    path = tmp_path / "cover.json"
+    if text is not None:
+        path.write_text(text)
+    status, out = run("--json", "count", "transversals", "--cover", str(path))
+    assert status == 64 and out.count("\n") == 1
+    assert json.loads(out)["schema"] == "critickit/error/1"
+    status, out = run("count", "transversals", "--cover", str(path))
+    assert status == 64 and out.startswith("error: ")
+
+
+def test_json_flag_read_from_parsed_args(tmp_path):
+    # argparse accepts the unambiguous prefix --js for --json
+    missing = str(tmp_path / "missing.json")
+    status, out = run("--js", "count", "transversals", "--cover", missing)
+    assert status == 64
+    assert json.loads(out)["schema"] == "critickit/error/1"
+
+
+def test_chi_list_unknown_reports_lower_bound():
+    status, out = run(
+        "--json", "--node-budget", "5", "chi", "list", "--complete-bipartite", "2", "4"
+    )
+    assert status == 2
+    doc = json.loads(out)
+    assert doc["status"] == "unknown" and doc["lower_bound"] == 2
+
+
 # ----------------------------------------------------------- JSON roundtrips
 
 
@@ -227,3 +270,14 @@ def test_assignment_json_roundtrip_bit_exact():
     again = assignment_from_doc(json.loads(text))
     assert again == assignment
     assert dumps(assignment_to_doc(again)) == text
+
+
+def test_malformed_documents_raise_package_errors():
+    with pytest.raises(AssignmentError):
+        assignment_from_doc({"lists": {"0": [1], "1": ["x"]}})
+    with pytest.raises(AssignmentError):
+        assignment_from_doc({"lists": [[1]]})
+    with pytest.raises(CoverError):
+        cover_from_doc({"graph6": "A_", "k": 2, "matchings": [{"u": 0, "v": 1, "pairs": [[0, 0, 1]]}]})
+    with pytest.raises(CoverError):
+        cover_from_doc({"graph6": "A_", "k": 1, "matchings": []})

@@ -490,6 +490,102 @@ def test_gauge_scan_witness_matches_naive():
     assert seen > 20
 
 
+def _first_naive(g, k, key):
+    """The first plainly enumerated full cover minimizing ``key``."""
+    best = None
+    for cover in enumerate_full_covers(g, k):
+        value = key(cover)
+        if best is None or value < best[0]:
+            best = (value, cover)
+    return best
+
+
+def test_gauge_scan_leaders_match_naive_at_k3():
+    # Sym(3) conjugation is non-trivial, so lex-leader pruning skips covers
+    # here; witnesses and minimizers must still be the plain enumeration's
+    # lexicographically first ones.
+    from critickit.covers import _GaugeScan
+
+    rng = random.Random(45)
+    checked = 0
+    while checked < 40:
+        g = random_graph(rng, rng.randint(2, 5), connected=True)
+        if g.m - g.n + 1 > 3:
+            continue
+        checked += 1
+        for skip_canonical in (True, False):
+            naive = None
+            for index, cover in enumerate(enumerate_full_covers(g, 3)):
+                if is_bad(cover) and not (skip_canonical and index == 0):
+                    naive = cover
+                    break
+            scan = _GaugeScan(g, 3, SearchLimits().start())
+            combo = scan.find_bad(skip_canonical)
+            assert (None if combo is None else scan.cover_at(combo)) == naive
+        value, minimizer = _first_naive(g, 3, count_transversals)
+        scan = _GaugeScan(g, 3, SearchLimits().start())
+        assert scan.min_transversals()[0] == value
+        assert scan.cover_at(scan.best_combo) == minimizer
+
+
+@pytest.mark.parametrize("k,length", [(2, 3), (3, 3), (4, 2)])
+def test_leader_steps_keep_exactly_orbit_leaders(k, length):
+    # a prefix survives the leader steps iff no simultaneous conjugation
+    # p -> sigma p sigma^-1 makes it lexicographically smaller
+    from itertools import product
+
+    from critickit.covers import _GaugeScan
+
+    scan = _GaugeScan(clique(2), k, SearchLimits().start())
+    perms = scan.perms
+
+    def conj(sigma, p):
+        inverse = [sigma.index(i) for i in range(k)]
+        return perms.index(tuple(sigma[p[inverse[i]]] for i in range(k)))
+
+    leaders = 0
+    for combo in product(range(len(perms)), repeat=length):
+        stab, kept = None, True
+        for p in combo:
+            stab = scan._leader_step(stab)[p]
+            if stab is False:
+                kept = False
+                break
+        orbit = {
+            tuple(conj(sigma, perms[p]) for p in combo) for sigma in perms
+        }
+        assert kept == (min(orbit) == combo), combo
+        leaders += kept
+    assert leaders < len(perms) ** length or k <= 2
+
+
+def test_non_leader_partition_is_charged_and_skipped():
+    from critickit.covers import _GaugeScan
+
+    g = generate_ekab(4, 2, 2)
+    scan = _GaugeScan(g, 3, SearchLimits().start())
+    perms = scan.perms
+    total = 0
+    for p, perm in enumerate(perms):
+        conjugates = {
+            perms.index(tuple(sigma[perm[sigma.index(i)]] for i in range(3)))
+            for sigma in perms
+        }
+        budget = SearchLimits().start()
+        found = _GaugeScan(g, 3, budget).find_bad(True, first_perm=p)
+        assert found is None  # E(4,2,2) is robustly critical
+        if min(conjugates) < p:
+            assert budget.spent == scan.nperm ** (scan.depth_total - 1)
+        total += budget.spent
+    assert total == 6**5
+
+
+def test_k5_full_scan_decided():
+    verdict = robust_criticality_verdict(clique(5), SearchLimits(max_nodes=2 * 10**8))
+    assert verdict.decision == "robustly_critical"
+    assert verdict.covers_scanned == 191_102_976
+
+
 def test_robust_workers_path():
     verdict = robust_criticality_verdict(
         generate_ekab(4, 2, 2), workers=2, deterministic=False

@@ -178,6 +178,12 @@ def test_budget_exhaustion_is_loud():
         )
 
 
+def test_list_chromatic_number_budget_carries_lower_bound():
+    with pytest.raises(BudgetExceeded) as info:
+        list_chromatic_number(complete_bipartite(2, 4), SearchLimits(max_nodes=5))
+    assert info.value.lower_bound == 2 and info.value.spent <= 5
+
+
 def test_search_agrees_with_plain_enumeration():
     rng = random.Random(99)
     for _ in range(40):
