@@ -19,6 +19,7 @@ is the identity.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -195,61 +196,55 @@ def _forward_maps(cover: Cover) -> list[list[tuple[int, dict[int, int]]]]:
     return incoming
 
 
-def find_transversal(cover: Cover) -> tuple[int, ...] | None:
-    """One index choice per vertex with no matched pair selected, or None
-    after exhausting the search."""
+def _transversals(cover: Cover) -> Iterator[list[int]]:
+    """Every transversal in lexicographic order, as one shared choice list
+    that the caller must copy before advancing.  Vertices are assigned in
+    order 0..n-1 with an explicit stack, so input size is not limited by the
+    interpreter's recursion limit."""
     n = cover.graph.n
     if n == 0:
-        return ()
-    if any(s == 0 for s in cover.sizes):
-        return None
+        yield []
+        return
+    sizes = cover.sizes
+    if 0 in sizes:
+        return
     incoming = _forward_maps(cover)
-    choice = [0] * n
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return True
-        forbidden = 0
+    choice = [-1] * n
+    forbidden = [0] * n
+    v = 0
+    while v >= 0:
+        size, blocked = sizes[v], forbidden[v]
+        i = choice[v] + 1
+        while i < size and blocked >> i & 1:
+            i += 1
+        if i == size:
+            choice[v] = -1
+            v -= 1
+            continue
+        choice[v] = i
+        if v == n - 1:
+            yield choice
+            continue
+        v += 1
+        blocked = 0
         for u, mapping in incoming[v]:
             j = mapping.get(choice[u])
             if j is not None:
-                forbidden |= 1 << j
-        for i in range(cover.sizes[v]):
-            if not forbidden >> i & 1:
-                choice[v] = i
-                if rec(v + 1):
-                    return True
-        return False
+                blocked |= 1 << j
+        forbidden[v] = blocked
 
-    if not rec(0):
-        return None
-    return tuple(choice)
+
+def find_transversal(cover: Cover) -> tuple[int, ...] | None:
+    """The lexicographically first index choice per vertex with no matched
+    pair selected, or None after exhausting the search."""
+    for choice in _transversals(cover):
+        return tuple(choice)
+    return None
 
 
 def count_transversals(cover: Cover) -> int:
     """Exact number of transversals (no early exit)."""
-    n = cover.graph.n
-    if n == 0:
-        return 1
-    incoming = _forward_maps(cover)
-    choice = [0] * n
-
-    def rec(v: int) -> int:
-        if v == n:
-            return 1
-        forbidden = 0
-        for u, mapping in incoming[v]:
-            j = mapping.get(choice[u])
-            if j is not None:
-                forbidden |= 1 << j
-        total = 0
-        for i in range(cover.sizes[v]):
-            if not forbidden >> i & 1:
-                choice[v] = i
-                total += rec(v + 1)
-        return total
-
-    return rec(0)
+    return sum(1 for _ in _transversals(cover))
 
 
 def is_bad(cover: Cover) -> bool:
@@ -398,6 +393,20 @@ def enumerate_full_covers(
         yield _gauge_cover(g, k, tree, nontree, perms, combo)
 
 
+def _kills_at_most(kill: list[list[int]], depth: int, survivors: int, cap: int) -> bool:
+    """Survivor bound over a kill table: ``kill[e]`` holds one mask per
+    option of edge e, the survivors that option removes.  True iff the edges
+    from ``depth`` on, each taking its most destructive option, remove at
+    most ``cap`` survivors in total; with ``cap`` one below the survivor
+    count, that means every completion keeps a survivor."""
+    bound = 0
+    for masks in kill[depth:]:
+        bound += max(map(int.bit_count, map(survivors.__and__, masks)))
+        if bound > cap:
+            return False
+    return bound <= cap
+
+
 class _GaugeScan:
     """Survivor-set DFS over gauge-fixed full k-fold covers.
 
@@ -405,10 +414,11 @@ class _GaugeScan:
     permutations chosen on the first d non-tree edges, stored as a bitset
     over the transversals of the tree-only cover.  Choosing a permutation can
     only shrink the set, so a subtree can be dismissed wholesale once some
-    transversal is guaranteed to survive every completion: the number of
-    survivors each remaining edge can still remove is at most the best
-    assignment-sum of its pair-count matrix, and if the sum of those bounds
-    is below the current survivor count, every completion stays colorable.
+    transversal is guaranteed to survive every completion: each remaining
+    edge removes at most as many survivors as its most destructive
+    permutation does, and if the sum of those maxima is below the current
+    survivor count, every completion stays colorable.  That bound is
+    :func:`_kills_at_most`, shared with the lemma checks' profile scans.
 
     Relabeling every vertex by the same sigma keeps the tree matchings at the
     identity and conjugates each non-tree permutation, so both scans visit
@@ -439,25 +449,17 @@ class _GaugeScan:
         self._steps: dict[tuple[int, ...] | None, list] = {(): [()] * self.nperm}
 
     def _tree_transversals(self) -> list[tuple[int, ...]]:
-        n, k = self.g.n, self.k
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.tree:
-            lower[max(u, v)].append(min(u, v))
-        out: list[tuple[int, ...]] = []
-        choice = [0] * n
-
-        def rec(v: int) -> None:
-            if v == n:
-                out.append(tuple(choice))
-                return
-            for i in range(k):
-                if all(choice[u] != i for u in lower[v]):
-                    choice[v] = i
-                    rec(v + 1)
-
-        if k > 0 or n == 0:
-            rec(0)
-        return out
+        identity = tuple((i, i) for i in range(self.k))
+        in_tree = {(min(u, v), max(u, v)) for u, v in self.tree}
+        tree_only = Cover(
+            self.g,
+            (self.k,) * self.g.n,
+            tuple(
+                (u, v, identity if (u, v) in in_tree else ())
+                for u, v in self.g.edges()
+            ),
+        )
+        return [tuple(choice) for choice in _transversals(tree_only)]
 
     def _kill_masks(self, transversals: list[tuple[int, ...]]) -> list[list[int]]:
         kill = []
@@ -477,16 +479,6 @@ class _GaugeScan:
 
     def _subtree_size(self, depth: int) -> int:
         return self.nperm ** (self.depth_total - depth)
-
-    def _kills_at_most(self, depth: int, survivors: int, cap: int) -> bool:
-        """True iff the edges from ``depth`` on, each taking its most
-        destructive permutation, remove at most ``cap`` survivors in total."""
-        bound = 0
-        for masks in self.kill[depth:]:
-            bound += max(map(int.bit_count, map(survivors.__and__, masks)))
-            if bound > cap:
-                return False
-        return bound <= cap
 
     # -- lex-leader symmetry breaking -------------------------------------
 
@@ -585,7 +577,7 @@ class _GaugeScan:
             if depth == self.depth_total:
                 self.budget.spend(1)
                 return None  # survivors nonempty: colorable
-            if self._kills_at_most(depth, survivors, survivors.bit_count() - 1):
+            if _kills_at_most(self.kill, depth, survivors, survivors.bit_count() - 1):
                 self.budget.spend(self._subtree_size(depth))
                 return None
             below = self._subtree_size(depth + 1)
@@ -644,8 +636,8 @@ class _GaugeScan:
                     self.best_value = count
                     self.best_combo = prefix
                 return
-            if self.best_value is not None and self._kills_at_most(
-                depth, survivors, survivors.bit_count() - self.best_value
+            if self.best_value is not None and _kills_at_most(
+                self.kill, depth, survivors, survivors.bit_count() - self.best_value
             ):
                 self.budget.spend(self._subtree_size(depth))
                 return
@@ -679,12 +671,22 @@ class RobustVerdict:
 
 
 def _scan_partition(payload):
-    """Worker for parallel robust scans: one first-edge permutation each."""
-    n, edges, k, first_perm, max_nodes, skip_canonical = payload
+    """Worker for parallel robust scans: one first-edge permutation each.
+
+    ``deadline`` is the parent's absolute ``time.monotonic()`` deadline, or
+    None; the monotonic clock is system-wide, so it means the same instant
+    in every worker.  A partition that starts past it reports "budget"."""
+    n, edges, k, first_perm, max_nodes, deadline, skip_canonical = payload
     from .graphs import build_graph
 
+    max_millis = None
+    if deadline is not None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return ("budget", 0, None)
+        max_millis = max(1, int(remaining * 1000))
     g = build_graph(n, edges)
-    budget = SearchLimits(max_nodes=max_nodes).start()
+    budget = SearchLimits(max_nodes=max_nodes, max_millis=max_millis).start()
     scan = _GaugeScan(g, k, budget)
     try:
         combo = scan.find_bad(skip_canonical, first_perm=first_perm)
@@ -735,9 +737,11 @@ def robust_criticality_verdict(
 
 def _parallel_find_bad(g, k, scan, limits, workers):
     """Partition the scan by the first non-tree edge's permutation.  Each
-    partition gets the node budget; the first witness wins (early exit)."""
+    partition gets the node budget and the parent's deadline; the first
+    witness wins (early exit)."""
     payloads = [
-        (g.n, g.edges(), k, p, limits.max_nodes, True) for p in range(scan.nperm)
+        (g.n, g.edges(), k, p, limits.max_nodes, scan.budget.deadline, True)
+        for p in range(scan.nperm)
     ]
     scanned = 0
     witness_combo = None

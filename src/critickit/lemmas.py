@@ -1,6 +1,14 @@
 """Executable checks of the structural facts behind robust criticality, run
 exhaustively (or by seeded sampling when too large) on concrete small graphs.
 
+Covers are decided by survivor bitsets rather than by one transversal search
+per cover: every candidate transversal is one bit, each edge option has a
+kill mask of the candidates it rules out, and a cover is bad iff its masks
+cover every bit.  The excess and full-extension checks build such a table
+over the index tuples of a size profile (:class:`_ProfileCovers`); the
+induction check reuses the kill masks of the gauge-fixed full-cover scan.
+Only bad covers are materialized as :class:`Cover` objects.
+
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
 """
@@ -10,17 +18,19 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from math import prod
+from operator import getitem, or_
 
 from .coloring import classify_criticality
 from .covers import (
-    NONCANONICAL_BAD_COVER_FOUND,
     ROBUSTLY_CRITICAL,
     UNKNOWN,
     Cover,
+    _GaugeScan,
+    _kills_at_most,
     canonical_labeling,
-    enumerate_full_covers,
     find_transversal,
     robust_criticality_verdict,
 )
@@ -75,77 +85,125 @@ def partial_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(sorted(out))
 
 
-def _transversal_exists_raw(n: int, sizes, incoming) -> bool:
-    """Backtracking transversal existence on raw structures; ``incoming[v]``
-    lists (u, mapping) constraints with u < v."""
-    choice = [0] * n
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return True
-        forbidden = 0
-        for u, mapping in incoming[v]:
-            j = mapping.get(choice[u])
-            if j is not None:
-                forbidden |= 1 << j
-        for i in range(sizes[v]):
-            if not forbidden >> i & 1:
-                choice[v] = i
-                if rec(v + 1):
-                    return True
-        return False
-
-    return rec(0)
-
-
 def _seed(*parts) -> int:
     return zlib.crc32(":".join(str(p) for p in parts).encode())
 
 
+def _killed(kill: list[list[int]], picks) -> int:
+    """Union of the kill masks that ``picks`` selects, one per edge."""
+    return reduce(or_, map(getitem, kill, picks), 0)
+
+
 class _ProfileCovers:
-    """Iterate covers with a fixed size profile as per-edge injection picks."""
+    """Covers with a fixed size profile, as one partial-injection pick per
+    edge; ``options[e]`` lists edge e's injections in
+    :func:`partial_injections` order."""
 
     def __init__(self, g: Graph, sizes):
         self.g = g
         self.sizes = tuple(sizes)
         self.edges = g.edges()
         self.options = [
-            [dict(pairs) for pairs in partial_injections(self.sizes[u], self.sizes[v])]
-            for u, v in self.edges
+            partial_injections(self.sizes[u], self.sizes[v]) for u, v in self.edges
         ]
-        self.total = 1
-        for opts in self.options:
-            self.total *= len(opts)
-
-    def incoming_for(self, picks) -> list[list[tuple[int, dict]]]:
-        incoming: list[list[tuple[int, dict]]] = [[] for _ in range(self.g.n)]
-        for (u, v), opts, pick in zip(self.edges, self.options, picks):
-            incoming[v].append((u, opts[pick]))
-        return incoming
+        self.total = prod(map(len, self.options))
 
     def cover_at(self, picks) -> Cover:
         entries = tuple(
-            (u, v, tuple(sorted(self.options[e][picks[e]].items())))
-            for e, (u, v) in enumerate(self.edges)
+            (u, v, self.options[e][picks[e]]) for e, (u, v) in enumerate(self.edges)
         )
         return Cover(self.g, self.sizes, entries)
 
-    def iter_picks(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
-        """Choose exhaustive or sampled iteration: estimated search nodes are
-        covers times (n+1); sampling is seeded and draws with replacement."""
-        estimated = self.total * (self.g.n + 1)
-        if estimated <= limits.max_nodes:
-            return EXHAUSTIVE, self.total, product(
-                *(range(len(opts)) for opts in self.options)
-            )
-        count = max(1, limits.max_nodes // (self.g.n + 1))
-        rng = random.Random(_seed(*seed_parts))
+    def _kill_table(self) -> tuple[int, list[list[int]]]:
+        """(mask of every index tuple of the profile, per edge and option the
+        tuples whose endpoint indices form one of the option's pairs)."""
+        universe = list(product(*(range(s) for s in self.sizes)))
+        kill = []
+        for (u, v), opts in zip(self.edges, self.options):
+            by_pair: dict[tuple[int, int], int] = {}
+            for idx, t in enumerate(universe):
+                key = (t[u], t[v])
+                by_pair[key] = by_pair.get(key, 0) | 1 << idx
+            kill.append([sum(by_pair.get(pair, 0) for pair in pairs) for pairs in opts])
+        return (1 << len(universe)) - 1, kill
 
-        def sample():
-            for _ in range(count):
-                yield tuple(rng.randrange(len(opts)) for opts in self.options)
+    def _walk_bad(self, full: int, kill: list[list[int]]):
+        """Yield (covers decided so far, picks) for every bad cover, in
+        ``product`` order over the edges.  A DFS over edges keeps the
+        surviving tuples of each prefix and dismisses a subtree, counting
+        all of its covers as decided, once :func:`_kills_at_most` shows that
+        every completion keeps a survivor."""
+        depth_total = len(kill)
+        below = [1] * (depth_total + 1)
+        for d in range(depth_total - 1, -1, -1):
+            below[d] = below[d + 1] * len(kill[d])
+        picks = [0] * depth_total
+        survivors = [full] + [0] * depth_total
+        decided = 0
+        d = 0
+        while True:
+            s = survivors[d]
+            if d == depth_total:
+                decided += 1
+                if s == 0:
+                    yield decided, tuple(picks)
+            elif s and _kills_at_most(kill, d, s, s.bit_count() - 1):
+                decided += below[d]
+            else:
+                picks[d] = 0
+                survivors[d + 1] = s & ~kill[d][0]
+                d += 1
+                continue
+            # next sibling of the finished node, closing exhausted levels
+            while d > 0:
+                d -= 1
+                p = picks[d] + 1
+                if p < len(kill[d]):
+                    picks[d] = p
+                    survivors[d + 1] = survivors[d] & ~kill[d][p]
+                    d += 1
+                    break
+            else:
+                return
 
-        return f"{SAMPLED}:{count}", count, sample()
+    def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
+        """(mode, covers decided in all, iterator of (covers decided so far,
+        picks) over the bad covers).
+
+        The mode rule: exhaustive when the estimated search nodes, covers
+        times (n+1), fit the node budget; otherwise a seeded sample, drawn
+        with replacement, of budget/(n+1) covers.  Covers are decided by the
+        profile's kill table when its size in bits, tuples times options,
+        fits the node budget, and otherwise one at a time by
+        :func:`find_transversal`."""
+        table = None
+        if prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes:
+            table = self._kill_table()
+        if self.total * (self.g.n + 1) <= limits.max_nodes:
+            mode, count = EXHAUSTIVE, self.total
+            if table is not None:
+                return mode, count, self._walk_bad(*table)
+            draws = product(*(range(len(opts)) for opts in self.options))
+        else:
+            count = max(1, limits.max_nodes // (self.g.n + 1))
+            mode = f"{SAMPLED}:{count}"
+            randrange = random.Random(_seed(*seed_parts)).randrange
+            lengths = [len(opts) for opts in self.options]
+            draws = (tuple(map(randrange, lengths)) for _ in range(count))
+        if table is not None:
+            full, kill = table
+
+            def is_bad(picks) -> bool:
+                return _killed(kill, picks) == full
+
+        else:
+
+            def is_bad(picks) -> bool:
+                return find_transversal(self.cover_at(picks)) is None
+
+        return mode, count, (
+            (decided, picks) for decided, picks in enumerate(draws, 1) if is_bad(picks)
+        )
 
 
 def check_excess_lemma(
@@ -177,13 +235,8 @@ def check_excess_lemma(
             detail=f"profile {sizes} has a list smaller than k-1={k - 1}",
         )
     profile = _ProfileCovers(g, sizes)
-    mode, _, picks_iter = profile.iter_picks(limits, ("excess", word, sizes, k))
-    checked = 0
-    for picks in picks_iter:
-        checked += 1
-        incoming = profile.incoming_for(picks)
-        if _transversal_exists_raw(g.n, sizes, incoming):
-            continue
+    mode, total, bad = profile.iter_bad(limits, ("excess", word, sizes, k))
+    for checked, picks in bad:
         cover = profile.cover_at(picks)
         if any(s != k - 1 for s in sizes) or canonical_labeling(cover) is None:
             return LemmaReport(
@@ -191,7 +244,7 @@ def check_excess_lemma(
                 counterexample={"cover": cover_to_doc(cover)},
                 detail="bad cover that is not a canonical (k-1)-fold cover",
             )
-    return LemmaReport("excess", word, checked, ALL_PASS, mode)
+    return LemmaReport("excess", word, total, ALL_PASS, mode)
 
 
 def _full_extensions(cover: Cover):
@@ -236,30 +289,24 @@ def check_full_extension_lemma(
     fold = k - 1
     sizes = (fold,) * g.n
     profile = _ProfileCovers(g, sizes)
-    mode, _, picks_iter = profile.iter_picks(limits, ("full-extension", word, k))
-    checked = 0
-    for picks in picks_iter:
-        checked += 1
-        if all(
-            len(profile.options[e][p]) == fold for e, p in enumerate(picks)
-        ):
+    mode, total, bad = profile.iter_bad(limits, ("full-extension", word, k))
+    extensions = 0
+    for decided, picks in bad:
+        if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
             continue  # full covers are outside the lemma's hypothesis
-        incoming = profile.incoming_for(picks)
-        if _transversal_exists_raw(g.n, sizes, incoming):
-            continue
         cover = profile.cover_at(picks)
         for extension in _full_extensions(cover):
-            checked += 1
+            extensions += 1
             if canonical_labeling(extension) is not None:
                 return LemmaReport(
-                    "full-extension", word, checked, COUNTEREXAMPLE, mode,
+                    "full-extension", word, decided + extensions, COUNTEREXAMPLE, mode,
                     counterexample={
                         "cover": cover_to_doc(cover),
                         "canonical_extension": cover_to_doc(extension),
                     },
                     detail="bad non-full cover with a canonical full extension",
                 )
-    return LemmaReport("full-extension", word, checked, ALL_PASS, mode)
+    return LemmaReport("full-extension", word, total + extensions, ALL_PASS, mode)
 
 
 def check_pair_reduction(
@@ -372,13 +419,19 @@ def check_induction_lemma(
     fold = rv_rest.k  # covers of g are scanned at (k-1) = fold
     if fold < 1:
         return skipped("reduced graph has chromatic number 0")
+    # the covers of enumerate_full_covers, in its order and with its
+    # metering, each decided by the gauge-fixed scan's kill masks
+    budget = limits.start()
+    scan = _GaugeScan(g, fold, budget)
     checked = 0
     label_perms = list(permutations(range(fold)))
     try:
-        for cover in enumerate_full_covers(g, fold, limits):
+        for combo in product(range(scan.nperm), repeat=scan.depth_total):
+            budget.spend()
             checked += 1
-            if find_transversal(cover) is not None:
+            if _killed(scan.kill, combo) != scan.full_mask:
                 continue
+            cover = scan.cover_at(combo)
             constraints = _labeling_constraints(cover, members, fold)
             is_canonical = canonical_labeling(cover) is not None
             for assignment in product(label_perms, repeat=len(members)):

@@ -7,7 +7,8 @@ of the library's search paths, so a library bug cannot hide in its own test.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+import zlib
+from itertools import combinations, permutations, product
 
 from critickit import Cover, Graph, ListAssignment, build_graph
 
@@ -145,3 +146,66 @@ def random_relabeling(rng: random.Random, cover: Cover):
         rng.shuffle(perm)
         out.append(tuple(perm))
     return out
+
+
+def _partial_injections(a: int, b: int):
+    out = []
+    for size in range(min(a, b) + 1):
+        for sources in combinations(range(a), size):
+            for targets in permutations(range(b), size):
+                out.append(tuple(zip(sources, targets)))
+    return sorted(out)
+
+
+def _transversal_exists(n: int, sizes, incoming) -> bool:
+    """Recursive backtracking; ``incoming[v]`` lists (u, mapping) with u < v."""
+    choice = [0] * n
+
+    def rec(v: int) -> bool:
+        if v == n:
+            return True
+        forbidden = {mapping[choice[u]] for u, mapping in incoming[v] if choice[u] in mapping}
+        for i in range(sizes[v]):
+            if i not in forbidden:
+                choice[v] = i
+                if rec(v + 1):
+                    return True
+        return False
+
+    return rec(0)
+
+
+def oracle_profile_bad_picks(g: Graph, sizes, max_nodes: int, seed_parts, first: int):
+    """Per-cover reference for the lemma checks' profile scans: (mode,
+    covers decided in all, the first ``first`` bad covers as (covers decided
+    so far, picks)).  Same mode rule and seeded draws as the library, but
+    every cover is built as one dict per edge and decided by its own
+    transversal search."""
+    n, edges = g.n, g.edges()
+    options = [
+        [dict(pairs) for pairs in _partial_injections(sizes[u], sizes[v])]
+        for u, v in edges
+    ]
+    total = 1
+    for opts in options:
+        total *= len(opts)
+    if total * (n + 1) <= max_nodes:
+        mode, count = "exhaustive", total
+        draws = product(*(range(len(opts)) for opts in options))
+    else:
+        count = max(1, max_nodes // (n + 1))
+        mode = f"sampled:{count}"
+        rng = random.Random(zlib.crc32(":".join(map(str, seed_parts)).encode()))
+        draws = (
+            tuple(rng.randrange(len(opts)) for opts in options) for _ in range(count)
+        )
+    bad = []
+    for decided, picks in enumerate(draws, 1):
+        incoming = [[] for _ in range(n)]
+        for (u, v), opts, pick in zip(edges, options, picks):
+            incoming[v].append((u, opts[pick]))
+        if not _transversal_exists(n, sizes, incoming):
+            bad.append((decided, picks))
+            if len(bad) == first:
+                break
+    return mode, count, bad

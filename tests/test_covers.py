@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -191,6 +192,14 @@ def test_c4_swap_cover_certifies_dp_separation():
 
 def test_count_canonical_k4():
     assert count_transversals(make_canonical_cover(clique(4), 4)) == 24
+
+
+def test_transversal_search_on_a_long_path():
+    # deeper than the interpreter's recursion limit
+    path = build_graph(3000, [(v, v + 1) for v in range(2999)])
+    cover = make_canonical_cover(path, 2)
+    assert find_transversal(cover) == tuple(v % 2 for v in range(3000))
+    assert count_transversals(cover) == 2
 
 
 def test_counts_match_brute_force_on_random_covers():
@@ -592,6 +601,25 @@ def test_robust_workers_path():
     )
     assert verdict.decision == "robustly_critical"
     assert verdict.covers_scanned == 6**5
+
+
+def test_parallel_scan_keeps_the_time_budget():
+    # the node budget is out of reach, so only the deadline can stop the scan
+    limits = SearchLimits(max_nodes=10**12, max_millis=200)
+    start = time.monotonic()
+    verdict = robust_criticality_verdict(
+        join(cycle(5), clique(2)), limits, workers=2, deterministic=False
+    )
+    assert verdict.decision == "unknown"
+    assert time.monotonic() - start < 10.0
+
+
+def test_partition_started_past_the_deadline_is_budget():
+    from critickit.covers import _scan_partition
+
+    g = cycle(5)
+    payload = (g.n, g.edges(), 2, 0, 10**6, time.monotonic() - 1.0, True)
+    assert _scan_partition(payload) == ("budget", 0, None)
 
 
 # ---------------------------------------------------------------------- pdp

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from math import prod
+
 import pytest
 
 from critickit import (
@@ -15,7 +18,8 @@ from critickit import (
     generate_ekab,
     join,
 )
-from critickit.lemmas import partial_injections
+from critickit.lemmas import LemmaReport, _ProfileCovers, partial_injections
+from helpers import oracle_profile_bad_picks, random_graph
 
 
 def test_partial_injection_counts():
@@ -63,6 +67,54 @@ def test_excess_sampling_mode_is_deterministic():
     second = check_excess_lemma(cycle(5), (2, 2, 2, 2, 3), limits)
     assert first.mode.startswith("sampled:")
     assert first == second
+    assert first == LemmaReport("excess", "Dhc", 3333, "all_pass", "sampled:3333")
+
+
+def test_excess_without_kill_table_decides_each_cover(monkeypatch):
+    # 243 index tuples times 170 options exceeds the 6000-node budget
+    def no_table(self):
+        raise AssertionError("kill table built over budget")
+
+    monkeypatch.setattr(_ProfileCovers, "_kill_table", no_table)
+    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=6000))
+    assert report == LemmaReport("excess", "Dhc", 1000, "all_pass", "sampled:1000")
+
+
+NON_ROBUST_HOSTS = [
+    cycle(4),
+    build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),  # K4 minus an edge
+    build_graph(4, [(0, 1), (1, 2), (1, 3)]),  # a tree
+    build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # a path
+]
+
+
+def test_profile_scan_matches_per_cover_oracle():
+    # bad covers exist on these hosts, so the first bad picks and their
+    # positions are compared, not only the outcome of a lemma check
+    rng = random.Random(6)
+    paths = set()
+    for max_nodes in (600, 6000, 60000):
+        hosts = NON_ROBUST_HOSTS + [
+            random_graph(rng, rng.randint(1, 5), connected=True) for _ in range(16)
+        ]
+        for g in hosts:
+            sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
+            seed_parts = ("differential", max_nodes, sizes)
+            profile = _ProfileCovers(g, sizes)
+            mode, total, bad = profile.iter_bad(SearchLimits(max_nodes=max_nodes), seed_parts)
+            first = [found for _, found in zip(range(4), bad)]
+            assert (mode, total, first) == oracle_profile_bad_picks(
+                g, sizes, max_nodes, seed_parts, 4
+            ), (g.edges(), sizes, max_nodes)
+            table = prod(sizes) * sum(map(len, profile.options)) <= max_nodes
+            paths.add((mode.split(":")[0], table, bool(first)))
+    # exhaustive walks and sampled draws, with and without a bad cover, on the
+    # kill table; sampled draws decided one cover at a time
+    assert paths >= {
+        ("exhaustive", True, True), ("exhaustive", True, False),
+        ("sampled", True, True), ("sampled", True, False),
+        ("sampled", False, True), ("sampled", False, False),
+    }
 
 
 # ----------------------------------------------------------- full extension
@@ -71,13 +123,13 @@ def test_excess_sampling_mode_is_deterministic():
 def test_full_extension_c5():
     report = check_full_extension_lemma(cycle(5))
     assert report.outcome == "all_pass"
-    assert report.checked >= 7**5
+    assert report.checked == 7**5
 
 
 def test_full_extension_k3():
     report = check_full_extension_lemma(clique(3))
     assert report.outcome == "all_pass"
-    assert report.checked >= 7**3
+    assert report.checked == 7**3
 
 
 def test_full_extension_skips_non_critical():
@@ -119,7 +171,7 @@ def test_pair_two_common_neighbors_skips():
 def test_induction_wheel_apex():
     report = check_induction_lemma(join(cycle(5), clique(1)), [5])
     assert report.outcome == "all_pass"
-    assert report.checked >= 6**5
+    assert report.checked == 7782  # 6**5 covers plus the labelings of the bad ones
 
 
 def test_induction_c5_single_vertex_skips():
