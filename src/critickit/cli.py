@@ -90,7 +90,6 @@ class _SourceAction(argparse.Action):
 
 @dataclass(frozen=True)
 class RunConfig:
-    input_format: str
     deterministic: bool
     workers: int
     node_budget: int
@@ -233,12 +232,7 @@ def _config_from_args(args) -> RunConfig:
                 raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}")
         else:
             budget = DEFAULT_NODE_BUDGET
-    input_format = "graph6"
-    for kind, _ in getattr(args, "sources", None) or []:
-        if kind == "edges":
-            input_format = "edgelist"
     return RunConfig(
-        input_format=input_format,
         deterministic=args.deterministic,
         workers=args.workers,
         node_budget=budget,
@@ -251,15 +245,15 @@ def _cmd_gen(args, config) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
     word = encode_graph6(g)
     if args.edgelist:
-        return EXIT_YES, {"schema": "critickit/graph/1", "graph6": word,
+        return EXIT_YES, {"schema": jsonio.SCHEMA_GRAPH, "graph6": word,
                           "edgelist": format_edgelist(g)}, format_edgelist(g).rstrip("\n")
-    return EXIT_YES, {"schema": "critickit/graph/1", "graph6": word}, word
+    return EXIT_YES, {"schema": jsonio.SCHEMA_GRAPH, "graph6": word}, word
 
 
 def _cmd_chi(args, config) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
     limits = config.limits()
-    doc = {"schema": "critickit/chi/1", "variant": args.variant}
+    doc = {"schema": jsonio.SCHEMA_CHI, "variant": args.variant}
     try:
         if args.variant == "plain":
             value = chromatic_number(g)
@@ -325,7 +319,7 @@ def _cmd_count(args, config) -> tuple[int, dict, str]:
             raise CritickitError(f"{args.cover} is not JSON: {exc}") from None
         cover = jsonio.cover_from_doc(document)
         value = count_transversals(cover)
-        doc = {"schema": "critickit/count/1", "what": what, "value": value}
+        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "value": value}
         return EXIT_YES, doc, str(value)
     g = _resolve_graph(args)
     if what == "chromatic-poly":
@@ -336,23 +330,23 @@ def _cmd_count(args, config) -> tuple[int, dict, str]:
         raise UsageError(f"count {what} requires -k")
     if what == "colorings":
         value = count_proper_colorings(g, args.k)
-        doc = {"schema": "critickit/count/1", "what": what, "k": args.k, "value": value}
+        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
         return EXIT_YES, doc, str(value)
     if what == "transversals":
         value = count_transversals(make_canonical_cover(g, args.k))
-        doc = {"schema": "critickit/count/1", "what": what, "k": args.k, "value": value}
+        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
         return EXIT_YES, doc, str(value)
     try:
         result = pdp_value(g, args.k, limits)
     except BudgetExceeded as exc:
         upper = getattr(exc, "best_upper_bound", None)
         doc = {
-            "schema": "critickit/count/1", "what": "pdp", "k": args.k,
+            "schema": jsonio.SCHEMA_COUNT, "what": "pdp", "k": args.k,
             "value": None, "status": "unknown", "best_upper_bound": upper,
         }
         return EXIT_UNKNOWN, doc, f"unknown (budget exhausted; <= {upper})"
     doc = {
-        "schema": "critickit/count/1", "what": "pdp", "k": args.k,
+        "schema": jsonio.SCHEMA_COUNT, "what": "pdp", "k": args.k,
         "value": result.value, "covers_scanned": result.covers_scanned,
         "cover": jsonio.cover_to_doc(result.cover),
     }

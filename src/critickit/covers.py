@@ -20,7 +20,6 @@ is the identity.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator
@@ -739,6 +738,8 @@ def _parallel_find_bad(g, k, scan, limits, workers):
     """Partition the scan by the first non-tree edge's permutation.  Each
     partition gets the node budget and the parent's deadline; the first
     witness wins (early exit)."""
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     payloads = [
         (g.n, g.edges(), k, p, limits.max_nodes, scan.budget.deadline, True)
         for p in range(scan.nperm)

@@ -22,6 +22,10 @@ SCHEMA_STRONG = "critickit/strong-verdict/1"
 SCHEMA_CRITICALITY = "critickit/criticality/1"
 SCHEMA_LEMMA = "critickit/lemma-report/1"
 SCHEMA_ERROR = "critickit/error/1"
+SCHEMA_GRAPH = "critickit/graph/1"
+SCHEMA_CHI = "critickit/chi/1"
+SCHEMA_COUNT = "critickit/count/1"
+SCHEMA_POLYNOMIAL = "critickit/polynomial/1"
 
 
 def dumps(document: dict) -> str:
@@ -166,6 +170,6 @@ def strong_verdict_to_doc(verdict: StrongVerdict) -> dict:
 
 def polynomial_to_doc(poly: Polynomial) -> dict:
     return {
-        "schema": "critickit/polynomial/1",
+        "schema": SCHEMA_POLYNOMIAL,
         "coefficients_ascending": list(poly.coefficients),
     }

@@ -1,6 +1,12 @@
 """Executable checks of the structural facts behind robust criticality, run
 exhaustively (or by seeded sampling when too large) on concrete small graphs.
 
+Adding matched pairs to a cover only removes transversals, so every partial
+cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
+bad whenever it is.  The excess check therefore decides profiles with a list
+larger than k-1 over maximal covers only; the all-(k-1) profile, where the
+lemmas quantify over non-full covers, keeps every partial cover.
+
 Covers are decided by survivor bitsets rather than by one transversal search
 per cover: every candidate transversal is one bit, each edge option has a
 kill mask of the candidates it rules out, and a cover is bad iff its masks
@@ -36,7 +42,7 @@ from .covers import (
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
-from .jsonio import assignment_to_doc, cover_to_doc
+from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
 from .limits import SearchLimits
 from .listcoloring import UNKNOWN as LIST_UNKNOWN
 from .listcoloring import YES, ListAssignment, strong_criticality_verdict
@@ -62,7 +68,7 @@ class LemmaReport:
 
     def to_doc(self) -> dict:
         return {
-            "schema": "critickit/lemma-report/1",
+            "schema": SCHEMA_LEMMA,
             "lemma": self.lemma,
             "graph6": self.graph6,
             "checked": self.checked,
@@ -85,6 +91,13 @@ def partial_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=None)
+def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The partial injections of size min(a, b), in
+    :func:`partial_injections` order."""
+    return tuple(p for p in partial_injections(a, b) if len(p) == min(a, b))
+
+
 def _seed(*parts) -> int:
     return zlib.crc32(":".join(str(p) for p in parts).encode())
 
@@ -97,14 +110,15 @@ def _killed(kill: list[list[int]], picks) -> int:
 class _ProfileCovers:
     """Covers with a fixed size profile, as one partial-injection pick per
     edge; ``options[e]`` lists edge e's injections in
-    :func:`partial_injections` order."""
+    :func:`partial_injections` order, only the maximal ones if ``maximal``."""
 
-    def __init__(self, g: Graph, sizes):
+    def __init__(self, g: Graph, sizes, maximal: bool = False):
         self.g = g
         self.sizes = tuple(sizes)
         self.edges = g.edges()
+        injections = maximal_injections if maximal else partial_injections
         self.options = [
-            partial_injections(self.sizes[u], self.sizes[v]) for u, v in self.edges
+            injections(self.sizes[u], self.sizes[v]) for u, v in self.edges
         ]
         self.total = prod(map(len, self.options))
 
@@ -168,7 +182,8 @@ class _ProfileCovers:
 
     def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
         """(mode, covers decided in all, iterator of (covers decided so far,
-        picks) over the bad covers).
+        picks) over the bad covers).  The covers are those of ``options``:
+        every partial cover of the profile, or only the maximal ones.
 
         The mode rule: exhaustive when the estimated search nodes, covers
         times (n+1), fit the node budget; otherwise a seeded sample, drawn
@@ -211,7 +226,12 @@ def check_excess_lemma(
 ) -> LemmaReport:
     """On a robustly critical graph, a bad cover with every list of size at
     least k-1 must be a canonical (k-1)-fold cover; in particular no bad
-    cover exists once some list is strictly larger."""
+    cover exists once some list is strictly larger.
+
+    Such an oversized profile is decided over its maximal covers, and
+    ``checked`` counts those: a bad cover extends to a bad maximal cover, and
+    any bad cover of it is a counterexample.  The all-(k-1) profile is
+    decided over every partial cover."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     sizes = tuple(sizes)
@@ -234,11 +254,12 @@ def check_excess_lemma(
             "excess", word, 0, SKIPPED_PRECONDITION, "-",
             detail=f"profile {sizes} has a list smaller than k-1={k - 1}",
         )
-    profile = _ProfileCovers(g, sizes)
+    oversized = any(s != k - 1 for s in sizes)
+    profile = _ProfileCovers(g, sizes, maximal=oversized)
     mode, total, bad = profile.iter_bad(limits, ("excess", word, sizes, k))
     for checked, picks in bad:
         cover = profile.cover_at(picks)
-        if any(s != k - 1 for s in sizes) or canonical_labeling(cover) is None:
+        if oversized or canonical_labeling(cover) is None:
             return LemmaReport(
                 "excess", word, checked, COUNTEREXAMPLE, mode,
                 counterexample={"cover": cover_to_doc(cover)},

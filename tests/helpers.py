@@ -175,15 +175,22 @@ def _transversal_exists(n: int, sizes, incoming) -> bool:
     return rec(0)
 
 
-def oracle_profile_bad_picks(g: Graph, sizes, max_nodes: int, seed_parts, first: int):
+def oracle_profile_bad_picks(
+    g: Graph, sizes, max_nodes: int, seed_parts, first: int, maximal: bool = False
+):
     """Per-cover reference for the lemma checks' profile scans: (mode,
     covers decided in all, the first ``first`` bad covers as (covers decided
     so far, picks)).  Same mode rule and seeded draws as the library, but
     every cover is built as one dict per edge and decided by its own
-    transversal search."""
+    transversal search.  With ``maximal``, each edge's options are only its
+    injections of size min(a, b)."""
     n, edges = g.n, g.edges()
     options = [
-        [dict(pairs) for pairs in _partial_injections(sizes[u], sizes[v])]
+        [
+            dict(pairs)
+            for pairs in _partial_injections(sizes[u], sizes[v])
+            if not maximal or len(pairs) == min(sizes[u], sizes[v])
+        ]
         for u, v in edges
     ]
     total = 1

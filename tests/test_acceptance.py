@@ -209,7 +209,7 @@ def test_criterion_7_counting():
 
 
 def test_criterion_8_lemma_suites():
-    budget = SearchLimits(max_nodes=2_000_000)  # sampling cutoff for big profiles
+    budget = SearchLimits(max_nodes=2_000_000)  # 6**5 maximal covers fit it
     start = time.perf_counter()
     r = check_full_extension_lemma(cycle(5))
     assert r.outcome == "all_pass" and r.mode == "exhaustive" and r.checked >= 7**5
@@ -227,6 +227,7 @@ def test_criterion_8_lemma_suites():
         assert r.outcome == "all_pass", profile
         modes["sampled" if r.mode.startswith("sampled") else "exhaustive"] += 1
     t_excess = time.perf_counter() - start
+    assert modes == {"exhaustive": 31, "sampled": 0}
     assert t_excess < 300.0
 
     start = time.perf_counter()

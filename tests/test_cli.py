@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import critickit
 from critickit import (
     AssignmentError,
     CoverError,
@@ -281,3 +286,20 @@ def test_malformed_documents_raise_package_errors():
         cover_from_doc({"graph6": "A_", "k": 2, "matchings": [{"u": 0, "v": 1, "pairs": [[0, 0, 1]]}]})
     with pytest.raises(CoverError):
         cover_from_doc({"graph6": "A_", "k": 1, "matchings": []})
+
+
+# ------------------------------------------------------------------ imports
+
+
+def test_cli_import_skips_process_pools():
+    # only the parallel robust scan needs them, and it imports them itself
+    src = str(Path(critickit.__file__).resolve().parents[1])
+    probe = (
+        "import sys, critickit.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

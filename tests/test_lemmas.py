@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,14 @@ from critickit import (
     generate_ekab,
     join,
 )
-from critickit.lemmas import LemmaReport, _ProfileCovers, partial_injections
+from critickit import lemmas
+from critickit.covers import ROBUSTLY_CRITICAL, find_transversal
+from critickit.jsonio import cover_from_doc
+from critickit.lemmas import (
+    LemmaReport,
+    _ProfileCovers,
+    partial_injections,
+)
 from helpers import oracle_profile_bad_picks, random_graph
 
 
@@ -33,10 +41,11 @@ def test_partial_injection_counts():
 
 
 def test_excess_c5_oversized_profile():
+    # decided over maximal covers: 6 injections 3 -> 2 or 2 -> 3, 2 of 2 -> 2
     report = check_excess_lemma(cycle(5), (3, 2, 2, 2, 2))
     assert report.outcome == "all_pass"
     assert report.mode == "exhaustive"
-    assert report.checked == 13 * 7 * 7 * 7 * 13
+    assert report.checked == 6 * 2 * 2 * 2 * 6
 
 
 def test_excess_c5_flat_profile():
@@ -62,22 +71,36 @@ def test_excess_skips_undersized_profile():
 
 
 def test_excess_sampling_mode_is_deterministic():
+    # 6**5 maximal covers times 6 search nodes each exceeds 20k
     limits = SearchLimits(max_nodes=20_000)
-    first = check_excess_lemma(cycle(5), (2, 2, 2, 2, 3), limits)
-    second = check_excess_lemma(cycle(5), (2, 2, 2, 2, 3), limits)
+    first = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), limits)
+    second = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), limits)
     assert first.mode.startswith("sampled:")
     assert first == second
     assert first == LemmaReport("excess", "Dhc", 3333, "all_pass", "sampled:3333")
 
 
 def test_excess_without_kill_table_decides_each_cover(monkeypatch):
-    # 243 index tuples times 170 options exceeds the 6000-node budget
+    # 243 index tuples times 30 maximal options exceeds the 6000-node budget
     def no_table(self):
         raise AssertionError("kill table built over budget")
 
     monkeypatch.setattr(_ProfileCovers, "_kill_table", no_table)
     report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=6000))
     assert report == LemmaReport("excess", "Dhc", 1000, "all_pass", "sampled:1000")
+
+
+def test_excess_counterexample_is_a_bad_maximal_cover(monkeypatch):
+    # the precondition is faked so that an oversized profile has bad covers:
+    # K4 with lists of sizes 2, 2, 2, 3 is not always colorable
+    fake = SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=3)
+    monkeypatch.setattr(lemmas, "robust_criticality_verdict", lambda g, limits: fake)
+    report = check_excess_lemma(clique(4), (2, 2, 2, 3))
+    assert report.outcome == "counterexample" and report.mode == "exhaustive"
+    cover = cover_from_doc(report.counterexample["cover"])
+    assert find_transversal(cover) is None
+    sizes = cover.sizes
+    assert all(len(pairs) == min(sizes[u], sizes[v]) for u, v, pairs in cover.matchings)
 
 
 NON_ROBUST_HOSTS = [
@@ -100,21 +123,53 @@ def test_profile_scan_matches_per_cover_oracle():
         for g in hosts:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
             seed_parts = ("differential", max_nodes, sizes)
-            profile = _ProfileCovers(g, sizes)
-            mode, total, bad = profile.iter_bad(SearchLimits(max_nodes=max_nodes), seed_parts)
-            first = [found for _, found in zip(range(4), bad)]
-            assert (mode, total, first) == oracle_profile_bad_picks(
-                g, sizes, max_nodes, seed_parts, 4
-            ), (g.edges(), sizes, max_nodes)
-            table = prod(sizes) * sum(map(len, profile.options)) <= max_nodes
-            paths.add((mode.split(":")[0], table, bool(first)))
+            for maximal in (False, True):
+                profile = _ProfileCovers(g, sizes, maximal)
+                mode, total, bad = profile.iter_bad(
+                    SearchLimits(max_nodes=max_nodes), seed_parts
+                )
+                first = [found for _, found in zip(range(4), bad)]
+                assert (mode, total, first) == oracle_profile_bad_picks(
+                    g, sizes, max_nodes, seed_parts, 4, maximal
+                ), (g.edges(), sizes, max_nodes, maximal)
+                table = prod(sizes) * sum(map(len, profile.options)) <= max_nodes
+                paths.add((maximal, mode.split(":")[0], table, bool(first)))
     # exhaustive walks and sampled draws, with and without a bad cover, on the
-    # kill table; sampled draws decided one cover at a time
-    assert paths >= {
+    # kill table; sampled draws decided one cover at a time (on maximal lists
+    # only with a bad cover: the fallback does not look at the options)
+    table_paths = {
         ("exhaustive", True, True), ("exhaustive", True, False),
-        ("sampled", True, True), ("sampled", True, False),
-        ("sampled", False, True), ("sampled", False, False),
+        ("sampled", True, True), ("sampled", True, False), ("sampled", False, True),
     }
+    assert {path[1:] for path in paths if path[0]} >= table_paths
+    assert {path[1:] for path in paths if not path[0]} >= table_paths | {
+        ("sampled", False, False)
+    }
+
+
+def test_bad_cover_exists_iff_bad_maximal_cover_exists():
+    # completing a cover only removes transversals, the fact that lets the
+    # excess check decide oversized profiles over maximal covers alone
+    rng = random.Random(11)
+    hosts = NON_ROBUST_HOSTS + [
+        random_graph(rng, rng.randint(1, 5), connected=True) for _ in range(40)
+    ]
+    outcomes = set()
+    for g in hosts:
+        for _ in range(3):
+            sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
+            partial = _ProfileCovers(g, sizes)
+            if partial.total > 20_000:
+                continue
+            exists = {
+                maximal: bool(
+                    oracle_profile_bad_picks(g, sizes, 10**9, (), 1, maximal)[2]
+                )
+                for maximal in (False, True)
+            }
+            assert exists[False] == exists[True], (g.edges(), sizes)
+            outcomes.add(exists[False])
+    assert outcomes == {False, True}
 
 
 # ----------------------------------------------------------- full extension
