@@ -17,9 +17,10 @@ from pathlib import Path
 from . import jsonio
 from .coloring import chromatic_number, chromatic_polynomial, count_proper_colorings
 from .covers import (
+    NONCANONICAL_BAD_COVER_FOUND,
     NOT_CRITICAL,
     ROBUSTLY_CRITICAL,
-    UNKNOWN as COVER_UNKNOWN,
+    UNKNOWN,
     count_transversals,
     dp_chromatic_number,
     make_canonical_cover,
@@ -43,6 +44,7 @@ from .graphs import (
 from .lemmas import (
     ALL_PASS,
     COUNTEREXAMPLE,
+    SKIPPED_PRECONDITION,
     TRUNCATED,
     check_excess_lemma,
     check_full_extension_lemma,
@@ -54,7 +56,6 @@ from .coloring import classify_criticality
 from .limits import DEFAULT_NODE_BUDGET, SearchLimits
 from .listcoloring import (
     NO,
-    UNKNOWN as LIST_UNKNOWN,
     YES,
     list_chromatic_number,
     strong_criticality_verdict,
@@ -64,6 +65,21 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+
+# The exit status of every decision a check reports; the robust and strong
+# verdicts share "unknown".
+EXIT_STATUS = {
+    YES: EXIT_YES,
+    ROBUSTLY_CRITICAL: EXIT_YES,
+    ALL_PASS: EXIT_YES,
+    NO: EXIT_NO,
+    NOT_CRITICAL: EXIT_NO,
+    NONCANONICAL_BAD_COVER_FOUND: EXIT_NO,
+    COUNTEREXAMPLE: EXIT_NO,
+    UNKNOWN: EXIT_UNKNOWN,
+    TRUNCATED: EXIT_UNKNOWN,
+    SKIPPED_PRECONDITION: EXIT_UNKNOWN,
+}
 
 BUDGET_ENV = "CRITICKIT_BUDGET"
 
@@ -289,10 +305,9 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
         verdict = strong_criticality_verdict(g, mode, limits)
         doc = jsonio.strong_verdict_to_doc(verdict)
         text = f"{prop}: {verdict.decision} (k={verdict.k})"
-        status = {YES: EXIT_YES, NO: EXIT_NO, LIST_UNKNOWN: EXIT_UNKNOWN}[verdict.decision]
         if verdict.witness is not None:
             text += f"\nwitness: {jsonio.dumps(jsonio.witness_to_doc(verdict.witness)).rstrip()}"
-        return status, doc, text
+        return EXIT_STATUS[verdict.decision], doc, text
     verdict = robust_criticality_verdict(
         g, limits, workers=config.workers, deterministic=config.deterministic
     )
@@ -303,10 +318,7 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
     )
     if verdict.witness is not None:
         text += f"\nwitness: {jsonio.dumps(jsonio.witness_to_doc(verdict.witness)).rstrip()}"
-    status = EXIT_YES if verdict.decision == ROBUSTLY_CRITICAL else (
-        EXIT_UNKNOWN if verdict.decision == COVER_UNKNOWN else EXIT_NO
-    )
-    return status, doc, text
+    return EXIT_STATUS[verdict.decision], doc, text
 
 
 def _cmd_count(args, config) -> tuple[int, dict, str]:
@@ -391,12 +403,7 @@ def _cmd_lemma(args, config) -> tuple[int, dict, str]:
     )
     if report.detail:
         text += f"\n{report.detail}"
-    status = {
-        ALL_PASS: EXIT_YES,
-        COUNTEREXAMPLE: EXIT_NO,
-        TRUNCATED: EXIT_UNKNOWN,
-    }.get(report.outcome, EXIT_UNKNOWN)
-    return status, doc, text
+    return EXIT_STATUS[report.outcome], doc, text
 
 
 _COMMANDS = {

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations, product
+from operator import getitem, or_
 from typing import Iterator
 
 from .coloring import ColoringVerdict, chromatic_number, classify_criticality
@@ -392,22 +394,40 @@ def enumerate_full_covers(
         yield _gauge_cover(g, k, tree, nontree, perms, combo)
 
 
-def _kills_at_most(kill: list[list[int]], depth: int, survivors: int, cap: int) -> bool:
-    """Survivor bound over a kill table: ``kill[e]`` holds one mask per
-    option of edge e, the survivors that option removes.  True iff the edges
-    from ``depth`` on, each taking its most destructive option, remove at
-    most ``cap`` survivors in total; with ``cap`` one below the survivor
-    count, that means every completion keeps a survivor."""
-    bound = 0
-    for masks in kill[depth:]:
-        bound += max(map(int.bit_count, map(survivors.__and__, masks)))
-        if bound > cap:
-            return False
-    return bound <= cap
+def _survivor_bound(
+    kill: list[list[int]], keep: list[list[int]], depth: int, survivors: int,
+    need: int, full: bool,
+) -> tuple[bool, int | None]:
+    """Survivor bound over a kill table: ``kill[e]`` and ``keep[e]`` hold one
+    mask per option of edge e, the survivors that option removes and the
+    ones it keeps.  Each edge from ``depth`` on removes at most as many
+    survivors as its most destructive option; when those maxima sum to at
+    most ``survivors.bit_count() - need``, every completion keeps ``need``
+    survivors.  At the last edge with ``need`` 1 that test is containment:
+    every option keeps a survivor.
+
+    Returns (whether every completion keeps ``need`` survivors, tail).
+    ``tail`` is the sum over the edges after ``depth`` (0 at the last edge),
+    or None when the sum stopped early: it stops once it exceeds the cap,
+    unless ``full``.  A child's survivors are a subset of these, so
+    ``tail + need <= child.bit_count()`` implies the child's own test."""
+    if depth == len(kill) - 1:
+        masks = keep[depth]
+        if need == 1:
+            return all(map(survivors.__and__, masks)), 0
+        return min(map(int.bit_count, map(survivors.__and__, masks))) >= need, 0
+    cap = survivors.bit_count() - need
+    tail = 0
+    for e in range(depth + 1, len(kill)):
+        tail += max(map(int.bit_count, map(survivors.__and__, kill[e])))
+        if tail > cap and not full:
+            return False, None
+    head = max(map(int.bit_count, map(survivors.__and__, kill[depth])))
+    return tail + head <= cap, tail
 
 
 class _GaugeScan:
-    """Survivor-set DFS over gauge-fixed full k-fold covers.
+    """Survivor-set walk over gauge-fixed full k-fold covers.
 
     The state at depth d is the set of transversals compatible with the
     permutations chosen on the first d non-tree edges, stored as a bitset
@@ -417,7 +437,16 @@ class _GaugeScan:
     edge removes at most as many survivors as its most destructive
     permutation does, and if the sum of those maxima is below the current
     survivor count, every completion stays colorable.  That bound is
-    :func:`_kills_at_most`, shared with the lemma checks' profile scans.
+    :func:`_survivor_bound`, shared with the lemma checks' profile walk.
+
+    Two exact shortcuts make a node cheaper without changing a decision or a
+    charge.  A child's survivors are a subset of its parent's, so the
+    parent's maxima over the later edges bound the child too: a child they
+    dismiss costs one AND and one popcount instead of its own bound.  A node
+    sums those maxima past the point where its own test fails only when it
+    has at least as many leader children as edges left, so deep, narrow
+    scans do not pay for every remaining edge at every node.  At the last
+    edge the bound is containment: every permutation keeps a survivor.
 
     Relabeling every vertex by the same sigma keeps the tree matchings at the
     identity and conjugates each non-tree permutation, so both scans visit
@@ -428,8 +457,10 @@ class _GaugeScan:
     the relabeling, so the lexicographically first bad cover or minimizer is
     always a leader and the witnesses are unchanged.
 
-    Work is accounted per cover decided; subtrees dismissed by the bound or
-    by symmetry are charged in full.
+    The walk keeps its path on an explicit stack, so the number of non-tree
+    edges is not limited by the interpreter's recursion limit.  Work is
+    accounted per cover decided; subtrees dismissed by the bound or by
+    symmetry are charged in full.
     """
 
     def __init__(self, g: Graph, k: int, budget: Budget):
@@ -440,14 +471,17 @@ class _GaugeScan:
         self.perms = list(permutations(range(k)))
         self.nperm = len(self.perms)
         self.depth_total = len(self.nontree)
-        transversals = self._tree_transversals()
-        self.full_mask = (1 << len(transversals)) - 1
-        self.kill = self._kill_masks(transversals)
+        self.full_mask, self.kill = self._kill_masks()
+        self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
         self._index = {p: i for i, p in enumerate(self.perms)}
         self._conj_rows: dict[int, list[int]] = {}
         self._steps: dict[tuple[int, ...] | None, list] = {(): [()] * self.nperm}
 
-    def _tree_transversals(self) -> list[tuple[int, ...]]:
+    def _kill_masks(self) -> tuple[int, list[list[int]]]:
+        """(the mask of every transversal of the tree-only cover, ``kill``).
+        Bit i stands for the i-th transversal in lexicographic order, and
+        ``kill[e][p]`` holds the transversals t that permutation p on
+        non-tree edge e = (u, v) removes, those with p[t[u]] == t[v]."""
         identity = tuple((i, i) for i in range(self.k))
         in_tree = {(min(u, v), max(u, v)) for u, v in self.tree}
         tree_only = Cover(
@@ -458,26 +492,17 @@ class _GaugeScan:
                 for u, v in self.g.edges()
             ),
         )
-        return [tuple(choice) for choice in _transversals(tree_only)]
-
-    def _kill_masks(self, transversals: list[tuple[int, ...]]) -> list[list[int]]:
+        at = [[0] * self.k for _ in range(self.g.n)]  # at[v][a]: t[v] == a
+        bit = 1
+        for t in _transversals(tree_only):
+            for row, a in zip(at, t):
+                row[a] |= bit
+            bit <<= 1
         kill = []
         for u, v in self.nontree:
-            by_pair: dict[tuple[int, int], int] = {}
-            for idx, t in enumerate(transversals):
-                key = (t[u], t[v])
-                by_pair[key] = by_pair.get(key, 0) | (1 << idx)
-            per_perm = []
-            for p in self.perms:
-                mask = 0
-                for a in range(self.k):
-                    mask |= by_pair.get((a, p[a]), 0)
-                per_perm.append(mask)
-            kill.append(per_perm)
-        return kill
-
-    def _subtree_size(self, depth: int) -> int:
-        return self.nperm ** (self.depth_total - depth)
+            pair = [[mu & mv for mv in at[v]] for mu in at[u]]
+            kill.append([reduce(or_, map(getitem, pair, p), 0) for p in self.perms])
+        return bit - 1, kill
 
     # -- lex-leader symmetry breaking -------------------------------------
 
@@ -553,7 +578,65 @@ class _GaugeScan:
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
 
-    # -- find a bad cover -------------------------------------------------
+    # -- the survivor walk -----------------------------------------------
+
+    def _walk(self, depth: int, survivors: int, stab, picks: list[int], pdp: bool):
+        """Walk the subtree of the node at ``depth`` (prefix ``picks[:depth]``)
+        in lexicographic order, charging every dismissed subtree and skipped
+        non-leader.  Yields (depth, survivors) at each node with no survivor
+        or no edge left, with ``picks`` holding its prefix, for the caller to
+        decide and charge.  The bound asks every completion to keep one
+        survivor, or with ``pdp`` ``self.best_value`` of them (no bound
+        before the first value)."""
+        total, nperm = self.depth_total, self.nperm
+        kill, keep, spend = self.kill, self.keep, self.budget.spend
+        need = self.best_value if pdp else 1
+        path, steps, tails = [0] * total, [None] * total, [None] * total
+        root = depth
+        while True:
+            if survivors == 0 or depth == total:
+                yield depth, survivors
+                if pdp:
+                    need = self.best_value
+            else:
+                step = self._leader_step(stab)
+                if need is None:
+                    dismissed, tail = False, None
+                else:
+                    live = nperm - step.count(False)
+                    dismissed, tail = _survivor_bound(
+                        kill, keep, depth, survivors, need, live >= total - depth
+                    )
+                if dismissed:
+                    spend(nperm ** (total - depth))
+                else:
+                    path[depth], steps[depth], tails[depth] = survivors, step, tail
+                    picks[depth] = -1
+                    depth += 1
+            # enter the next child of the deepest open node
+            while True:
+                depth -= 1
+                if depth < root:
+                    return
+                step, tail, parent, options = (
+                    steps[depth], tails[depth], path[depth], keep[depth]
+                )
+                below = nperm ** (total - depth - 1)
+                for p in range(picks[depth] + 1, nperm):
+                    stab = step[p]
+                    if stab is False:
+                        spend(below)
+                        continue
+                    survivors = parent & options[p]
+                    if tail is not None and tail + need <= survivors.bit_count():
+                        spend(below)
+                        continue
+                    picks[depth] = p
+                    break
+                else:
+                    continue
+                break
+            depth += 1
 
     def find_bad(self, skip_canonical: bool, first_perm: int | None = None):
         """Lexicographically first bad gauge-fixed cover (skipping the
@@ -561,56 +644,29 @@ class _GaugeScan:
         whole space.  With ``first_perm``, only the covers whose first
         non-tree permutation is ``first_perm`` are decided.  Returns (combo
         or None)."""
-
-        def dfs(depth, survivors, prefix, identity, stab):
-            if survivors == 0:
-                count = self._subtree_size(depth)
-                rest = self.depth_total - depth
-                if skip_canonical and identity:
-                    if count == 1:
-                        self.budget.spend(1)
-                        return None
-                    # lexicographically first non-identity completion
-                    return prefix + (0,) * (rest - 1) + (1,)
-                return prefix + (0,) * rest
-            if depth == self.depth_total:
-                self.budget.spend(1)
-                return None  # survivors nonempty: colorable
-            if _kills_at_most(self.kill, depth, survivors, survivors.bit_count() - 1):
-                self.budget.spend(self._subtree_size(depth))
-                return None
-            below = self._subtree_size(depth + 1)
-            kill = self.kill[depth]
-            for p, child in enumerate(self._leader_step(stab)):
-                if child is False:
-                    self.budget.spend(below)
-                    continue
-                found = dfs(
-                    depth + 1,
-                    survivors & ~kill[p],
-                    prefix + (p,),
-                    identity and p == 0,
-                    child,
-                )
-                if found is not None:
-                    return found
-            return None
-
+        total = self.depth_total
+        picks = [0] * total
         if first_perm is None:
-            return dfs(0, self.full_mask, (), True, None)
-        if self.depth_total == 0:
-            raise CoverError("no non-tree edge to partition on")
-        child = self._leader_step(None)[first_perm]
-        if child is False:
-            self.budget.spend(self._subtree_size(1))
-            return None
-        return dfs(
-            1,
-            self.full_mask & ~self.kill[0][first_perm],
-            (first_perm,),
-            first_perm == 0,
-            child,
-        )
+            start = (0, self.full_mask, None)
+        else:
+            if total == 0:
+                raise CoverError("no non-tree edge to partition on")
+            child = self._leader_step(None)[first_perm]
+            if child is False:
+                self.budget.spend(self.nperm ** (total - 1))
+                return None
+            picks[0] = first_perm
+            start = (1, self.full_mask & self.keep[0][first_perm], child)
+        for depth, survivors in self._walk(*start, picks, pdp=False):
+            if survivors == 0:
+                rest = total - depth
+                if not skip_canonical or any(picks[:depth]):
+                    return tuple(picks[:depth]) + (0,) * rest
+                if rest and self.nperm > 1:
+                    # lexicographically first non-identity completion
+                    return (0,) * (total - 1) + (1,)
+            self.budget.spend(1)  # colorable, or the canonical cover skipped
+        return None
 
     # -- minimize the transversal count -----------------------------------
 
@@ -620,35 +676,20 @@ class _GaugeScan:
         a best-so-far upper bound when the budget trips."""
         self.best_value: int | None = None
         self.best_combo: tuple[int, ...] | None = None
-
-        def dfs(depth, survivors, prefix, stab):
+        total, spend = self.depth_total, self.budget.spend
+        picks = [0] * total
+        for depth, survivors in self._walk(0, self.full_mask, None, picks, pdp=True):
             if survivors == 0:
-                self.budget.spend(self._subtree_size(depth))
+                spend(self.nperm ** (total - depth))
                 if self.best_value is None or self.best_value > 0:
                     self.best_value = 0
-                    self.best_combo = prefix + (0,) * (self.depth_total - depth)
-                return
-            if depth == self.depth_total:
-                self.budget.spend(1)
+                    self.best_combo = tuple(picks[:depth]) + (0,) * (total - depth)
+            else:
+                spend(1)
                 count = survivors.bit_count()
                 if self.best_value is None or count < self.best_value:
                     self.best_value = count
-                    self.best_combo = prefix
-                return
-            if self.best_value is not None and _kills_at_most(
-                self.kill, depth, survivors, survivors.bit_count() - self.best_value
-            ):
-                self.budget.spend(self._subtree_size(depth))
-                return
-            below = self._subtree_size(depth + 1)
-            kill = self.kill[depth]
-            for p, child in enumerate(self._leader_step(stab)):
-                if child is False:
-                    self.budget.spend(below)
-                else:
-                    dfs(depth + 1, survivors & ~kill[p], prefix + (p,), child)
-
-        dfs(0, self.full_mask, (), None)
+                    self.best_combo = tuple(picks)
         return self.best_value, self.best_combo
 
 
@@ -736,37 +777,33 @@ def robust_criticality_verdict(
 
 def _parallel_find_bad(g, k, scan, limits, workers):
     """Partition the scan by the first non-tree edge's permutation.  Each
-    partition gets the node budget and the parent's deadline; the first
-    witness wins (early exit)."""
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    partition gets the node budget and the parent's deadline.  Results are
+    taken in partition order, so the witness is the lowest-index
+    partition's, as in the sequential scan; the partitions after it are
+    cancelled and covers are counted up to it."""
+    from concurrent.futures import ProcessPoolExecutor
 
     payloads = [
         (g.n, g.edges(), k, p, limits.max_nodes, scan.budget.deadline, True)
         for p in range(scan.nperm)
     ]
     scanned = 0
-    witness_combo = None
     budget_tripped = False
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_scan_partition, payload) for payload in payloads}
+        futures = [pool.submit(_scan_partition, payload) for payload in payloads]
         try:
-            while futures:
-                done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    status, spent, combo = fut.result()
-                    scanned += spent
-                    if status == "budget":
-                        budget_tripped = True
-                    elif combo is not None and witness_combo is None:
-                        witness_combo = combo
-                if witness_combo is not None:
-                    break
+            for fut in futures:
+                status, spent, combo = fut.result()
+                scanned += spent
+                if combo is not None:
+                    return combo, scanned
+                budget_tripped = budget_tripped or status == "budget"
         finally:
             for fut in futures:
                 fut.cancel()
-    if witness_combo is None and budget_tripped:
+    if budget_tripped:
         raise BudgetExceeded("partition budget exhausted", spent=scanned)
-    return witness_combo, scanned
+    return None, scanned
 
 
 def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:

@@ -35,7 +35,7 @@ from .covers import (
     UNKNOWN,
     Cover,
     _GaugeScan,
-    _kills_at_most,
+    _survivor_bound,
     canonical_labeling,
     find_transversal,
     robust_criticality_verdict,
@@ -145,14 +145,17 @@ class _ProfileCovers:
         """Yield (covers decided so far, picks) for every bad cover, in
         ``product`` order over the edges.  A DFS over edges keeps the
         surviving tuples of each prefix and dismisses a subtree, counting
-        all of its covers as decided, once :func:`_kills_at_most` shows that
-        every completion keeps a survivor."""
+        all of its covers as decided, once :func:`_survivor_bound` shows that
+        every completion keeps a survivor; a child that its parent's tail of
+        the bound already dismisses is counted without entering it."""
         depth_total = len(kill)
+        keep = [[full ^ mask for mask in masks] for masks in kill]
         below = [1] * (depth_total + 1)
         for d in range(depth_total - 1, -1, -1):
             below[d] = below[d + 1] * len(kill[d])
         picks = [0] * depth_total
         survivors = [full] + [0] * depth_total
+        tails: list[int | None] = [None] * depth_total
         decided = 0
         d = 0
         while True:
@@ -161,22 +164,33 @@ class _ProfileCovers:
                 decided += 1
                 if s == 0:
                     yield decided, tuple(picks)
-            elif s and _kills_at_most(kill, d, s, s.bit_count() - 1):
-                decided += below[d]
             else:
-                picks[d] = 0
-                survivors[d + 1] = s & ~kill[d][0]
-                d += 1
-                continue
-            # next sibling of the finished node, closing exhausted levels
+                dismissed, tails[d] = False, None
+                if s:
+                    dismissed, tails[d] = _survivor_bound(
+                        kill, keep, d, s, 1, len(kill[d]) >= depth_total - d
+                    )
+                if dismissed:
+                    decided += below[d]
+                else:
+                    picks[d] = -1
+                    d += 1
+            # enter the next child of the deepest open node
             while d > 0:
                 d -= 1
-                p = picks[d] + 1
-                if p < len(kill[d]):
+                tail, options = tails[d], keep[d]
+                for p in range(picks[d] + 1, len(options)):
+                    s = survivors[d] & options[p]
+                    if tail is not None and tail < s.bit_count():
+                        decided += below[d + 1]
+                        continue
                     picks[d] = p
-                    survivors[d + 1] = survivors[d] & ~kill[d][p]
+                    survivors[d + 1] = s
                     d += 1
                     break
+                else:
+                    continue
+                break
             else:
                 return
 

@@ -2,6 +2,9 @@
 
 Everything here enumerates raw search spaces directly and stays independent
 of the library's search paths, so a library bug cannot hide in its own test.
+The one exception is the reference survivor walk at the end, a plain
+recursive copy of the gauge-fixed scan's walk that reads the scan's tables:
+it pins the walk's decisions and charges, not the tables.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ import random
 import zlib
 from itertools import combinations, permutations, product
 
-from critickit import Cover, Graph, ListAssignment, build_graph
+from critickit import Cover, Graph, ListAssignment, SearchLimits, build_graph
+from critickit.limits import Budget
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:
@@ -119,6 +123,17 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5, connected: bool = F
     return build_graph(n, sorted(edges))
 
 
+def grid_graph(width: int) -> Graph:
+    """The width x width grid, vertices numbered row by row."""
+    edges = []
+    for v in range(width * width):
+        if v % width + 1 < width:
+            edges.append((v, v + 1))
+        if v + width < width * width:
+            edges.append((v, v + width))
+    return build_graph(width * width, edges)
+
+
 def random_assignment(rng: random.Random, n: int, k: int, pool: int) -> ListAssignment:
     pool = max(pool, k)
     return ListAssignment.of(
@@ -216,3 +231,131 @@ def oracle_profile_bad_picks(
             if len(bad) == first:
                 break
     return mode, count, bad
+
+
+class RecordingBudget(Budget):
+    """A budget that records the units of every ``spend`` call, including
+    the one that trips it."""
+
+    def __init__(self, limits: SearchLimits):
+        super().__init__(limits)
+        self.calls: list[int] = []
+
+    def spend(self, units: int = 1) -> None:
+        self.calls.append(units)
+        super().spend(units)
+
+
+def oracle_kill_masks(transversals, nontree, perms):
+    """Per non-tree edge (u, v) and permutation p, the mask of transversals
+    t with p[t[u]] == t[v], built pair by pair."""
+    kill = []
+    for u, v in nontree:
+        by_pair: dict[tuple[int, int], int] = {}
+        for idx, t in enumerate(transversals):
+            key = (t[u], t[v])
+            by_pair[key] = by_pair.get(key, 0) | (1 << idx)
+        kill.append(
+            [sum(by_pair.get((a, p[a]), 0) for a in range(len(p))) for p in perms]
+        )
+    return kill
+
+
+def _oracle_kills_at_most(kill, depth: int, survivors: int, cap: int) -> bool:
+    bound = 0
+    for masks in kill[depth:]:
+        bound += max(map(int.bit_count, map(survivors.__and__, masks)))
+        if bound > cap:
+            return False
+    return bound <= cap
+
+
+def oracle_find_bad(scan, skip_canonical: bool, first_perm=None):
+    """The gauge-fixed scan's bad-cover walk as a plain recursion: every node
+    evaluates its own survivor bound from scratch.  Same results and the same
+    ``spend`` calls as ``scan.find_bad``."""
+    total = scan.depth_total
+
+    def size(depth):
+        return scan.nperm ** (total - depth)
+
+    def dfs(depth, survivors, prefix, identity, stab):
+        if survivors == 0:
+            rest = total - depth
+            if skip_canonical and identity:
+                if size(depth) == 1:
+                    scan.budget.spend(1)
+                    return None
+                return prefix + (0,) * (rest - 1) + (1,)
+            return prefix + (0,) * rest
+        if depth == total:
+            scan.budget.spend(1)
+            return None
+        cap = survivors.bit_count() - 1
+        if _oracle_kills_at_most(scan.kill, depth, survivors, cap):
+            scan.budget.spend(size(depth))
+            return None
+        kill = scan.kill[depth]
+        for p, child in enumerate(scan._leader_step(stab)):
+            if child is False:
+                scan.budget.spend(size(depth + 1))
+                continue
+            found = dfs(
+                depth + 1,
+                survivors & ~kill[p],
+                prefix + (p,),
+                identity and p == 0,
+                child,
+            )
+            if found is not None:
+                return found
+        return None
+
+    if first_perm is None:
+        return dfs(0, scan.full_mask, (), True, None)
+    child = scan._leader_step(None)[first_perm]
+    if child is False:
+        scan.budget.spend(size(1))
+        return None
+    survivors = scan.full_mask & ~scan.kill[0][first_perm]
+    return dfs(1, survivors, (first_perm,), first_perm == 0, child)
+
+
+def oracle_min_transversals(scan):
+    """The gauge-fixed scan's minimizing walk as a plain recursion, keeping
+    progress on ``scan.best_value``/``scan.best_combo`` like
+    ``scan.min_transversals``."""
+    total = scan.depth_total
+    scan.best_value = scan.best_combo = None
+
+    def size(depth):
+        return scan.nperm ** (total - depth)
+
+    def dfs(depth, survivors, prefix, stab):
+        if survivors == 0:
+            scan.budget.spend(size(depth))
+            if scan.best_value is None or scan.best_value > 0:
+                scan.best_value = 0
+                scan.best_combo = prefix + (0,) * (total - depth)
+            return
+        if depth == total:
+            scan.budget.spend(1)
+            count = survivors.bit_count()
+            if scan.best_value is None or count < scan.best_value:
+                scan.best_value = count
+                scan.best_combo = prefix
+            return
+        if scan.best_value is not None and _oracle_kills_at_most(
+            scan.kill, depth, survivors, survivors.bit_count() - scan.best_value
+        ):
+            scan.budget.spend(size(depth))
+            return
+        kill = scan.kill[depth]
+        for p, child in enumerate(scan._leader_step(stab)):
+            if child is False:
+                scan.budget.spend(size(depth + 1))
+            else:
+                dfs(depth + 1, survivors & ~kill[p], prefix + (p,), child)
+
+    dfs(0, scan.full_mask, (), None)
+    return scan.best_value, scan.best_combo

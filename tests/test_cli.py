@@ -181,6 +181,39 @@ def test_json_single_document():
     assert out.count("\n") == 1
 
 
+def test_json_pdp_on_a_deep_grid(tmp_path):
+    # 1024 non-tree edges: the scan must not hit the recursion limit
+    from critickit import format_edgelist
+    from helpers import grid_graph
+
+    path = tmp_path / "grid.txt"
+    path.write_text(format_edgelist(grid_graph(33)))
+    status, out = run("--json", "count", "pdp", "-k", "2", "--edges", str(path))
+    assert status in (0, 2)
+    doc = json.loads(out)
+    assert doc["schema"] == "critickit/count/1"
+    assert out.count("\n") == 1
+
+
+def test_exit_status_table_covers_every_decision():
+    from critickit import covers, lemmas, listcoloring
+    from critickit.cli import EXIT_STATUS
+
+    assert EXIT_STATUS == {
+        covers.ROBUSTLY_CRITICAL: 0,
+        covers.NOT_CRITICAL: 1,
+        covers.NONCANONICAL_BAD_COVER_FOUND: 1,
+        covers.UNKNOWN: 2,
+        listcoloring.YES: 0,
+        listcoloring.NO: 1,
+        listcoloring.UNKNOWN: 2,
+        lemmas.ALL_PASS: 0,
+        lemmas.COUNTEREXAMPLE: 1,
+        lemmas.TRUNCATED: 2,
+        lemmas.SKIPPED_PRECONDITION: 2,
+    }
+
+
 def test_json_witness_replays():
     status, out = run("--json", "check", "robust", "--cycle", "4")
     assert status == 1

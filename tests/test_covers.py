@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -44,9 +45,14 @@ from critickit import (
     validate_cover,
 )
 from helpers import (
+    RecordingBudget,
     brute_count_list_colorings,
     brute_count_transversals,
     brute_find_transversal,
+    grid_graph,
+    oracle_find_bad,
+    oracle_kill_masks,
+    oracle_min_transversals,
     random_assignment,
     random_cover,
     random_graph,
@@ -603,6 +609,23 @@ def test_robust_workers_path():
     assert verdict.covers_scanned == 6**5
 
 
+def test_parallel_scan_returns_the_lowest_index_witness():
+    # both partitions of K4 at k = 2 hold a bad non-canonical cover; the
+    # first partition's wins whichever finishes first, and covers are
+    # counted up to it, as the sequential scan counts them
+    from critickit.covers import _GaugeScan, _parallel_find_bad, _scan_partition
+
+    g = clique(4)
+    sequential = _GaugeScan(g, 2, SearchLimits().start())
+    combo = sequential.find_bad(True)
+    assert combo is not None and combo[0] == 0
+    payload = (g.n, g.edges(), 2, 1, 10**6, None, True)
+    assert _scan_partition(payload)[2] is not None
+    limits = SearchLimits()
+    scan = _GaugeScan(g, 2, limits.start())
+    assert _parallel_find_bad(g, 2, scan, limits, 2) == (combo, sequential.budget.spent)
+
+
 def test_parallel_scan_keeps_the_time_budget():
     # the node budget is out of reach, so only the deadline can stop the scan
     limits = SearchLimits(max_nodes=10**12, max_millis=200)
@@ -620,6 +643,105 @@ def test_partition_started_past_the_deadline_is_budget():
     g = cycle(5)
     payload = (g.n, g.edges(), 2, 0, 10**6, time.monotonic() - 1.0, True)
     assert _scan_partition(payload) == ("budget", 0, None)
+
+
+def _walk_cases():
+    """Random connected hosts with n <= 7 and k in 1..4, with the node
+    budgets to run them at: every host at 5000 and 37 nodes, and at 10**9
+    those whose gauge-fixed space has at most 10**6 covers, so that the
+    reference walk finishes in well under a second."""
+    rng = random.Random(2408)
+    cases = []
+    while len(cases) < 70:
+        g = random_graph(rng, rng.randint(1, 7), p=rng.uniform(0.2, 1), connected=True)
+        k = len(cases) % 4 + 1
+        space = math.factorial(k) ** (g.m - g.n + 1)
+        cases.append((g, k, (10**9, 5000, 37) if space <= 10**6 else (5000, 37)))
+    return cases
+
+
+def _recorded(g, k, max_nodes, call):
+    """(outcome, spend calls, best value so far) of ``call(scan)`` on a fresh
+    scan whose budget records every charge."""
+    from critickit.covers import _GaugeScan
+
+    budget = RecordingBudget(SearchLimits(max_nodes=max_nodes))
+    scan = _GaugeScan(g, k, budget)
+    try:
+        outcome = call(scan)
+    except BudgetExceeded as exc:
+        outcome = ("budget", exc.spent)
+    return outcome, budget.calls, getattr(scan, "best_value", None)
+
+
+def test_survivor_walk_matches_recursive_reference():
+    # reusing the parent's bound, the containment test at the last edge and
+    # the explicit stack must leave every decision and every charge as the
+    # plain recursion makes them, including where the budget trips
+    from critickit.covers import _GaugeScan
+
+    partitions = 0
+    for g, k, budgets in _walk_cases():
+        nperm = math.factorial(k)
+        for max_nodes in budgets:
+            calls = [
+                (lambda s, skip=skip: s.find_bad(skip),
+                 lambda s, skip=skip: oracle_find_bad(s, skip))
+                for skip in (True, False)
+            ]
+            calls.append((_GaugeScan.min_transversals, oracle_min_transversals))
+            if g.m >= g.n:
+                for p in range(nperm):
+                    partitions += 1
+                    calls.append((
+                        lambda s, p=p: s.find_bad(True, first_perm=p),
+                        lambda s, p=p: oracle_find_bad(s, True, first_perm=p),
+                    ))
+            for new, reference in calls:
+                assert _recorded(g, k, max_nodes, new) == _recorded(
+                    g, k, max_nodes, reference
+                ), (g.edges(), k, max_nodes)
+    assert partitions > 100
+
+
+def test_kill_masks_match_pair_construction():
+    # bit i of a mask stands for the i-th transversal of the tree-only
+    # cover in lexicographic order: the proper colorings of the tree
+    from itertools import product
+
+    from critickit.covers import _GaugeScan
+
+    for g, k, _ in _walk_cases():
+        scan = _GaugeScan(g, k, SearchLimits().start())
+        transversals = [
+            t
+            for t in product(range(k), repeat=g.n)
+            if all(t[u] != t[v] for u, v in scan.tree)
+        ]
+        assert scan.full_mask == (1 << len(transversals)) - 1
+        assert scan.kill == oracle_kill_masks(transversals, scan.nontree, scan.perms)
+        assert scan.keep == [
+            [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
+        ]
+
+
+def test_deep_scan_needs_no_recursion():
+    # the 33 x 33 grid has 1024 non-tree edges, deeper than the default
+    # recursion limit; at k = 2 a single twisted non-tree edge is bad
+    from critickit.covers import _GaugeScan
+
+    g = grid_graph(33)
+    scan = _GaugeScan(g, 2, SearchLimits().start())
+    assert scan.depth_total == 1024
+    combo = scan.find_bad(False)
+    assert combo == (0,) * 1023 + (1,)
+    assert is_bad(scan.cover_at(combo))
+    try:
+        result = pdp_value(g, 2, SearchLimits(max_nodes=10**5))
+    except BudgetExceeded as exc:
+        assert exc.spent <= 10**5
+    else:
+        assert result.value == count_transversals(result.cover)
 
 
 # ---------------------------------------------------------------------- pdp
