@@ -106,15 +106,11 @@ class _SourceAction(argparse.Action):
 
 @dataclass(frozen=True)
 class RunConfig:
-    deterministic: bool
-    workers: int
     node_budget: int
     time_budget_ms: int | None
     output_mode: str
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise UsageError("--workers must be at least 1")
         if self.node_budget <= 0:
             raise UsageError("node budget must be positive")
         if self.time_budget_ms is not None and self.time_budget_ms <= 0:
@@ -187,8 +183,15 @@ def _resolve_graph(args) -> Graph:
 def build_parser() -> _Parser:
     parser = _Parser(prog="critickit", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
-    parser.add_argument("--deterministic", action="store_true")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--deterministic", action="store_true",
+        help="accepted for compatibility, no effect: --json output is always "
+        "deterministic",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility, no effect: scans run in one process",
+    )
     parser.add_argument(
         "--node-budget", type=int, default=None,
         help=f"search budget (default {DEFAULT_NODE_BUDGET}; env {BUDGET_ENV})",
@@ -248,9 +251,9 @@ def _config_from_args(args) -> RunConfig:
                 raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}")
         else:
             budget = DEFAULT_NODE_BUDGET
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     return RunConfig(
-        deterministic=args.deterministic,
-        workers=args.workers,
         node_budget=budget,
         time_budget_ms=args.time_budget_ms,
         output_mode="json" if args.json else "human",
@@ -308,9 +311,7 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
         if verdict.witness is not None:
             text += f"\nwitness: {jsonio.dumps(jsonio.witness_to_doc(verdict.witness)).rstrip()}"
         return EXIT_STATUS[verdict.decision], doc, text
-    verdict = robust_criticality_verdict(
-        g, limits, workers=config.workers, deterministic=config.deterministic
-    )
+    verdict = robust_criticality_verdict(g, limits)
     doc = jsonio.robust_verdict_to_doc(verdict)
     text = (
         f"robust: {verdict.decision} (k={verdict.k}, "

@@ -19,7 +19,6 @@ is the identity.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
@@ -580,19 +579,18 @@ class _GaugeScan:
 
     # -- the survivor walk -----------------------------------------------
 
-    def _walk(self, depth: int, survivors: int, stab, picks: list[int], pdp: bool):
-        """Walk the subtree of the node at ``depth`` (prefix ``picks[:depth]``)
-        in lexicographic order, charging every dismissed subtree and skipped
-        non-leader.  Yields (depth, survivors) at each node with no survivor
-        or no edge left, with ``picks`` holding its prefix, for the caller to
-        decide and charge.  The bound asks every completion to keep one
-        survivor, or with ``pdp`` ``self.best_value`` of them (no bound
-        before the first value)."""
+    def _walk(self, picks: list[int], pdp: bool):
+        """Walk every gauge-fixed cover in lexicographic order, charging every
+        dismissed subtree and skipped non-leader.  Yields (depth, survivors)
+        at each node with no survivor or no edge left, with ``picks`` holding
+        its prefix, for the caller to decide and charge.  The bound asks
+        every completion to keep one survivor, or with ``pdp``
+        ``self.best_value`` of them (no bound before the first value)."""
         total, nperm = self.depth_total, self.nperm
         kill, keep, spend = self.kill, self.keep, self.budget.spend
         need = self.best_value if pdp else 1
         path, steps, tails = [0] * total, [None] * total, [None] * total
-        root = depth
+        depth, survivors, stab = 0, self.full_mask, None
         while True:
             if survivors == 0 or depth == total:
                 yield depth, survivors
@@ -616,7 +614,7 @@ class _GaugeScan:
             # enter the next child of the deepest open node
             while True:
                 depth -= 1
-                if depth < root:
+                if depth < 0:
                     return
                 step, tail, parent, options = (
                     steps[depth], tails[depth], path[depth], keep[depth]
@@ -638,26 +636,13 @@ class _GaugeScan:
                 break
             depth += 1
 
-    def find_bad(self, skip_canonical: bool, first_perm: int | None = None):
+    def find_bad(self, skip_canonical: bool):
         """Lexicographically first bad gauge-fixed cover (skipping the
-        all-identity one when ``skip_canonical``), or None after deciding the
-        whole space.  With ``first_perm``, only the covers whose first
-        non-tree permutation is ``first_perm`` are decided.  Returns (combo
-        or None)."""
+        all-identity one when ``skip_canonical``), as its combo, or None after
+        deciding the whole space."""
         total = self.depth_total
         picks = [0] * total
-        if first_perm is None:
-            start = (0, self.full_mask, None)
-        else:
-            if total == 0:
-                raise CoverError("no non-tree edge to partition on")
-            child = self._leader_step(None)[first_perm]
-            if child is False:
-                self.budget.spend(self.nperm ** (total - 1))
-                return None
-            picks[0] = first_perm
-            start = (1, self.full_mask & self.keep[0][first_perm], child)
-        for depth, survivors in self._walk(*start, picks, pdp=False):
+        for depth, survivors in self._walk(picks, pdp=False):
             if survivors == 0:
                 rest = total - depth
                 if not skip_canonical or any(picks[:depth]):
@@ -678,7 +663,7 @@ class _GaugeScan:
         self.best_combo: tuple[int, ...] | None = None
         total, spend = self.depth_total, self.budget.spend
         picks = [0] * total
-        for depth, survivors in self._walk(0, self.full_mask, None, picks, pdp=True):
+        for depth, survivors in self._walk(picks, pdp=True):
             if survivors == 0:
                 spend(self.nperm ** (total - depth))
                 if self.best_value is None or self.best_value > 0:
@@ -710,37 +695,7 @@ class RobustVerdict:
     criticality: ColoringVerdict | None = None
 
 
-def _scan_partition(payload):
-    """Worker for parallel robust scans: one first-edge permutation each.
-
-    ``deadline`` is the parent's absolute ``time.monotonic()`` deadline, or
-    None; the monotonic clock is system-wide, so it means the same instant
-    in every worker.  A partition that starts past it reports "budget"."""
-    n, edges, k, first_perm, max_nodes, deadline, skip_canonical = payload
-    from .graphs import build_graph
-
-    max_millis = None
-    if deadline is not None:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return ("budget", 0, None)
-        max_millis = max(1, int(remaining * 1000))
-    g = build_graph(n, edges)
-    budget = SearchLimits(max_nodes=max_nodes, max_millis=max_millis).start()
-    scan = _GaugeScan(g, k, budget)
-    try:
-        combo = scan.find_bad(skip_canonical, first_perm=first_perm)
-    except BudgetExceeded as exc:
-        return ("budget", exc.spent, None)
-    return ("done", budget.spent, combo)
-
-
-def robust_criticality_verdict(
-    g: Graph,
-    limits: SearchLimits | None = None,
-    workers: int = 1,
-    deterministic: bool = True,
-) -> RobustVerdict:
+def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> RobustVerdict:
     """Decide robust criticality by scanning all gauge-fixed full covers at
     one below the chromatic number.
 
@@ -756,54 +711,18 @@ def robust_criticality_verdict(
     k = verdict.chromatic_number
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0, verdict)
-    limits = limits or SearchLimits()
-    budget = limits.start()
+    budget = (limits or SearchLimits()).start()
     scan = _GaugeScan(g, k - 1, budget)
     try:
-        if workers > 1 and not deterministic and scan.depth_total >= 1:
-            combo, scanned = _parallel_find_bad(g, k - 1, scan, limits, workers)
-        else:
-            combo = scan.find_bad(skip_canonical=True)
-            scanned = budget.spent
+        combo = scan.find_bad(skip_canonical=True)
     except BudgetExceeded as exc:
         return RobustVerdict(UNKNOWN, k, None, exc.spent, verdict)
     if combo is None:
-        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, scanned, verdict)
+        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent, verdict)
     witness = scan.cover_at(combo)
     if find_transversal(witness) is not None or canonical_labeling(witness) is not None:
         raise CoverError("internal error: witness failed re-verification")
-    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, scanned, verdict)
-
-
-def _parallel_find_bad(g, k, scan, limits, workers):
-    """Partition the scan by the first non-tree edge's permutation.  Each
-    partition gets the node budget and the parent's deadline.  Results are
-    taken in partition order, so the witness is the lowest-index
-    partition's, as in the sequential scan; the partitions after it are
-    cancelled and covers are counted up to it."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    payloads = [
-        (g.n, g.edges(), k, p, limits.max_nodes, scan.budget.deadline, True)
-        for p in range(scan.nperm)
-    ]
-    scanned = 0
-    budget_tripped = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_partition, payload) for payload in payloads]
-        try:
-            for fut in futures:
-                status, spent, combo = fut.result()
-                scanned += spent
-                if combo is not None:
-                    return combo, scanned
-                budget_tripped = budget_tripped or status == "budget"
-        finally:
-            for fut in futures:
-                fut.cancel()
-    if budget_tripped:
-        raise BudgetExceeded("partition budget exhausted", spent=scanned)
-    return None, scanned
+    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, budget.spent, verdict)
 
 
 def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:

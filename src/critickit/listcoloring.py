@@ -115,6 +115,20 @@ def assignment_from_blocks(system: BlockSystem) -> ListAssignment:
     return ListAssignment(tuple(lists))
 
 
+def _submasks_ascending(pos: int, lo: int) -> list[int]:
+    """The nonzero submasks of ``pos`` that are at least ``lo``, ascending."""
+    out = []
+    s = pos
+    while True:
+        if s >= lo and s > 0:
+            out.append(s)
+        if s == 0:
+            break
+        s = (s - 1) & pos
+    out.reverse()
+    return out
+
+
 def block_systems(n: int, k: int, limits: SearchLimits | None = None) -> Iterator[BlockSystem]:
     """All block systems with multiplicity k on n vertices, in canonical
     (lexicographic, non-decreasing mask) order.  Unpruned; intended for small
@@ -130,18 +144,6 @@ def block_systems(n: int, k: int, limits: SearchLimits | None = None) -> Iterato
                 mask |= 1 << v
         return mask
 
-    def submasks_ascending(pos: int, lo: int) -> list[int]:
-        out = []
-        s = pos
-        while True:
-            if s >= lo and s > 0:
-                out.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & pos
-        out.reverse()
-        return out
-
     def rec(min_mask: int) -> Iterator[BlockSystem]:
         budget.spend()
         pos = positives()
@@ -150,7 +152,7 @@ def block_systems(n: int, k: int, limits: SearchLimits | None = None) -> Iterato
             return
         if pos < min_mask:
             return
-        for mask in submasks_ascending(pos, min_mask):
+        for mask in _submasks_ascending(pos, min_mask):
             for v in range(n):
                 if mask >> v & 1:
                     rem[v] -= 1
@@ -243,18 +245,6 @@ class _BadAssignmentSearch:
             self.g, ListAssignment(tuple(frozenset(l) for l in lists))
         )
 
-    def _submasks_ascending(self, pos: int, lo: int) -> list[int]:
-        out = []
-        s = pos
-        while True:
-            if s >= lo and s > 0:
-                out.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & pos
-        out.reverse()
-        return out
-
     def run(self) -> BlockSystem | None:
         if self.n == 0 or self.k == 0:
             return None  # the only system is empty, hence constant
@@ -278,7 +268,7 @@ class _BadAssignmentSearch:
         if self._all_completions_colorable(lists):
             return None
         index = len(self.blocks)
-        for mask in self._submasks_ascending(pos, min_mask):
+        for mask in _submasks_ascending(pos, min_mask):
             for v in range(self.n):
                 if mask >> v & 1:
                     self.rem[v] -= 1

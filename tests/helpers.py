@@ -270,7 +270,7 @@ def _oracle_kills_at_most(kill, depth: int, survivors: int, cap: int) -> bool:
     return bound <= cap
 
 
-def oracle_find_bad(scan, skip_canonical: bool, first_perm=None):
+def oracle_find_bad(scan, skip_canonical: bool):
     """The gauge-fixed scan's bad-cover walk as a plain recursion: every node
     evaluates its own survivor bound from scratch.  Same results and the same
     ``spend`` calls as ``scan.find_bad``."""
@@ -311,14 +311,7 @@ def oracle_find_bad(scan, skip_canonical: bool, first_perm=None):
                 return found
         return None
 
-    if first_perm is None:
-        return dfs(0, scan.full_mask, (), True, None)
-    child = scan._leader_step(None)[first_perm]
-    if child is False:
-        scan.budget.spend(size(1))
-        return None
-    survivors = scan.full_mask & ~scan.kill[0][first_perm]
-    return dfs(1, survivors, (first_perm,), first_perm == 0, child)
+    return dfs(0, scan.full_mask, (), True, None)
 
 
 def oracle_min_transversals(scan):

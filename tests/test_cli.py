@@ -167,6 +167,11 @@ def test_workers_flag_accepted():
     assert status == 0
     status, _ = run("--workers", "0", "check", "robust", "--cycle", "5")
     assert status == 64
+    # the node budget holds for the whole scan, whatever --workers says
+    argv = ("--json", "--node-budget", "100", "check", "robust", "--ekab", "4", "2", "2")
+    plain = run(*argv)
+    assert run("--workers", "2", *argv) == plain
+    assert json.loads(plain[1])["covers_scanned"] <= 100
 
 
 # ---------------------------------------------------------------- JSON mode
@@ -325,7 +330,8 @@ def test_malformed_documents_raise_package_errors():
 
 
 def test_cli_import_skips_process_pools():
-    # only the parallel robust scan needs them, and it imports them itself
+    # the CLI's start-up must not import process pools: every call pays
+    # for what it imports, and no command runs a pool
     src = str(Path(critickit.__file__).resolve().parents[1])
     probe = (
         "import sys, critickit.cli; "

@@ -574,75 +574,19 @@ def test_leader_steps_keep_exactly_orbit_leaders(k, length):
     assert leaders < len(perms) ** length or k <= 2
 
 
-def test_non_leader_partition_is_charged_and_skipped():
-    from critickit.covers import _GaugeScan
-
-    g = generate_ekab(4, 2, 2)
-    scan = _GaugeScan(g, 3, SearchLimits().start())
-    perms = scan.perms
-    total = 0
-    for p, perm in enumerate(perms):
-        conjugates = {
-            perms.index(tuple(sigma[perm[sigma.index(i)]] for i in range(3)))
-            for sigma in perms
-        }
-        budget = SearchLimits().start()
-        found = _GaugeScan(g, 3, budget).find_bad(True, first_perm=p)
-        assert found is None  # E(4,2,2) is robustly critical
-        if min(conjugates) < p:
-            assert budget.spent == scan.nperm ** (scan.depth_total - 1)
-        total += budget.spent
-    assert total == 6**5
-
-
 def test_k5_full_scan_decided():
     verdict = robust_criticality_verdict(clique(5), SearchLimits(max_nodes=2 * 10**8))
     assert verdict.decision == "robustly_critical"
     assert verdict.covers_scanned == 191_102_976
 
 
-def test_robust_workers_path():
-    verdict = robust_criticality_verdict(
-        generate_ekab(4, 2, 2), workers=2, deterministic=False
-    )
-    assert verdict.decision == "robustly_critical"
-    assert verdict.covers_scanned == 6**5
-
-
-def test_parallel_scan_returns_the_lowest_index_witness():
-    # both partitions of K4 at k = 2 hold a bad non-canonical cover; the
-    # first partition's wins whichever finishes first, and covers are
-    # counted up to it, as the sequential scan counts them
-    from critickit.covers import _GaugeScan, _parallel_find_bad, _scan_partition
-
-    g = clique(4)
-    sequential = _GaugeScan(g, 2, SearchLimits().start())
-    combo = sequential.find_bad(True)
-    assert combo is not None and combo[0] == 0
-    payload = (g.n, g.edges(), 2, 1, 10**6, None, True)
-    assert _scan_partition(payload)[2] is not None
-    limits = SearchLimits()
-    scan = _GaugeScan(g, 2, limits.start())
-    assert _parallel_find_bad(g, 2, scan, limits, 2) == (combo, sequential.budget.spent)
-
-
-def test_parallel_scan_keeps_the_time_budget():
+def test_robust_scan_keeps_the_time_budget():
     # the node budget is out of reach, so only the deadline can stop the scan
     limits = SearchLimits(max_nodes=10**12, max_millis=200)
     start = time.monotonic()
-    verdict = robust_criticality_verdict(
-        join(cycle(5), clique(2)), limits, workers=2, deterministic=False
-    )
+    verdict = robust_criticality_verdict(join(cycle(5), clique(2)), limits)
     assert verdict.decision == "unknown"
     assert time.monotonic() - start < 10.0
-
-
-def test_partition_started_past_the_deadline_is_budget():
-    from critickit.covers import _scan_partition
-
-    g = cycle(5)
-    payload = (g.n, g.edges(), 2, 0, 10**6, time.monotonic() - 1.0, True)
-    assert _scan_partition(payload) == ("budget", 0, None)
 
 
 def _walk_cases():
@@ -680,9 +624,7 @@ def test_survivor_walk_matches_recursive_reference():
     # plain recursion makes them, including where the budget trips
     from critickit.covers import _GaugeScan
 
-    partitions = 0
     for g, k, budgets in _walk_cases():
-        nperm = math.factorial(k)
         for max_nodes in budgets:
             calls = [
                 (lambda s, skip=skip: s.find_bad(skip),
@@ -690,18 +632,10 @@ def test_survivor_walk_matches_recursive_reference():
                 for skip in (True, False)
             ]
             calls.append((_GaugeScan.min_transversals, oracle_min_transversals))
-            if g.m >= g.n:
-                for p in range(nperm):
-                    partitions += 1
-                    calls.append((
-                        lambda s, p=p: s.find_bad(True, first_perm=p),
-                        lambda s, p=p: oracle_find_bad(s, True, first_perm=p),
-                    ))
             for new, reference in calls:
                 assert _recorded(g, k, max_nodes, new) == _recorded(
                     g, k, max_nodes, reference
                 ), (g.edges(), k, max_nodes)
-    assert partitions > 100
 
 
 def test_kill_masks_match_pair_construction():

@@ -207,6 +207,17 @@ def test_search_agrees_with_plain_enumeration():
             assert not is_list_colorable(g, found)
 
 
+def test_submasks_ascending_matches_brute_force():
+    # block_systems and the bad-assignment search share this walk, so the
+    # comparison above cannot catch a fault in it
+    from critickit.listcoloring import _submasks_ascending
+
+    for pos in range(2**6):
+        for lo in range(2**6 + 1):
+            expected = [s for s in range(1, 2**6) if s & ~pos == 0 and s >= lo]
+            assert _submasks_ascending(pos, lo) == expected, (pos, lo)
+
+
 # ------------------------------------------------------------- choosability
 
 
