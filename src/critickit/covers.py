@@ -29,12 +29,11 @@ from .coloring import ColoringVerdict, chromatic_number, classify_criticality
 from .errors import BudgetExceeded, CoverError, GraphError
 from .graphs import Graph, connected_components, degeneracy, spanning_tree
 from .limits import Budget, SearchLimits
-from .listcoloring import ListAssignment
+from .listcoloring import UNKNOWN, ListAssignment
 
 ROBUSTLY_CRITICAL = "robustly_critical"
 NOT_CRITICAL = "not_critical"
 NONCANONICAL_BAD_COVER_FOUND = "noncanonical_bad_cover_found"
-UNKNOWN = "unknown"
 
 Matching = tuple[int, int, tuple[tuple[int, int], ...]]
 
@@ -425,41 +424,98 @@ def _survivor_bound(
     return tail + head <= cap, tail
 
 
+def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None):
+    """Walk every pick tuple over a kill table (one option per edge,
+    ``len(kill[e])`` options at edge e) in ``product`` order on an explicit
+    stack, starting from the root's ``survivors``; a prefix's survivors are
+    those its picks keep.
+
+    Yields (depth, survivors) at each node with no survivor or no edge left,
+    with ``picks`` holding its prefix, for the caller to decide and charge;
+    a value sent back replaces ``need``.  Every other cover is charged to
+    ``spend`` here: subtrees in which :func:`_survivor_bound` shows every
+    completion keeps ``need`` survivors and, with ``leader_step``
+    (:meth:`_GaugeScan._leader_step`), children that are not their orbit's
+    lex-leader.  Without it every child is live.
+
+    A child's survivors are a subset of its parent's, so the parent's tail
+    of per-edge maxima dismisses a child with one AND and one popcount.  A
+    node sums that tail past its own failed test only when it has at least
+    as many live children as edges left, a rule that depends only on the
+    input."""
+    total = len(kill)
+    below = [1] * (total + 1)  # below[d]: the covers under a node at depth d
+    for d in range(total - 1, -1, -1):
+        below[d] = below[d + 1] * len(kill[d])
+    path, steps, tails = [0] * total, [None] * total, [None] * total
+    free = None if leader_step else [[()] * len(masks) for masks in kill]
+    depth, stab = 0, None
+    while True:
+        if survivors == 0 or depth == total:
+            sent = yield depth, survivors
+            if sent is not None:
+                need = sent
+        else:
+            step = leader_step(stab) if free is None else free[depth]
+            live = len(step) - step.count(False)
+            dismissed, tail = _survivor_bound(
+                kill, keep, depth, survivors, need, live >= total - depth
+            )
+            if dismissed:
+                spend(below[depth])
+            else:
+                path[depth], steps[depth], tails[depth] = survivors, step, tail
+                picks[depth] = -1
+                depth += 1
+        # enter the next child of the deepest open node
+        while True:
+            depth -= 1
+            if depth < 0:
+                return
+            step, tail, parent, options = (
+                steps[depth], tails[depth], path[depth], keep[depth]
+            )
+            size = below[depth + 1]
+            for p in range(picks[depth] + 1, len(options)):
+                stab = step[p]
+                if stab is False:
+                    spend(size)
+                    continue
+                survivors = parent & options[p]
+                if tail is not None and tail + need <= survivors.bit_count():
+                    spend(size)
+                    continue
+                picks[depth] = p
+                break
+            else:
+                continue
+            break
+        depth += 1
+
+
 class _GaugeScan:
-    """Survivor-set walk over gauge-fixed full k-fold covers.
+    """Gauge-fixed full k-fold covers, walked by :func:`_survivor_walk`.
 
-    The state at depth d is the set of transversals compatible with the
-    permutations chosen on the first d non-tree edges, stored as a bitset
-    over the transversals of the tree-only cover.  Choosing a permutation can
-    only shrink the set, so a subtree can be dismissed wholesale once some
-    transversal is guaranteed to survive every completion: each remaining
-    edge removes at most as many survivors as its most destructive
-    permutation does, and if the sum of those maxima is below the current
-    survivor count, every completion stays colorable.  That bound is
-    :func:`_survivor_bound`, shared with the lemma checks' profile walk.
-
-    Two exact shortcuts make a node cheaper without changing a decision or a
-    charge.  A child's survivors are a subset of its parent's, so the
-    parent's maxima over the later edges bound the child too: a child they
-    dismiss costs one AND and one popcount instead of its own bound.  A node
-    sums those maxima past the point where its own test fails only when it
-    has at least as many leader children as edges left, so deep, narrow
-    scans do not pay for every remaining edge at every node.  At the last
-    edge the bound is containment: every permutation keeps a survivor.
+    Each non-tree edge's options are the k! permutations.  A survivor is a
+    transversal of the tree-only cover, one bit of a bitset; permutation p
+    on a non-tree edge kills the transversals it matches (``kill``) and
+    keeps the rest (``keep``).  The survivors of a prefix are the
+    transversals compatible with every permutation chosen so far, so a
+    cover is bad iff it has none, and its transversal count is the number
+    left after the last edge.
 
     Relabeling every vertex by the same sigma keeps the tree matchings at the
     identity and conjugates each non-tree permutation, so both scans visit
     only prefixes that are the lexicographic leader of their conjugation
-    orbit (lex-leader symmetry breaking).  A node carries the stabilizer of
-    its prefix: None for all of Sym(k), else a tuple of the non-identity
-    elements.  Badness, canonicity and transversal counts are invariant under
-    the relabeling, so the lexicographically first bad cover or minimizer is
-    always a leader and the witnesses are unchanged.
+    orbit (lex-leader symmetry breaking, :meth:`_leader_step`).  A node
+    carries the stabilizer of its prefix: None for all of Sym(k), else a
+    tuple of the non-identity elements.  Badness, canonicity and transversal
+    counts are invariant under the relabeling, so the lexicographically
+    first bad cover or minimizer is always a leader and the witnesses are
+    unchanged.
 
-    The walk keeps its path on an explicit stack, so the number of non-tree
-    edges is not limited by the interpreter's recursion limit.  Work is
-    accounted per cover decided; subtrees dismissed by the bound or by
-    symmetry are charged in full.
+    Work is accounted per cover decided; subtrees dismissed by the survivor
+    bound or by symmetry are charged in full.
     """
 
     def __init__(self, g: Graph, k: int, budget: Budget):
@@ -577,72 +633,16 @@ class _GaugeScan:
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
 
-    # -- the survivor walk -----------------------------------------------
-
-    def _walk(self, picks: list[int], pdp: bool):
-        """Walk every gauge-fixed cover in lexicographic order, charging every
-        dismissed subtree and skipped non-leader.  Yields (depth, survivors)
-        at each node with no survivor or no edge left, with ``picks`` holding
-        its prefix, for the caller to decide and charge.  The bound asks
-        every completion to keep one survivor, or with ``pdp``
-        ``self.best_value`` of them (no bound before the first value)."""
-        total, nperm = self.depth_total, self.nperm
-        kill, keep, spend = self.kill, self.keep, self.budget.spend
-        need = self.best_value if pdp else 1
-        path, steps, tails = [0] * total, [None] * total, [None] * total
-        depth, survivors, stab = 0, self.full_mask, None
-        while True:
-            if survivors == 0 or depth == total:
-                yield depth, survivors
-                if pdp:
-                    need = self.best_value
-            else:
-                step = self._leader_step(stab)
-                if need is None:
-                    dismissed, tail = False, None
-                else:
-                    live = nperm - step.count(False)
-                    dismissed, tail = _survivor_bound(
-                        kill, keep, depth, survivors, need, live >= total - depth
-                    )
-                if dismissed:
-                    spend(nperm ** (total - depth))
-                else:
-                    path[depth], steps[depth], tails[depth] = survivors, step, tail
-                    picks[depth] = -1
-                    depth += 1
-            # enter the next child of the deepest open node
-            while True:
-                depth -= 1
-                if depth < 0:
-                    return
-                step, tail, parent, options = (
-                    steps[depth], tails[depth], path[depth], keep[depth]
-                )
-                below = nperm ** (total - depth - 1)
-                for p in range(picks[depth] + 1, nperm):
-                    stab = step[p]
-                    if stab is False:
-                        spend(below)
-                        continue
-                    survivors = parent & options[p]
-                    if tail is not None and tail + need <= survivors.bit_count():
-                        spend(below)
-                        continue
-                    picks[depth] = p
-                    break
-                else:
-                    continue
-                break
-            depth += 1
-
     def find_bad(self, skip_canonical: bool):
         """Lexicographically first bad gauge-fixed cover (skipping the
         all-identity one when ``skip_canonical``), as its combo, or None after
         deciding the whole space."""
         total = self.depth_total
         picks = [0] * total
-        for depth, survivors in self._walk(picks, pdp=False):
+        for depth, survivors in _survivor_walk(
+            self.kill, self.keep, self.full_mask, picks, self.budget.spend,
+            leader_step=self._leader_step,
+        ):
             if survivors == 0:
                 rest = total - depth
                 if not skip_canonical or any(picks[:depth]):
@@ -658,23 +658,33 @@ class _GaugeScan:
     def min_transversals(self):
         """(min count, lexicographically first minimizing combo).  Progress is
         kept on ``self.best_value``/``self.best_combo`` so callers can report
-        a best-so-far upper bound when the budget trips."""
+        a best-so-far upper bound when the budget trips.  The walk's bound
+        asks every completion to keep ``best_value`` survivors; until there
+        is a first value it asks for more than there are, so it dismisses
+        nothing.  The first prefix with no survivor ends the walk: nothing
+        can beat 0."""
         self.best_value: int | None = None
         self.best_combo: tuple[int, ...] | None = None
         total, spend = self.depth_total, self.budget.spend
         picks = [0] * total
-        for depth, survivors in self._walk(picks, pdp=True):
-            if survivors == 0:
-                spend(self.nperm ** (total - depth))
-                if self.best_value is None or self.best_value > 0:
-                    self.best_value = 0
-                    self.best_combo = tuple(picks[:depth]) + (0,) * (total - depth)
-            else:
+        walk = _survivor_walk(
+            self.kill, self.keep, self.full_mask, picks, spend,
+            self.full_mask.bit_count() + 1, self._leader_step,
+        )
+        try:
+            depth, survivors = next(walk)
+            while survivors:  # a whole cover that keeps transversals
                 spend(1)
                 count = survivors.bit_count()
                 if self.best_value is None or count < self.best_value:
                     self.best_value = count
                     self.best_combo = tuple(picks)
+                depth, survivors = walk.send(self.best_value)
+        except StopIteration:
+            return self.best_value, self.best_combo
+        spend(self.nperm ** (total - depth))
+        self.best_value = 0
+        self.best_combo = tuple(picks[:depth]) + (0,) * (total - depth)
         return self.best_value, self.best_combo
 
 
@@ -768,7 +778,9 @@ def pdp_value(g: Graph, k: int, limits: SearchLimits | None = None) -> PdpResult
     with a minimizing cover (relabeling preserves counts and completing a
     cover never increases them, so this is the minimum over all k-fold
     covers).  Ties resolve to the lexicographically first cover, so the
-    canonical cover is returned whenever it attains the minimum."""
+    canonical cover is returned whenever it attains the minimum.  The scan
+    stops at the first cover with no transversal, so ``covers_scanned``
+    counts the covers decided up to it rather than all of them."""
     if g.n < 1:
         raise GraphError("pdp_value needs at least one vertex")
     if k < 1:

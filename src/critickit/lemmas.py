@@ -13,7 +13,11 @@ kill mask of the candidates it rules out, and a cover is bad iff its masks
 cover every bit.  The excess and full-extension checks build such a table
 over the index tuples of a size profile (:class:`_ProfileCovers`); the
 induction check reuses the kill masks of the gauge-fixed full-cover scan.
-Only bad covers are materialized as :class:`Cover` objects.
+All three find their bad covers with :func:`_bad_picks`, which runs the
+gauge-fixed scan's survivor walk without symmetry, so that every bad cover
+is visited in ``product`` order.  Only bad covers are materialized as
+:class:`Cover` objects.  Every cover decided is charged one unit to a budget
+started from the check's limits; when it trips, the check is ``truncated``.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
@@ -35,7 +39,7 @@ from .covers import (
     UNKNOWN,
     Cover,
     _GaugeScan,
-    _survivor_bound,
+    _survivor_walk,
     canonical_labeling,
     find_transversal,
     robust_criticality_verdict,
@@ -44,7 +48,6 @@ from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
 from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
 from .limits import SearchLimits
-from .listcoloring import UNKNOWN as LIST_UNKNOWN
 from .listcoloring import YES, ListAssignment, strong_criticality_verdict
 
 ALL_PASS = "all_pass"
@@ -102,9 +105,21 @@ def _seed(*parts) -> int:
     return zlib.crc32(":".join(str(p) for p in parts).encode())
 
 
-def _killed(kill: list[list[int]], picks) -> int:
-    """Union of the kill masks that ``picks`` selects, one per edge."""
-    return reduce(or_, map(getitem, kill, picks), 0)
+def _bad_picks(full: int, kill: list[list[int]], spend):
+    """Every bad pick tuple over a kill table, in ``product`` order, charging
+    ``spend`` one unit per cover.  The survivor walk charges the subtrees in
+    which every completion keeps a survivor; every completion of a prefix
+    with no survivor left is bad, and is enumerated here."""
+    keep = [[full ^ mask for mask in masks] for masks in kill]
+    picks = [0] * len(kill)
+    for depth, survivors in _survivor_walk(kill, keep, full, picks, spend):
+        if survivors:
+            spend(1)
+            continue
+        head = tuple(picks[:depth])
+        for rest in product(*(range(len(masks)) for masks in kill[depth:])):
+            spend(1)
+            yield head + rest
 
 
 class _ProfileCovers:
@@ -141,63 +156,14 @@ class _ProfileCovers:
             kill.append([sum(by_pair.get(pair, 0) for pair in pairs) for pairs in opts])
         return (1 << len(universe)) - 1, kill
 
-    def _walk_bad(self, full: int, kill: list[list[int]]):
-        """Yield (covers decided so far, picks) for every bad cover, in
-        ``product`` order over the edges.  A DFS over edges keeps the
-        surviving tuples of each prefix and dismisses a subtree, counting
-        all of its covers as decided, once :func:`_survivor_bound` shows that
-        every completion keeps a survivor; a child that its parent's tail of
-        the bound already dismisses is counted without entering it."""
-        depth_total = len(kill)
-        keep = [[full ^ mask for mask in masks] for masks in kill]
-        below = [1] * (depth_total + 1)
-        for d in range(depth_total - 1, -1, -1):
-            below[d] = below[d + 1] * len(kill[d])
-        picks = [0] * depth_total
-        survivors = [full] + [0] * depth_total
-        tails: list[int | None] = [None] * depth_total
-        decided = 0
-        d = 0
-        while True:
-            s = survivors[d]
-            if d == depth_total:
-                decided += 1
-                if s == 0:
-                    yield decided, tuple(picks)
-            else:
-                dismissed, tails[d] = False, None
-                if s:
-                    dismissed, tails[d] = _survivor_bound(
-                        kill, keep, d, s, 1, len(kill[d]) >= depth_total - d
-                    )
-                if dismissed:
-                    decided += below[d]
-                else:
-                    picks[d] = -1
-                    d += 1
-            # enter the next child of the deepest open node
-            while d > 0:
-                d -= 1
-                tail, options = tails[d], keep[d]
-                for p in range(picks[d] + 1, len(options)):
-                    s = survivors[d] & options[p]
-                    if tail is not None and tail < s.bit_count():
-                        decided += below[d + 1]
-                        continue
-                    picks[d] = p
-                    survivors[d + 1] = s
-                    d += 1
-                    break
-                else:
-                    continue
-                break
-            else:
-                return
-
     def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
-        """(mode, covers decided in all, iterator of (covers decided so far,
-        picks) over the bad covers).  The covers are those of ``options``:
-        every partial cover of the profile, or only the maximal ones.
+        """(mode, covers to decide in all, iterator of (covers decided so
+        far, picks) over the bad covers).  The covers are those of
+        ``options``: every partial cover of the profile, or only the maximal
+        ones.  The iterator charges one unit per cover decided to a budget
+        started from ``limits`` now, and raises :class:`BudgetExceeded` when
+        it trips; the mode rule keeps the covers within the node budget, so
+        only the time cap can trip it.
 
         The mode rule: exhaustive when the estimated search nodes, covers
         times (n+1), fit the node budget; otherwise a seeded sample, drawn
@@ -205,13 +171,16 @@ class _ProfileCovers:
         profile's kill table when its size in bits, tuples times options,
         fits the node budget, and otherwise one at a time by
         :func:`find_transversal`."""
+        budget = limits.start()
         table = None
         if prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes:
             table = self._kill_table()
         if self.total * (self.g.n + 1) <= limits.max_nodes:
             mode, count = EXHAUSTIVE, self.total
             if table is not None:
-                return mode, count, self._walk_bad(*table)
+                return mode, count, (
+                    (budget.spent, picks) for picks in _bad_picks(*table, budget.spend)
+                )
             draws = product(*(range(len(opts)) for opts in self.options))
         else:
             count = max(1, limits.max_nodes // (self.g.n + 1))
@@ -223,16 +192,20 @@ class _ProfileCovers:
             full, kill = table
 
             def is_bad(picks) -> bool:
-                return _killed(kill, picks) == full
+                return reduce(or_, map(getitem, kill, picks), 0) == full
 
         else:
 
             def is_bad(picks) -> bool:
                 return find_transversal(self.cover_at(picks)) is None
 
-        return mode, count, (
-            (decided, picks) for decided, picks in enumerate(draws, 1) if is_bad(picks)
-        )
+        def decide():
+            for picks in draws:
+                budget.spend()
+                if is_bad(picks):
+                    yield budget.spent, picks
+
+        return mode, count, decide()
 
 
 def check_excess_lemma(
@@ -271,14 +244,20 @@ def check_excess_lemma(
     oversized = any(s != k - 1 for s in sizes)
     profile = _ProfileCovers(g, sizes, maximal=oversized)
     mode, total, bad = profile.iter_bad(limits, ("excess", word, sizes, k))
-    for checked, picks in bad:
-        cover = profile.cover_at(picks)
-        if oversized or canonical_labeling(cover) is None:
-            return LemmaReport(
-                "excess", word, checked, COUNTEREXAMPLE, mode,
-                counterexample={"cover": cover_to_doc(cover)},
-                detail="bad cover that is not a canonical (k-1)-fold cover",
-            )
+    try:
+        for checked, picks in bad:
+            cover = profile.cover_at(picks)
+            if oversized or canonical_labeling(cover) is None:
+                return LemmaReport(
+                    "excess", word, checked, COUNTEREXAMPLE, mode,
+                    counterexample={"cover": cover_to_doc(cover)},
+                    detail="bad cover that is not a canonical (k-1)-fold cover",
+                )
+    except BudgetExceeded as exc:
+        return LemmaReport(
+            "excess", word, exc.spent, TRUNCATED, mode,
+            detail="budget exhausted during the cover scan",
+        )
     return LemmaReport("excess", word, total, ALL_PASS, mode)
 
 
@@ -326,21 +305,28 @@ def check_full_extension_lemma(
     profile = _ProfileCovers(g, sizes)
     mode, total, bad = profile.iter_bad(limits, ("full-extension", word, k))
     extensions = 0
-    for decided, picks in bad:
-        if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
-            continue  # full covers are outside the lemma's hypothesis
-        cover = profile.cover_at(picks)
-        for extension in _full_extensions(cover):
-            extensions += 1
-            if canonical_labeling(extension) is not None:
-                return LemmaReport(
-                    "full-extension", word, decided + extensions, COUNTEREXAMPLE, mode,
-                    counterexample={
-                        "cover": cover_to_doc(cover),
-                        "canonical_extension": cover_to_doc(extension),
-                    },
-                    detail="bad non-full cover with a canonical full extension",
-                )
+    try:
+        for decided, picks in bad:
+            if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
+                continue  # full covers are outside the lemma's hypothesis
+            cover = profile.cover_at(picks)
+            for extension in _full_extensions(cover):
+                extensions += 1
+                if canonical_labeling(extension) is not None:
+                    return LemmaReport(
+                        "full-extension", word, decided + extensions, COUNTEREXAMPLE,
+                        mode,
+                        counterexample={
+                            "cover": cover_to_doc(cover),
+                            "canonical_extension": cover_to_doc(extension),
+                        },
+                        detail="bad non-full cover with a canonical full extension",
+                    )
+    except BudgetExceeded as exc:
+        return LemmaReport(
+            "full-extension", word, exc.spent + extensions, TRUNCATED, mode,
+            detail="budget exhausted during the cover scan",
+        )
     return LemmaReport("full-extension", word, total + extensions, ALL_PASS, mode)
 
 
@@ -455,17 +441,14 @@ def check_induction_lemma(
     if fold < 1:
         return skipped("reduced graph has chromatic number 0")
     # the covers of enumerate_full_covers, in its order and with its
-    # metering, each decided by the gauge-fixed scan's kill masks
+    # metering, walked without symmetry: a labeling is checked on every bad
+    # cover, not only on its orbit's leader
     budget = limits.start()
     scan = _GaugeScan(g, fold, budget)
-    checked = 0
+    labelings = 0
     label_perms = list(permutations(range(fold)))
     try:
-        for combo in product(range(scan.nperm), repeat=scan.depth_total):
-            budget.spend()
-            checked += 1
-            if _killed(scan.kill, combo) != scan.full_mask:
-                continue
+        for combo in _bad_picks(scan.full_mask, scan.kill, budget.spend):
             cover = scan.cover_at(combo)
             constraints = _labeling_constraints(cover, members, fold)
             is_canonical = canonical_labeling(cover) is not None
@@ -475,10 +458,11 @@ def check_induction_lemma(
                     for xi, i, yi, j in constraints
                 ):
                     continue
-                checked += 1
+                labelings += 1
                 if not is_canonical:
                     return LemmaReport(
-                        "induction", word, checked, COUNTEREXAMPLE, EXHAUSTIVE,
+                        "induction", word, budget.spent + labelings, COUNTEREXAMPLE,
+                        EXHAUSTIVE,
                         counterexample={
                             "cover": cover_to_doc(cover),
                             "labeling": {
@@ -490,10 +474,10 @@ def check_induction_lemma(
                     )
     except BudgetExceeded:
         return LemmaReport(
-            "induction", word, checked, TRUNCATED, EXHAUSTIVE,
+            "induction", word, budget.spent + labelings, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during cover enumeration",
         )
-    return LemmaReport("induction", word, checked, ALL_PASS, EXHAUSTIVE)
+    return LemmaReport("induction", word, budget.spent + labelings, ALL_PASS, EXHAUSTIVE)
 
 
 def check_join_preserves(
@@ -532,7 +516,7 @@ def check_join_preserves(
             detail=f"join verdict: {rv.decision}",
         )
     sv = strong_criticality_verdict(joined, "critical", limits)
-    if sv.decision == LIST_UNKNOWN:
+    if sv.decision == UNKNOWN:
         return LemmaReport(
             "join", word, rv.covers_scanned, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the strong-criticality search",

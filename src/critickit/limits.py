@@ -3,8 +3,9 @@
 Every potentially explosive search in the package accounts its work against
 a budget and raises :class:`~critickit.errors.BudgetExceeded` instead of
 silently truncating.  Work units are search-specific and documented on the
-operations: cover scans charge one unit per cover decided (covers dismissed
-in bulk by the survivor bound or by symmetry, as not the lex-leader of their
+operations: cover scans, the lemma checks' profile scans among them, charge
+one unit per cover decided, a sampled cover included (covers dismissed in
+bulk by the survivor bound or by symmetry, as not the lex-leader of their
 relabeling orbit, are still charged), assignment searches charge one unit
 per enumeration node.
 """

@@ -18,7 +18,7 @@ from .limits import SearchLimits
 
 YES = "yes"
 NO = "no"
-UNKNOWN = "unknown"
+UNKNOWN = "unknown"  # every verdict that a budget stopped, robust ones too
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Everything here enumerates raw search spaces directly and stays independent
 of the library's search paths, so a library bug cannot hide in its own test.
-The one exception is the reference survivor walk at the end, a plain
-recursive copy of the gauge-fixed scan's walk that reads the scan's tables:
-it pins the walk's decisions and charges, not the tables.
+The exceptions are the references at the end: a plain recursive copy of
+the gauge-fixed scan's walk that reads the scan's tables, which pins the
+walk's decisions and charges, not the tables; and the induction check's
+cover loop run on every cover one by one, which pins what the survivor walk
+may skip.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 import zlib
 from itertools import combinations, permutations, product
 
-from critickit import Cover, Graph, ListAssignment, SearchLimits, build_graph
+from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
 from critickit.limits import Budget
 
 
@@ -317,7 +319,8 @@ def oracle_find_bad(scan, skip_canonical: bool):
 def oracle_min_transversals(scan):
     """The gauge-fixed scan's minimizing walk as a plain recursion, keeping
     progress on ``scan.best_value``/``scan.best_combo`` like
-    ``scan.min_transversals``."""
+    ``scan.min_transversals``, and stopping at the first cover with no
+    transversal."""
     total = scan.depth_total
     scan.best_value = scan.best_combo = None
 
@@ -325,30 +328,85 @@ def oracle_min_transversals(scan):
         return scan.nperm ** (total - depth)
 
     def dfs(depth, survivors, prefix, stab):
+        """True once a cover with no transversal is found."""
         if survivors == 0:
             scan.budget.spend(size(depth))
-            if scan.best_value is None or scan.best_value > 0:
-                scan.best_value = 0
-                scan.best_combo = prefix + (0,) * (total - depth)
-            return
+            scan.best_value = 0
+            scan.best_combo = prefix + (0,) * (total - depth)
+            return True
         if depth == total:
             scan.budget.spend(1)
             count = survivors.bit_count()
             if scan.best_value is None or count < scan.best_value:
                 scan.best_value = count
                 scan.best_combo = prefix
-            return
+            return False
         if scan.best_value is not None and _oracle_kills_at_most(
             scan.kill, depth, survivors, survivors.bit_count() - scan.best_value
         ):
             scan.budget.spend(size(depth))
-            return
+            return False
         kill = scan.kill[depth]
         for p, child in enumerate(scan._leader_step(stab)):
             if child is False:
                 scan.budget.spend(size(depth + 1))
-            else:
-                dfs(depth + 1, survivors & ~kill[p], prefix + (p,), child)
+            elif dfs(depth + 1, survivors & ~kill[p], prefix + (p,), child):
+                return True
+        return False
 
     dfs(0, scan.full_mask, (), None)
     return scan.best_value, scan.best_combo
+
+
+def oracle_induction_report(g: Graph, members, fold: int, limits: SearchLimits):
+    """The induction check past its precondition, with ``fold`` as the
+    scanned list size, deciding every gauge-fixed cover of ``g`` in
+    ``product`` order with one ``spend`` and one union of kill masks per
+    cover."""
+    from critickit import canonical_labeling, encode_graph6
+    from critickit.covers import _GaugeScan
+    from critickit.jsonio import cover_to_doc
+    from critickit.lemmas import LemmaReport, _labeling_constraints
+
+    word = encode_graph6(g)
+    budget = limits.start()
+    scan = _GaugeScan(g, fold, budget)
+    checked = 0
+    label_perms = list(permutations(range(fold)))
+    try:
+        for combo in product(range(scan.nperm), repeat=scan.depth_total):
+            budget.spend()
+            checked += 1
+            killed = 0
+            for masks, p in zip(scan.kill, combo):
+                killed |= masks[p]
+            if killed != scan.full_mask:
+                continue
+            cover = scan.cover_at(combo)
+            constraints = _labeling_constraints(cover, members, fold)
+            is_canonical = canonical_labeling(cover) is not None
+            for assignment in product(label_perms, repeat=len(members)):
+                if any(
+                    assignment[xi][i] != assignment[yi][j]
+                    for xi, i, yi, j in constraints
+                ):
+                    continue
+                checked += 1
+                if not is_canonical:
+                    return LemmaReport(
+                        "induction", word, checked, "counterexample", "exhaustive",
+                        counterexample={
+                            "cover": cover_to_doc(cover),
+                            "labeling": {
+                                str(v): list(assignment[xi])
+                                for xi, v in enumerate(members)
+                            },
+                        },
+                        detail="bad full cover with a compatible labeling is not canonical",
+                    )
+    except BudgetExceeded:
+        return LemmaReport(
+            "induction", word, checked, "truncated", "exhaustive",
+            detail="budget exhausted during cover enumeration",
+        )
+    return LemmaReport("induction", word, checked, "all_pass", "exhaustive")

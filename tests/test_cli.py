@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from critickit import (
     CoverError,
     cover_from_assignment,
     cycle,
+    find_transversal,
     ListAssignment,
     make_canonical_cover,
 )
@@ -292,6 +294,49 @@ def test_chi_list_unknown_reports_lower_bound():
     assert status == 2
     doc = json.loads(out)
     assert doc["status"] == "unknown" and doc["lower_bound"] == 2
+
+
+def test_json_pdp_stops_at_a_cover_without_transversals():
+    # K7's canonical 4-fold cover has none, and nothing can beat 0
+    status, out = run("--json", "count", "pdp", "-k", "4", "--clique", "7")
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["value"] == 0
+    assert find_transversal(cover_from_doc(doc["cover"])) is None
+
+
+# Every command that takes --time-budget-ms, each on an input that takes over
+# 2 s without it; where the default node budget would stop it sooner, a
+# larger one is given, so that only the deadline can.
+HUGE = ["--node-budget", str(10**15)]
+TIME_CAPPED = {
+    "check robust": HUGE + ["check", "robust", "--cycle", "5", "--clique", "2", "--join"],
+    "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
+    "chi list": ["chi", "list", "--complete-bipartite", "5", "5"],
+    "chi dp": HUGE + ["chi", "dp", "--complete-bipartite", "4", "4"],
+    "count pdp": HUGE + ["count", "pdp", "-k", "5", "--clique", "5"],
+    "lemma excess": ["lemma", "excess", "--clique", "4", "--sizes", "3,3,3,4"],
+    "lemma full-extension": ["lemma", "full-extension", "--clique", "4"],
+    "lemma pair": HUGE + ["lemma", "pair", "--ekab", "5", "2", "3", "-x", "0", "-y", "4"],
+    "lemma induction": HUGE + [
+        "lemma", "induction", "--cycle", "5", "--clique", "2", "--join",
+        "--independent-set", "6",
+    ],
+    "lemma join": HUGE + ["lemma", "join", "--cycle", "5", "-t", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", TIME_CAPPED.values(), ids=list(TIME_CAPPED))
+def test_time_budget_holds(argv):
+    start = time.monotonic()
+    status, out = run("--json", "--time-budget-ms", "100", *argv)
+    assert time.monotonic() - start < 5.0
+    assert status == 2
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert "unknown" in (doc.get("status"), doc.get("decision")) or (
+        doc.get("outcome") == "truncated"
+    ), doc
 
 
 # ----------------------------------------------------------- JSON roundtrips

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from math import prod
+import time
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +28,7 @@ from critickit.lemmas import (
     _ProfileCovers,
     partial_injections,
 )
-from helpers import oracle_profile_bad_picks, random_graph
+from helpers import oracle_induction_report, oracle_profile_bad_picks, random_graph
 
 
 def test_partial_injection_counts():
@@ -101,6 +102,15 @@ def test_excess_counterexample_is_a_bad_maximal_cover(monkeypatch):
     assert find_transversal(cover) is None
     sizes = cover.sizes
     assert all(len(pairs) == min(sizes[u], sizes[v]) for u, v, pairs in cover.matchings)
+
+
+def test_excess_keeps_the_time_budget():
+    # about 3*10**6 maximal covers, so the default node budget samples 2*10**6
+    # of them, which takes over 10 s: only the deadline can stop it early
+    start = time.monotonic()
+    report = check_excess_lemma(clique(4), (3, 3, 3, 4), SearchLimits(max_millis=100))
+    assert report.outcome == "truncated"
+    assert time.monotonic() - start < 5.0
 
 
 NON_ROBUST_HOSTS = [
@@ -238,6 +248,64 @@ def test_induction_dependent_set_skips():
     report = check_induction_lemma(cycle(5), [0, 1])
     assert report.outcome == "skipped_precondition"
     assert "independent" in report.detail
+
+
+def _random_independent_set(rng, g):
+    """A random independent set that leaves at least one vertex."""
+    members = []
+    for v in rng.sample(range(g.n), g.n - 1):
+        if rng.random() < 0.5 and not any(g.has_edge(u, v) for u in members):
+            members.append(v)
+    return sorted(members)
+
+
+def test_induction_matches_per_cover_reference(monkeypatch):
+    # the precondition is faked, so that hosts with bad non-canonical covers
+    # are checked as well as hosts whose bad covers are all canonical; the
+    # labelings are looked for on every bad cover, in the reference's order,
+    # not only on the lex-leaders of their relabeling orbits
+    rng = random.Random(12)
+    outcomes, truncations = set(), 0
+    looked_at = []
+    constraints = lemmas._labeling_constraints
+
+    def recording_constraints(cover, members, fold):
+        looked_at.append(cover)
+        return constraints(cover, members, fold)
+
+    monkeypatch.setattr(lemmas, "_labeling_constraints", recording_constraints)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(3, 7), p=rng.uniform(0.3, 1), connected=True)
+        fold = rng.randint(2, 3)
+        if factorial(fold) ** (g.m - g.n + 1) > 20_000:
+            continue
+        members = _random_independent_set(rng, g)
+        fake = SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=fold)
+        monkeypatch.setattr(lemmas, "robust_criticality_verdict", lambda h, limits: fake)
+        case = (g.edges(), fold, members)
+        unlimited = SearchLimits(max_nodes=10**9)
+        looked_at.clear()
+        report = oracle_induction_report(g, members, fold, unlimited)
+        want_covers = looked_at[:]
+        looked_at.clear()
+        assert check_induction_lemma(g, members, unlimited) == report, case
+        assert looked_at == want_covers, case
+        outcomes.add(report.outcome)
+        for max_nodes in (1, 5, 40, 300):
+            limits = SearchLimits(max_nodes=max_nodes)
+            want = oracle_induction_report(g, members, fold, limits)
+            got = check_induction_lemma(g, members, limits)
+            if want.outcome != "truncated":
+                assert got == want, case
+                continue
+            # subtrees without a bad cover are charged in bulk, so the walk
+            # may trip sooner: the reference's checked is max_nodes plus the
+            # labelings it counted
+            truncations += 1
+            assert got.outcome == "truncated", case
+            assert got.checked <= want.checked, case
+    assert outcomes == {"all_pass", "counterexample"}
+    assert truncations
 
 
 # --------------------------------------------------------------------- join
