@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonio
-from .coloring import chromatic_number, chromatic_polynomial, count_proper_colorings
+from .coloring import (
+    chromatic_number,
+    chromatic_polynomial,
+    classify_criticality,
+    count_proper_colorings,
+)
 from .covers import (
     NONCANONICAL_BAD_COVER_FOUND,
     NOT_CRITICAL,
@@ -30,7 +35,6 @@ from .covers import (
 from .errors import BudgetExceeded, CritickitError
 from .graphs import (
     Graph,
-    build_graph,
     clique,
     complete_bipartite,
     cycle,
@@ -52,7 +56,6 @@ from .lemmas import (
     check_join_preserves,
     check_pair_reduction,
 )
-from .coloring import classify_criticality
 from .limits import DEFAULT_NODE_BUDGET, SearchLimits
 from .listcoloring import (
     NO,

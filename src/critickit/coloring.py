@@ -3,11 +3,17 @@ coloring counts and the chromatic polynomial.
 
 Everything here is exact and intended for small graphs (roughly up to 12
 vertices); counts are arbitrary-precision integers.
+
+:func:`_choices` is the package's one coloring walker.  Ordinary colorings,
+list colorings and the transversals of a cover are all choices of one index
+per vertex that select no matched pair, so the coloring counts here, list
+coloring and the cover module's transversal searches all run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import GraphError
 from .graphs import Graph, edge_deleted, vertex_deleted
@@ -19,6 +25,50 @@ def _adjacency_masks(g: Graph) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+def _choices(sizes, matchings) -> Iterator[list[int]]:
+    """Every choice of one index per vertex, ``0..sizes[v]-1`` at vertex v,
+    that selects no matched pair, in lexicographic order.  ``matchings``
+    holds cover-style entries ``(u, v, pairs)`` with ``u < v``; ``(i, j)``
+    in pairs forbids index i at u together with index j at v.
+
+    Yields one shared choice list that the caller must copy before
+    advancing.  Vertices are assigned in order 0..n-1 on an explicit stack,
+    so input size is not limited by the interpreter's recursion limit."""
+    n = len(sizes)
+    if n == 0:
+        yield []
+        return
+    if 0 in sizes:
+        return
+    # incoming[v]: (u, map from u-indices to forbidden v-indices) for u < v
+    incoming: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
+    for u, v, pairs in matchings:
+        incoming[v].append((u, dict(pairs)))
+    choice = [-1] * n
+    forbidden = [0] * n
+    v = 0
+    while v >= 0:
+        size, blocked = sizes[v], forbidden[v]
+        i = choice[v] + 1
+        while i < size and blocked >> i & 1:
+            i += 1
+        if i == size:
+            choice[v] = -1
+            v -= 1
+            continue
+        choice[v] = i
+        if v == n - 1:
+            yield choice
+            continue
+        v += 1
+        blocked = 0
+        for u, mapping in incoming[v]:
+            j = mapping.get(choice[u])
+            if j is not None:
+                blocked |= 1 << j
+        forbidden[v] = blocked
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -168,34 +218,14 @@ def classify_criticality(g: Graph) -> ColoringVerdict:
 def count_proper_colorings(g: Graph, k: int) -> int:
     """Exact number of proper colorings with color set ``0..k-1``.
 
-    Direct backtracking count, independent of the chromatic polynomial so the
-    two can be cross-checked.
+    Counts the choices of :func:`_choices` under identity matchings, one by
+    one, independently of the chromatic polynomial so the two can be
+    cross-checked.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
-    masks = _adjacency_masks(g)
-    n = g.n
-    color = [-1] * n
-
-    def rec(v: int) -> int:
-        if v == n:
-            return 1
-        used = 0
-        rest = masks[v]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if u < v:
-                used |= 1 << color[u]
-        total = 0
-        for c in range(k):
-            if not used >> c & 1:
-                color[v] = c
-                total += rec(v + 1)
-        color[v] = -1
-        return total
-
-    return rec(0)
+    identity = tuple((i, i) for i in range(k))
+    return sum(1 for _ in _choices((k,) * g.n, [(u, v, identity) for u, v in g.edges()]))
 
 
 @dataclass(frozen=True)

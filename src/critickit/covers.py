@@ -25,11 +25,11 @@ from itertools import permutations, product
 from operator import getitem, or_
 from typing import Iterator
 
-from .coloring import ColoringVerdict, chromatic_number, classify_criticality
+from .coloring import ColoringVerdict, _choices, chromatic_number, classify_criticality
 from .errors import BudgetExceeded, CoverError, GraphError
 from .graphs import Graph, connected_components, degeneracy, spanning_tree
 from .limits import Budget, SearchLimits
-from .listcoloring import UNKNOWN, ListAssignment
+from .listcoloring import UNKNOWN, ListAssignment, _color_matchings
 
 ROBUSTLY_CRITICAL = "robustly_critical"
 NOT_CRITICAL = "not_critical"
@@ -121,14 +121,11 @@ def cover_from_assignment(graph: Graph, assignment: ListAssignment) -> Cover:
             f"assignment covers {assignment.n} vertices, graph has {graph.n}"
         )
     ordered = [sorted(assignment.lists[v]) for v in range(graph.n)]
-    position = [{c: i for i, c in enumerate(colors)} for colors in ordered]
-    entries = []
-    for u, v in graph.edges():
-        shared = set(ordered[u]) & set(ordered[v])
-        entries.append(
-            (u, v, tuple(sorted((position[u][c], position[v][c]) for c in shared)))
-        )
-    return Cover(graph, tuple(len(colors) for colors in ordered), tuple(entries))
+    return Cover(
+        graph,
+        tuple(len(colors) for colors in ordered),
+        tuple(_color_matchings(graph, ordered)),
+    )
 
 
 def cover_violation(cover: Cover) -> str | None:
@@ -186,64 +183,17 @@ def complete_to_full(cover: Cover) -> Cover:
     return Cover(cover.graph, cover.sizes, tuple(entries))
 
 
-def _forward_maps(cover: Cover) -> list[list[tuple[int, dict[int, int]]]]:
-    """For each vertex v, the constraints arriving from assigned neighbors
-    u < v, as (u, map from u-indices to forbidden v-indices)."""
-    incoming: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(cover.graph.n)]
-    for u, v, pairs in cover.matchings:
-        incoming[v].append((u, dict(pairs)))
-    return incoming
-
-
-def _transversals(cover: Cover) -> Iterator[list[int]]:
-    """Every transversal in lexicographic order, as one shared choice list
-    that the caller must copy before advancing.  Vertices are assigned in
-    order 0..n-1 with an explicit stack, so input size is not limited by the
-    interpreter's recursion limit."""
-    n = cover.graph.n
-    if n == 0:
-        yield []
-        return
-    sizes = cover.sizes
-    if 0 in sizes:
-        return
-    incoming = _forward_maps(cover)
-    choice = [-1] * n
-    forbidden = [0] * n
-    v = 0
-    while v >= 0:
-        size, blocked = sizes[v], forbidden[v]
-        i = choice[v] + 1
-        while i < size and blocked >> i & 1:
-            i += 1
-        if i == size:
-            choice[v] = -1
-            v -= 1
-            continue
-        choice[v] = i
-        if v == n - 1:
-            yield choice
-            continue
-        v += 1
-        blocked = 0
-        for u, mapping in incoming[v]:
-            j = mapping.get(choice[u])
-            if j is not None:
-                blocked |= 1 << j
-        forbidden[v] = blocked
-
-
 def find_transversal(cover: Cover) -> tuple[int, ...] | None:
     """The lexicographically first index choice per vertex with no matched
     pair selected, or None after exhausting the search."""
-    for choice in _transversals(cover):
+    for choice in _choices(cover.sizes, cover.matchings):
         return tuple(choice)
     return None
 
 
 def count_transversals(cover: Cover) -> int:
     """Exact number of transversals (no early exit)."""
-    return sum(1 for _ in _transversals(cover))
+    return sum(1 for _ in _choices(cover.sizes, cover.matchings))
 
 
 def is_bad(cover: Cover) -> bool:
@@ -536,20 +486,18 @@ class _GaugeScan:
         """(the mask of every transversal of the tree-only cover, ``kill``).
         Bit i stands for the i-th transversal in lexicographic order, and
         ``kill[e][p]`` holds the transversals t that permutation p on
-        non-tree edge e = (u, v) removes, those with p[t[u]] == t[v]."""
+        non-tree edge e = (u, v) removes, those with p[t[u]] == t[v].
+
+        The walk over the tree-only transversals is most of a scan's set-up
+        time, so it checks the deadline every 4096 transversals, charging
+        nothing."""
         identity = tuple((i, i) for i in range(self.k))
-        in_tree = {(min(u, v), max(u, v)) for u, v in self.tree}
-        tree_only = Cover(
-            self.g,
-            (self.k,) * self.g.n,
-            tuple(
-                (u, v, identity if (u, v) in in_tree else ())
-                for u, v in self.g.edges()
-            ),
-        )
+        tree_only = [(min(u, v), max(u, v), identity) for u, v in self.tree]
         at = [[0] * self.k for _ in range(self.g.n)]  # at[v][a]: t[v] == a
         bit = 1
-        for t in _transversals(tree_only):
+        for index, t in enumerate(_choices((self.k,) * self.g.n, tree_only)):
+            if not index & 4095:
+                self.budget.spend(0)
             for row, a in zip(at, t):
                 row[a] |= bit
             bit <<= 1
@@ -722,8 +670,8 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0, verdict)
     budget = (limits or SearchLimits()).start()
-    scan = _GaugeScan(g, k - 1, budget)
     try:
+        scan = _GaugeScan(g, k - 1, budget)
         combo = scan.find_bad(skip_canonical=True)
     except BudgetExceeded as exc:
         return RobustVerdict(UNKNOWN, k, None, exc.spent, verdict)
@@ -751,9 +699,8 @@ def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
     k = chromatic_number(g)
     while k < greedy_cap:
         budget = (limits or SearchLimits()).start()
-        scan = _GaugeScan(g, k, budget)
         try:
-            combo = scan.find_bad(skip_canonical=False)
+            combo = _GaugeScan(g, k, budget).find_bad(skip_canonical=False)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"dp_chromatic_number undecided at k={k}",
@@ -787,8 +734,9 @@ def pdp_value(g: Graph, k: int, limits: SearchLimits | None = None) -> PdpResult
         raise CoverError(f"pdp_value needs k >= 1, got {k}")
     spanning_tree(g)
     budget = (limits or SearchLimits()).start()
-    scan = _GaugeScan(g, k, budget)
+    scan = None  # no best value when the budget trips building the scan
     try:
+        scan = _GaugeScan(g, k, budget)
         value, combo = scan.min_transversals()
     except BudgetExceeded as exc:
         raise BudgetExceeded(

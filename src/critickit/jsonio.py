@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 
-from .covers import Cover, PdpResult, RobustVerdict, cover_violation
+from .covers import Cover, RobustVerdict, cover_violation
 from .coloring import ColoringVerdict, Polynomial
 from .errors import AssignmentError, CoverError
-from .graphs import Graph, parse_graph6, encode_graph6
+from .graphs import parse_graph6, encode_graph6
 from .listcoloring import ListAssignment, StrongVerdict
 
 SCHEMA_ASSIGNMENT = "critickit/assignment/1"

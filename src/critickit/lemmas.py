@@ -444,10 +444,10 @@ def check_induction_lemma(
     # metering, walked without symmetry: a labeling is checked on every bad
     # cover, not only on its orbit's leader
     budget = limits.start()
-    scan = _GaugeScan(g, fold, budget)
     labelings = 0
     label_perms = list(permutations(range(fold)))
     try:
+        scan = _GaugeScan(g, fold, budget)
         for combo in _bad_picks(scan.full_mask, scan.kill, budget.spend):
             cover = scan.cover_at(combo)
             constraints = _labeling_constraints(cover, members, fold)

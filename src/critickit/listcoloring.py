@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coloring import ColoringVerdict, chromatic_number, classify_criticality
+from .coloring import ColoringVerdict, _choices, chromatic_number, classify_criticality
 from .errors import AssignmentError, BudgetExceeded, GraphError
 from .graphs import Graph
 from .limits import SearchLimits
@@ -46,30 +46,35 @@ def is_constant_assignment(assignment: ListAssignment) -> bool:
     return all(l == lists[0] for l in lists)
 
 
+def _color_matchings(g: Graph, ordered: list[list[int]]) -> list[tuple]:
+    """One cover-style entry ``(u, v, pairs)`` per edge, ``u < v``: index i
+    of u is matched to index j of v when ``ordered[u][i]`` and
+    ``ordered[v][j]`` are the same color.  ``ordered[v]`` is vertex v's list,
+    sorted, so the pairs come out sorted."""
+    position = [{c: i for i, c in enumerate(colors)} for colors in ordered]
+    entries = []
+    for u, v in g.edges():
+        at_v = position[v]
+        entries.append(
+            (u, v, tuple((i, at_v[c]) for c, i in position[u].items() if c in at_v))
+        )
+    return entries
+
+
 def find_list_coloring(g: Graph, assignment: ListAssignment) -> tuple[int, ...] | None:
-    """A proper coloring choosing each vertex's color from its list, or None."""
+    """The lexicographically first proper coloring choosing each vertex's
+    color from its list (vertices in order, each list ascending), or None.
+    Runs :func:`~critickit.coloring._choices` over the same-color
+    matchings."""
     if assignment.n != g.n:
         raise AssignmentError(
             f"assignment covers {assignment.n} vertices, graph has {g.n}"
         )
-    order = sorted(range(g.n), key=lambda v: (len(assignment.lists[v]), v))
-    color: dict[int, int] = {}
-
-    def rec(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        for c in sorted(assignment.lists[v]):
-            if all(color.get(u) != c for u in g.adj[v]):
-                color[v] = c
-                if rec(i + 1):
-                    return True
-                del color[v]
-        return False
-
-    if not rec(0):
-        return None
-    return tuple(color[v] for v in range(g.n))
+    ordered = [sorted(colors) for colors in assignment.lists]
+    sizes = [len(colors) for colors in ordered]
+    for choice in _choices(sizes, _color_matchings(g, ordered)):
+        return tuple(colors[i] for colors, i in zip(ordered, choice))
+    return None
 
 
 def is_list_colorable(g: Graph, assignment: ListAssignment) -> bool:
@@ -129,54 +134,73 @@ def _submasks_ascending(pos: int, lo: int) -> list[int]:
     return out
 
 
+def _block_walk(n: int, k: int, spend, prune=None):
+    """Every block system with multiplicity k on n vertices, in canonical
+    (lexicographic, non-decreasing mask) order, on an explicit stack.
+
+    Yields ``(blocks, rem, lists)`` at each complete system: the blocks
+    placed, every vertex's pending block count (all 0 there) and the tuple
+    of block indices covering each vertex.  All three are shared and change
+    as the walk advances.  Each node, complete or not, is charged one unit
+    to ``spend``.  A node whose pending vertices no admissible block can
+    cover is a dead end; at every other internal node ``prune(rem, lists)``
+    is asked, and a true answer skips the node's subtree."""
+    rem = [k] * n
+    lists: list[tuple[int, ...]] = [()] * n
+    blocks: list[int] = []
+    stack: list[Iterator[int]] = []  # per open node, its children's masks
+    lo = 1
+    while True:
+        spend()
+        pos = 0
+        for v in range(n):
+            if rem[v]:
+                pos |= 1 << v
+        if pos == 0:
+            yield blocks, rem, lists
+        elif pos >= lo and (prune is None or not prune(rem, lists)):
+            stack.append(iter(_submasks_ascending(pos, lo)))
+        # leave the entered child of the deepest open node, enter the next one
+        while stack:
+            if len(blocks) == len(stack):
+                mask = blocks.pop()
+                for v in range(n):
+                    if mask >> v & 1:
+                        rem[v] += 1
+                        lists[v] = lists[v][:-1]
+            lo = next(stack[-1], 0)
+            if lo:
+                for v in range(n):
+                    if lo >> v & 1:
+                        rem[v] -= 1
+                        lists[v] += (len(blocks),)
+                blocks.append(lo)
+                break
+            stack.pop()
+        else:
+            return
+
+
 def block_systems(n: int, k: int, limits: SearchLimits | None = None) -> Iterator[BlockSystem]:
     """All block systems with multiplicity k on n vertices, in canonical
     (lexicographic, non-decreasing mask) order.  Unpruned; intended for small
     instances and cross-checks."""
+    if k < 0:
+        raise AssignmentError(f"k must be non-negative, got {k}")
     budget = (limits or SearchLimits()).start()
-    rem = [k] * n
-    blocks: list[int] = []
-
-    def positives() -> int:
-        mask = 0
-        for v in range(n):
-            if rem[v]:
-                mask |= 1 << v
-        return mask
-
-    def rec(min_mask: int) -> Iterator[BlockSystem]:
-        budget.spend()
-        pos = positives()
-        if pos == 0:
-            yield BlockSystem(n, k, tuple(blocks))
-            return
-        if pos < min_mask:
-            return
-        for mask in _submasks_ascending(pos, min_mask):
-            for v in range(n):
-                if mask >> v & 1:
-                    rem[v] -= 1
-            blocks.append(mask)
-            yield from rec(mask)
-            blocks.pop()
-            for v in range(n):
-                if mask >> v & 1:
-                    rem[v] += 1
-
-    if n == 0 or k == 0:
-        if n >= 0:
-            yield BlockSystem(n, k, ())
-        return
-    yield from rec(1)
+    for blocks, _, _ in _block_walk(n, k, budget.spend):
+        yield BlockSystem(n, k, tuple(blocks))
 
 
 class _BadAssignmentSearch:
     """Exhaustive-up-to-renaming search for a bad non-constant k-assignment.
 
-    Blocks are placed in non-decreasing mask order.  A branch is abandoned as
-    soon as every completion of the current partial system is colorable,
-    which is certified as follows: pick a proper partial coloring that colors
-    each vertex either with one of its current colors or defers it, where the
+    Walks the block systems with :func:`_block_walk`, placing blocks in
+    non-decreasing mask order, and returns the first complete non-constant
+    system that is not colorable.  A branch is abandoned as soon as every
+    completion of the current partial system is colorable, which is
+    certified as follows: pick a proper partial coloring that colors each
+    vertex either with one of its current colors or defers it, where the
     deferred set D must be peelable (every nonempty subset of D has a vertex
     with fewer neighbors inside D than pending blocks).  Any completion hands
     each deferred vertex one fresh color per pending block, fresh colors
@@ -194,31 +218,28 @@ class _BadAssignmentSearch:
             self.adj[v] |= 1 << u
         self.full = (1 << g.n) - 1
         self.budget = (limits or SearchLimits()).start()
-        self.rem = [k] * g.n
-        self.blocks: list[int] = []
-        self.systems_checked = 0
 
-    def _peelable(self, d_mask: int) -> bool:
+    def _peelable(self, d_mask: int, rem: list[int]) -> bool:
         while d_mask:
             for v in range(self.n):
-                if d_mask >> v & 1 and (self.adj[v] & d_mask).bit_count() < self.rem[v]:
+                if d_mask >> v & 1 and (self.adj[v] & d_mask).bit_count() < rem[v]:
                     d_mask &= ~(1 << v)
                     break
             else:
                 return False
         return True
 
-    def _all_completions_colorable(self, lists: list[tuple[int, ...]]) -> bool:
-        order = sorted(
-            range(self.n), key=lambda v: (len(lists[v]) + (self.rem[v] > 0), v)
-        )
+    def _all_completions_colorable(
+        self, rem: list[int], lists: list[tuple[int, ...]]
+    ) -> bool:
+        order = sorted(range(self.n), key=lambda v: (len(lists[v]) + (rem[v] > 0), v))
         color: list[int | None] = [None] * self.n
 
         def rec(i: int, deferred: int) -> bool:
             if i == self.n:
-                return self._peelable(deferred)
+                return self._peelable(deferred, rem)
             v = order[i]
-            if self.rem[v] > 0 and rec(i + 1, deferred | (1 << v)):
+            if rem[v] > 0 and rec(i + 1, deferred | (1 << v)):
                 return True
             av = self.adj[v]
             for c in lists[v]:
@@ -246,43 +267,13 @@ class _BadAssignmentSearch:
         )
 
     def run(self) -> BlockSystem | None:
-        if self.n == 0 or self.k == 0:
-            return None  # the only system is empty, hence constant
-        return self._rec(1, [()] * self.n)
-
-    def _rec(self, min_mask: int, lists: list[tuple[int, ...]]) -> BlockSystem | None:
-        self.budget.spend()
-        pos = 0
-        for v in range(self.n):
-            if self.rem[v]:
-                pos |= 1 << v
-        if pos == 0:
-            self.systems_checked += 1
-            if all(b == self.full for b in self.blocks):
-                return None  # the constant assignment, never a witness
-            if not self._colorable(lists):
-                return BlockSystem(self.n, self.k, tuple(self.blocks))
-            return None
-        if pos < min_mask:
-            return None  # no admissible block can cover what remains
-        if self._all_completions_colorable(lists):
-            return None
-        index = len(self.blocks)
-        for mask in _submasks_ascending(pos, min_mask):
-            for v in range(self.n):
-                if mask >> v & 1:
-                    self.rem[v] -= 1
-            self.blocks.append(mask)
-            found = self._rec(
-                mask,
-                [lists[v] + (index,) if mask >> v & 1 else lists[v] for v in range(self.n)],
-            )
-            self.blocks.pop()
-            for v in range(self.n):
-                if mask >> v & 1:
-                    self.rem[v] += 1
-            if found is not None:
-                return found
+        walk = _block_walk(
+            self.n, self.k, self.budget.spend, self._all_completions_colorable
+        )
+        for blocks, _, lists in walk:
+            # the constant assignment is never a witness
+            if any(b != self.full for b in blocks) and not self._colorable(lists):
+                return BlockSystem(self.n, self.k, tuple(blocks))
         return None
 
 

@@ -4,9 +4,11 @@ Everything here enumerates raw search spaces directly and stays independent
 of the library's search paths, so a library bug cannot hide in its own test.
 The exceptions are the references at the end: a plain recursive copy of
 the gauge-fixed scan's walk that reads the scan's tables, which pins the
-walk's decisions and charges, not the tables; and the induction check's
-cover loop run on every cover one by one, which pins what the survivor walk
-may skip.
+walk's decisions and charges, not the tables; the induction check's cover
+loop run on every cover one by one, which pins what the survivor walk may
+skip; and plain recursive copies of the block-system enumeration and of the
+bad-assignment search, which pin the shared block walk's systems, charges
+and witnesses, not the search's certificate.
 """
 
 from __future__ import annotations
@@ -410,3 +412,80 @@ def oracle_induction_report(g: Graph, members, fold: int, limits: SearchLimits):
             detail="budget exhausted during cover enumeration",
         )
     return LemmaReport("induction", word, checked, "all_pass", "exhaustive")
+
+
+def _block_positives(rem) -> int:
+    return sum(1 << v for v, r in enumerate(rem) if r)
+
+
+def oracle_block_systems(n: int, k: int):
+    """Block systems with multiplicity k on n vertices as the plain
+    recursion enumerates them: the blocks of each, in canonical order."""
+    from critickit.listcoloring import _submasks_ascending
+
+    rem = [k] * n
+    blocks: list[int] = []
+
+    def rec(min_mask: int):
+        pos = _block_positives(rem)
+        if pos == 0:
+            yield tuple(blocks)
+            return
+        if pos < min_mask:
+            return
+        for mask in _submasks_ascending(pos, min_mask):
+            for v in range(n):
+                if mask >> v & 1:
+                    rem[v] -= 1
+            blocks.append(mask)
+            yield from rec(mask)
+            blocks.pop()
+            for v in range(n):
+                if mask >> v & 1:
+                    rem[v] += 1
+
+    yield from rec(1)
+
+
+def oracle_bad_assignment(search):
+    """The bad-assignment search as a plain recursion over block systems,
+    charging ``search.budget`` one unit per node and asking the search's own
+    ``_all_completions_colorable`` and ``_colorable``.  Same witness and the
+    same ``spend`` calls as ``search.run()``."""
+    from critickit.listcoloring import BlockSystem, _submasks_ascending
+
+    n, k = search.n, search.k
+    rem = [k] * n
+    blocks: list[int] = []
+
+    def rec(min_mask: int, lists):
+        search.budget.spend()
+        pos = _block_positives(rem)
+        if pos == 0:
+            if all(b == search.full for b in blocks):
+                return None  # the constant assignment, never a witness
+            if not search._colorable(lists):
+                return BlockSystem(n, k, tuple(blocks))
+            return None
+        if pos < min_mask:
+            return None
+        if search._all_completions_colorable(rem, lists):
+            return None
+        index = len(blocks)
+        for mask in _submasks_ascending(pos, min_mask):
+            for v in range(n):
+                if mask >> v & 1:
+                    rem[v] -= 1
+            blocks.append(mask)
+            found = rec(
+                mask, [lists[v] + (index,) if mask >> v & 1 else lists[v] for v in range(n)]
+            )
+            blocks.pop()
+            for v in range(n):
+                if mask >> v & 1:
+                    rem[v] += 1
+            if found is not None:
+                return found
+        return None
+
+    return rec(1, [()] * n)

@@ -339,6 +339,27 @@ def test_time_budget_holds(argv):
     ), doc
 
 
+def test_time_budget_holds_while_the_scan_is_built():
+    # the 1 ms cap trips while the kill masks are built, before any cover
+    status, out = run("--json", "--time-budget-ms", "1", "check", "robust", "--ekab", "5", "2", "3")
+    assert status == 2
+    assert out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["schema"] == "critickit/robust-verdict/1"
+    assert doc["decision"] == "unknown" and doc["covers_scanned"] == 0
+
+
+def test_count_colorings_on_a_long_path(tmp_path):
+    # 3000 vertices, deeper than the default recursion limit
+    from critickit import build_graph, format_edgelist
+
+    path = tmp_path / "path.txt"
+    path.write_text(format_edgelist(build_graph(3000, [(v, v + 1) for v in range(2999)])))
+    status, out = run("--json", "count", "colorings", "-k", "2", "--edges", str(path))
+    assert status == 0
+    assert json.loads(out)["value"] == 2
+
+
 # ----------------------------------------------------------- JSON roundtrips
 
 

@@ -589,6 +589,15 @@ def test_robust_scan_keeps_the_time_budget():
     assert time.monotonic() - start < 10.0
 
 
+def test_gauge_scan_setup_keeps_the_time_budget():
+    # E(5,2,3) at k = 4 has 26,244 tree-only transversals; building the kill
+    # masks over them takes far longer than 1 ms, and checks the deadline
+    from critickit.covers import _GaugeScan
+
+    with pytest.raises(BudgetExceeded):
+        _GaugeScan(generate_ekab(5, 2, 3), 4, SearchLimits(max_millis=1).start())
+
+
 def _walk_cases():
     """Random connected hosts with n <= 7 and k in 1..4, with the node
     budgets to run them at: every host at 5000 and 37 nodes, and at 10**9

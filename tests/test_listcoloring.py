@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from critickit import (
     complete_bipartite,
     cycle,
     find_bad_nonconstant_assignment,
+    find_list_coloring,
     generate_ekab,
     is_constant_assignment,
     is_list_colorable,
@@ -27,7 +29,14 @@ from critickit import (
     list_chromatic_number,
     strong_criticality_verdict,
 )
-from helpers import brute_is_list_colorable, random_assignment, random_graph
+from helpers import (
+    RecordingBudget,
+    brute_is_list_colorable,
+    oracle_bad_assignment,
+    oracle_block_systems,
+    random_assignment,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------- list colorability
@@ -76,6 +85,34 @@ def test_renaming_invariance(n, k, rng):
     assert is_list_colorable(g, assignment) == is_list_colorable(g, renamed)
 
 
+def test_find_list_coloring_is_lexicographically_first():
+    # unequal lists: the first coloring in product order over the sorted
+    # lists, vertices in order
+    rng = random.Random(2408)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n)
+        assignment = ListAssignment.of(
+            [rng.sample(range(6), rng.randint(1, 3)) for _ in range(n)]
+        )
+        expected = next(
+            (
+                c
+                for c in product(*(sorted(l) for l in assignment.lists))
+                if all(c[u] != c[v] for u, v in g.edges())
+            ),
+            None,
+        )
+        assert find_list_coloring(g, assignment) == expected, (g.edges(), assignment)
+
+
+def test_find_list_coloring_on_a_long_path():
+    # 3000 vertices, deeper than the default recursion limit
+    g = build_graph(3000, [(v, v + 1) for v in range(2999)])
+    coloring = find_list_coloring(g, ListAssignment.uniform(3000, {0, 1}))
+    assert coloring == tuple(v % 2 for v in range(3000))
+
+
 # ----------------------------------------------------------------- constants
 
 
@@ -116,6 +153,20 @@ def test_blocks_coverage_violation_names_vertex():
 def test_blocks_must_be_sorted():
     with pytest.raises(AssignmentError):
         BlockSystem(3, 1, (0b110, 0b001))
+
+
+def test_block_systems_match_recursive_reference():
+    for n in range(6):
+        for k in range(4):
+            if n * k <= 12:
+                assert [s.blocks for s in block_systems(n, k)] == list(
+                    oracle_block_systems(n, k)
+                ), (n, k)
+
+
+def test_block_systems_reject_negative_multiplicity():
+    with pytest.raises(AssignmentError):
+        list(block_systems(2, -1))
 
 
 def test_block_systems_small_count():
@@ -192,12 +243,12 @@ def test_search_agrees_with_plain_enumeration():
         g = random_graph(rng, n)
         full = (1 << n) - 1
         naive = None
-        for system in block_systems(n, k):
-            if all(b == full for b in system.blocks):
+        for blocks in oracle_block_systems(n, k):
+            if all(b == full for b in blocks):
                 continue
-            assignment = assignment_from_blocks(system)
+            assignment = assignment_from_blocks(BlockSystem(n, k, blocks))
             if not is_list_colorable(g, assignment):
-                naive = system.blocks
+                naive = blocks
                 break
         found = find_bad_nonconstant_assignment(g, k)
         if naive is None:
@@ -205,6 +256,40 @@ def test_search_agrees_with_plain_enumeration():
         else:
             assert found is not None
             assert not is_list_colorable(g, found)
+
+
+def _recorded_search(g, k, max_nodes, call):
+    """(outcome, spend calls) of ``call(search)`` on a fresh search whose
+    budget records every charge."""
+    from critickit.listcoloring import _BadAssignmentSearch
+
+    search = _BadAssignmentSearch(g, k, None)
+    search.budget = RecordingBudget(SearchLimits(max_nodes=max_nodes))
+    try:
+        outcome = call(search)
+    except BudgetExceeded as exc:
+        outcome = ("budget", exc.spent)
+    return outcome, search.budget.calls
+
+
+def test_search_matches_recursive_reference():
+    # the explicit-stack block walk must make every decision and every
+    # charge as the plain recursion makes them, including where the budget
+    # trips; k is the chromatic number or one below it, where the search
+    # has the most nodes
+    from critickit.listcoloring import _BadAssignmentSearch
+
+    rng = random.Random(2408)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 1))
+        k = min(3, chromatic_number(g) - rng.randint(0, 1))
+        for max_nodes in (10, 100, 10**6):
+            assert _recorded_search(
+                g, k, max_nodes, _BadAssignmentSearch.run
+            ) == _recorded_search(g, k, max_nodes, oracle_bad_assignment), (
+                g.edges(), k, max_nodes,
+            )
 
 
 def test_submasks_ascending_matches_brute_force():
