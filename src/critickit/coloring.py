@@ -6,7 +6,8 @@ vertices); counts are arbitrary-precision integers.
 
 :func:`_choices` is the package's one coloring walker.  Ordinary colorings,
 list colorings and the transversals of a cover are all choices of one index
-per vertex that select no matched pair, so the coloring counts here, list
+per vertex that select no matched pair, so :func:`find_coloring` (and with
+it the chromatic number and criticality), the coloring counts here, list
 coloring and the cover module's transversal searches all run on it.
 """
 
@@ -17,14 +18,6 @@ from typing import Iterator
 
 from .errors import GraphError
 from .graphs import Graph, edge_deleted, vertex_deleted
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
 
 
 def _choices(sizes, matchings) -> Iterator[list[int]]:
@@ -89,75 +82,22 @@ def _greedy_clique(g: Graph) -> list[int]:
 
 
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
-    """A proper coloring with colors ``0..k-1``, or None if none exists.
+    """The lexicographically first proper coloring with colors ``0..k-1``,
+    or None if none exists.
 
-    Backtracking with forward checking; a greedily found clique is precolored
-    first, which is sound for the decision and keeps the returned witness
-    verifiable.
+    Runs :func:`_choices` under identity matchings with vertex v's colors
+    capped at ``min(k, v + 1)``.  The cap loses no coloring that matters: in
+    the lexicographically first proper coloring no vertex has a color above
+    1 + the largest color before it, since swapping those two color names
+    would give a smaller proper coloring, so vertex v's color is at most v.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
-    if g.n == 0:
-        return ()
-    if k == 0:
-        return None
-    masks = _adjacency_masks(g)
-    cliq = _greedy_clique(g)
-    if len(cliq) > k:
-        return None
-    domain_full = (1 << k) - 1
-    domains = [domain_full] * g.n
-    color = [-1] * g.n
-
-    def assign(v: int, c: int, trail: list[tuple[int, int]]) -> bool:
-        color[v] = c
-        bit = 1 << c
-        rest = masks[v]
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if color[u] == -1 and domains[u] & bit:
-                trail.append((u, domains[u]))
-                domains[u] &= ~bit
-                if domains[u] == 0:
-                    return False
-        return True
-
-    def undo(v: int, trail: list[tuple[int, int]]) -> None:
-        color[v] = -1
-        for u, old in reversed(trail):
-            domains[u] = old
-
-    for i, v in enumerate(cliq):
-        trail: list[tuple[int, int]] = []
-        if not assign(v, i, trail):
-            undo(v, trail)
-            return None
-
-    def rec() -> bool:
-        v = -1
-        best_size = k + 1
-        for u in range(g.n):
-            if color[u] == -1:
-                size = domains[u].bit_count()
-                if size < best_size:
-                    best_size = size
-                    v = u
-        if v == -1:
-            return True
-        rest = domains[v]
-        while rest:
-            c = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            trail: list[tuple[int, int]] = []
-            if assign(v, c, trail) and rec():
-                return True
-            undo(v, trail)
-        return False
-
-    if not rec():
-        return None
-    return tuple(color)
+    identity = tuple((i, i) for i in range(k))
+    sizes = [min(k, v + 1) for v in range(g.n)]
+    for choice in _choices(sizes, [(u, v, identity) for u, v in g.edges()]):
+        return tuple(choice)
+    return None
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
@@ -199,14 +139,16 @@ def classify_criticality(g: Graph) -> ColoringVerdict:
     if g.n < 1:
         raise GraphError("criticality is defined for graphs with at least one vertex")
     k = chromatic_number(g)
+    # a deletion never raises the chromatic number, so it keeps it at k
+    # exactly when the smaller graph is not (k-1)-colorable
     edge_witness = None
     for u, v in g.edges():
-        if chromatic_number(edge_deleted(g, u, v)) >= k:
+        if not is_k_colorable(edge_deleted(g, u, v), k - 1):
             edge_witness = (u, v)
             break
     vertex_witness = None
     for v in range(g.n):
-        if chromatic_number(vertex_deleted(g, v)) >= k:
+        if not is_k_colorable(vertex_deleted(g, v), k - 1):
             vertex_witness = v
             break
     is_vertex_critical = vertex_witness is None

@@ -7,8 +7,9 @@ operations: cover scans, the lemma checks' profile scans among them, charge
 one unit per cover decided, a sampled cover included (covers dismissed in
 bulk by the survivor bound or by symmetry, as not the lex-leader of their
 relabeling orbit, are still charged), assignment searches charge one unit
-per enumeration node.  Set-up work that decides nothing, such as building a
-cover scan's kill masks, checks the deadline with zero-unit charges.
+per enumeration node.  Work that is not metered, such as building a cover
+scan's kill masks or the bad-assignment search's deferral certificate,
+checks the deadline with zero-unit charges.
 """
 
 from __future__ import annotations

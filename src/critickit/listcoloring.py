@@ -120,18 +120,20 @@ def assignment_from_blocks(system: BlockSystem) -> ListAssignment:
     return ListAssignment(tuple(lists))
 
 
-def _submasks_ascending(pos: int, lo: int) -> list[int]:
-    """The nonzero submasks of ``pos`` that are at least ``lo``, ascending."""
-    out = []
-    s = pos
+def _submasks_ascending(pos: int, lo: int) -> Iterator[int]:
+    """The nonzero submasks of ``pos`` that are at least ``lo``, ascending,
+    generated one at a time."""
+    s = max(lo, 1) - 1
+    outside = s & ~pos
+    if outside:
+        # no submask lies between s and s with every bit up to its highest
+        # bit outside pos set, so step on from there
+        s |= (1 << outside.bit_length()) - 1
     while True:
-        if s >= lo and s > 0:
-            out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & pos
-    out.reverse()
-    return out
+        s = ((s | ~pos) + 1) & pos  # the next submask above s
+        if not s:
+            return
+        yield s
 
 
 def _block_walk(n: int, k: int, spend, prune=None):
@@ -159,7 +161,7 @@ def _block_walk(n: int, k: int, spend, prune=None):
         if pos == 0:
             yield blocks, rem, lists
         elif pos >= lo and (prune is None or not prune(rem, lists)):
-            stack.append(iter(_submasks_ascending(pos, lo)))
+            stack.append(_submasks_ascending(pos, lo))
         # leave the entered child of the deepest open node, enter the next one
         while stack:
             if len(blocks) == len(stack):
@@ -232,34 +234,58 @@ class _BadAssignmentSearch:
     def _all_completions_colorable(
         self, rem: list[int], lists: list[tuple[int, ...]]
     ) -> bool:
-        order = sorted(range(self.n), key=lambda v: (len(lists[v]) + (rem[v] > 0), v))
-        color: list[int | None] = [None] * self.n
-
-        def rec(i: int, deferred: int) -> bool:
-            if i == self.n:
-                return self._peelable(deferred, rem)
-            v = order[i]
-            if rem[v] > 0 and rec(i + 1, deferred | (1 << v)):
-                return True
-            av = self.adj[v]
-            for c in lists[v]:
-                ok = True
-                rest = av
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    if color[u] == c:
-                        ok = False
-                        break
-                if ok:
-                    color[v] = c
-                    if rec(i + 1, deferred):
-                        color[v] = None
+        """Is there a partial coloring with a peelable deferred set, as in
+        the class docstring?  Vertices are tried in order of fewest options,
+        each deferred first (if it has pending blocks) and then given each
+        of its colors that no colored neighbor holds, on an explicit stack;
+        the deadline is checked every 4096 nodes."""
+        n, adj = self.n, self.adj
+        order = sorted(range(n), key=lambda v: (len(lists[v]) + (rem[v] > 0), v))
+        holders: dict[int, int] = {}  # color -> mask of the vertices holding it
+        tried = [0] * n  # per depth: colors tried, or -1 while deferred
+        deferred = 0
+        i = 0
+        nodes = 0
+        entering = True
+        while True:
+            if entering:
+                nodes += 1
+                if not nodes & 4095:
+                    self.budget.spend(0)
+                if i == n:
+                    if self._peelable(deferred, rem):
                         return True
-                    color[v] = None
-            return False
-
-        return rec(0, 0)
+                    i -= 1
+                    entering = False
+                    continue
+                v = order[i]
+                if rem[v] > 0:
+                    tried[i] = -1
+                    deferred |= 1 << v
+                    i += 1
+                    continue
+                tried[i] = 0
+            else:
+                if i < 0:
+                    return False
+                v = order[i]
+                if tried[i] < 0:
+                    tried[i] = 0
+                    deferred &= ~(1 << v)
+                else:
+                    holders[lists[v][tried[i] - 1]] &= ~(1 << v)
+            colors = lists[v]
+            j = tried[i]
+            while j < len(colors) and holders.get(colors[j], 0) & adj[v]:
+                j += 1
+            if j == len(colors):
+                i -= 1
+                entering = False
+                continue
+            tried[i] = j + 1
+            holders[colors[j]] = holders.get(colors[j], 0) | 1 << v
+            i += 1
+            entering = True
 
     def _colorable(self, lists: list[tuple[int, ...]]) -> bool:
         return is_list_colorable(

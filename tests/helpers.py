@@ -6,9 +6,10 @@ The exceptions are the references at the end: a plain recursive copy of
 the gauge-fixed scan's walk that reads the scan's tables, which pins the
 walk's decisions and charges, not the tables; the induction check's cover
 loop run on every cover one by one, which pins what the survivor walk may
-skip; and plain recursive copies of the block-system enumeration and of the
+skip; plain recursive copies of the block-system enumeration and of the
 bad-assignment search, which pin the shared block walk's systems, charges
-and witnesses, not the search's certificate.
+and witnesses, not the search's certificate; and a plain recursive copy of
+that certificate, which pins its answers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import zlib
 from itertools import combinations, permutations, product
 
 from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
+from critickit.coloring import ColoringVerdict
+from critickit.graphs import edge_deleted, vertex_deleted
 from critickit.limits import Budget
 
 
@@ -26,6 +29,30 @@ def brute_is_k_colorable(g: Graph, k: int) -> bool:
     return any(
         all(c[u] != c[v] for u, v in edges)
         for c in product(range(k), repeat=g.n)
+    )
+
+
+def brute_first_coloring(g: Graph, k: int):
+    """The first proper coloring in ``product(range(k), repeat=n)``, or None."""
+    edges = g.edges()
+    return next(
+        (c for c in product(range(k), repeat=g.n) if all(c[u] != c[v] for u, v in edges)),
+        None,
+    )
+
+
+def brute_criticality(g: Graph) -> ColoringVerdict:
+    """Criticality by exhaustion: the chromatic number, then the first edge
+    and the first vertex whose deletion leaves it unchanged."""
+
+    def chi(h: Graph) -> int:
+        return next(k for k in range(h.n + 1) if brute_is_k_colorable(h, k))
+
+    k = chi(g)
+    edge = next((e for e in g.edges() if chi(edge_deleted(g, *e)) == k), None)
+    vertex = next((v for v in range(g.n) if chi(vertex_deleted(g, v)) == k), None)
+    return ColoringVerdict(
+        k, edge is None and vertex is None, vertex is None, edge if edge is not None else vertex
     )
 
 
@@ -489,3 +516,31 @@ def oracle_bad_assignment(search):
         return None
 
     return rec(1, [()] * n)
+
+
+def oracle_all_completions_colorable(search, rem, lists) -> bool:
+    """The bad-assignment search's deferral certificate as a plain
+    recursion: defer a vertex with pending blocks first, then try each of
+    its colors that no colored neighbor holds; at the end the deferred set
+    must be peelable.  Reads the search's adjacency masks and
+    ``_peelable``."""
+    n, adj = search.n, search.adj
+    order = sorted(range(n), key=lambda v: (len(lists[v]) + (rem[v] > 0), v))
+    color: list[int | None] = [None] * n
+
+    def rec(i: int, deferred: int) -> bool:
+        if i == n:
+            return search._peelable(deferred, rem)
+        v = order[i]
+        if rem[v] > 0 and rec(i + 1, deferred | (1 << v)):
+            return True
+        for c in lists[v]:
+            if all(color[u] != c for u in range(n) if adj[v] >> u & 1):
+                color[v] = c
+                if rec(i + 1, deferred):
+                    color[v] = None
+                    return True
+                color[v] = None
+        return False
+
+    return rec(0, 0)

@@ -188,18 +188,26 @@ def test_json_single_document():
     assert out.count("\n") == 1
 
 
-def test_json_pdp_on_a_deep_grid(tmp_path):
+@pytest.mark.parametrize(
+    "argv,statuses",
+    [(["count", "pdp", "-k", "2"], (0, 2)), (["chi", "dp"], (0,))],
+    ids=["count pdp", "chi dp"],
+)
+def test_json_pdp_on_a_deep_grid(tmp_path, argv, statuses):
     # 1024 non-tree edges: the scan must not hit the recursion limit
     from critickit import format_edgelist
     from helpers import grid_graph
 
     path = tmp_path / "grid.txt"
     path.write_text(format_edgelist(grid_graph(33)))
-    status, out = run("--json", "count", "pdp", "-k", "2", "--edges", str(path))
-    assert status in (0, 2)
+    status, out = run("--json", *argv, "--edges", str(path))
+    assert status in statuses
     doc = json.loads(out)
-    assert doc["schema"] == "critickit/count/1"
     assert out.count("\n") == 1
+    if argv[0] == "chi":
+        assert doc["schema"] == "critickit/chi/1" and doc["value"] == 3
+    else:
+        assert doc["schema"] == "critickit/count/1"
 
 
 def test_exit_status_table_covers_every_decision():
@@ -309,10 +317,16 @@ def test_json_pdp_stops_at_a_cover_without_transversals():
 # 2 s without it; where the default node budget would stop it sooner, a
 # larger one is given, so that only the deadline can.
 HUGE = ["--node-budget", str(10**15)]
+GRID_6X6 = (
+    "chCKAC`CGO_`?_?O_CG?`?AC?CG?C??AC??`??CG??O_??`???_???O_??CG???`"
+    "???AC???CG???C????AC????`????CG????O_????`"
+)
 TIME_CAPPED = {
     "check robust": HUGE + ["check", "robust", "--cycle", "5", "--clique", "2", "--join"],
     "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
     "chi list": ["chi", "list", "--complete-bipartite", "5", "5"],
+    # the 6x6 grid: the block walk's root has 2**36 - 1 children
+    "chi list grid": ["chi", "list", "--graph6", GRID_6X6],
     "chi dp": HUGE + ["chi", "dp", "--complete-bipartite", "4", "4"],
     "count pdp": HUGE + ["count", "pdp", "-k", "5", "--clique", "5"],
     "lemma excess": ["lemma", "excess", "--clique", "4", "--sizes", "3,3,3,4"],
@@ -349,15 +363,25 @@ def test_time_budget_holds_while_the_scan_is_built():
     assert doc["decision"] == "unknown" and doc["covers_scanned"] == 0
 
 
-def test_count_colorings_on_a_long_path(tmp_path):
+@pytest.mark.parametrize(
+    "argv,status,field,expected",
+    [
+        (["count", "colorings", "-k", "2"], 0, "value", 2),
+        (["chi", "plain"], 0, "value", 2),
+        (["check", "critical"], 1, "witness", {"kind": "edge", "edge": [0, 1]}),
+        (["chi", "list"], 0, "value", 2),
+    ],
+    ids=["count colorings", "chi plain", "check critical", "chi list"],
+)
+def test_count_colorings_on_a_long_path(tmp_path, argv, status, field, expected):
     # 3000 vertices, deeper than the default recursion limit
     from critickit import build_graph, format_edgelist
 
     path = tmp_path / "path.txt"
     path.write_text(format_edgelist(build_graph(3000, [(v, v + 1) for v in range(2999)])))
-    status, out = run("--json", "count", "colorings", "-k", "2", "--edges", str(path))
-    assert status == 0
-    assert json.loads(out)["value"] == 2
+    got_status, out = run("--json", *argv, "--edges", str(path))
+    assert got_status == status
+    assert json.loads(out)[field] == expected
 
 
 # ----------------------------------------------------------- JSON roundtrips

@@ -18,7 +18,13 @@ from critickit import (
     join,
 )
 from critickit.graphs import connected_components
-from helpers import brute_count_colorings, brute_is_k_colorable, random_graph
+from helpers import (
+    brute_count_colorings,
+    brute_criticality,
+    brute_first_coloring,
+    brute_is_k_colorable,
+    random_graph,
+)
 
 K3_PLUS_PENDANT = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
@@ -46,6 +52,7 @@ def test_k4_not_3_colorable():
 def test_colorability_matches_brute_force(n, k, rng):
     g = random_graph(rng, n)
     assert is_k_colorable(g, k) == brute_is_k_colorable(g, k)
+    assert find_coloring(g, k) == brute_first_coloring(g, k)
 
 
 # ---------------------------------------------------------- chromatic number
@@ -132,6 +139,14 @@ def test_critical_implies_vertex_critical_and_classic_bounds():
             )
         if verdict.witness is not None:
             assert not verdict.is_critical
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.randoms(use_true_random=False))
+def test_criticality_matches_brute_force(n, rng):
+    # the chromatic number, both flags and the first deletion witness
+    g = random_graph(rng, n, p=rng.uniform(0.2, 1))
+    assert classify_criticality(g) == brute_criticality(g), g.edges()
 
 
 # ------------------------------------------------------------------ counting

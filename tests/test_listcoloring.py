@@ -32,6 +32,7 @@ from critickit import (
 from helpers import (
     RecordingBudget,
     brute_is_list_colorable,
+    oracle_all_completions_colorable,
     oracle_bad_assignment,
     oracle_block_systems,
     random_assignment,
@@ -292,6 +293,35 @@ def test_search_matches_recursive_reference():
             )
 
 
+def test_certificate_matches_recursive_reference():
+    # on every state the block walk asks about, the explicit-stack deferral
+    # certificate must answer as the plain recursion does
+    from critickit.listcoloring import _BadAssignmentSearch, _block_walk
+
+    rng = random.Random(4538)
+    answers = set()
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        g = random_graph(rng, n, p=rng.uniform(0.2, 1))
+        k = min(3, chromatic_number(g) - rng.randint(0, 1))
+        search = _BadAssignmentSearch(g, k, SearchLimits(max_nodes=1000))
+
+        def prune(rem, lists):
+            answer = search._all_completions_colorable(rem, lists)
+            assert answer == oracle_all_completions_colorable(search, rem, lists), (
+                g.edges(), rem, lists,
+            )
+            answers.add(answer)
+            return answer
+
+        try:
+            for _ in _block_walk(n, k, search.budget.spend, prune):
+                pass
+        except BudgetExceeded:
+            pass
+    assert answers == {False, True}
+
+
 def test_submasks_ascending_matches_brute_force():
     # block_systems and the bad-assignment search share this walk, so the
     # comparison above cannot catch a fault in it
@@ -300,7 +330,7 @@ def test_submasks_ascending_matches_brute_force():
     for pos in range(2**6):
         for lo in range(2**6 + 1):
             expected = [s for s in range(1, 2**6) if s & ~pos == 0 and s >= lo]
-            assert _submasks_ascending(pos, lo) == expected, (pos, lo)
+            assert list(_submasks_ascending(pos, lo)) == expected, (pos, lo)
 
 
 # ------------------------------------------------------------- choosability
