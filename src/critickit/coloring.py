@@ -13,6 +13,7 @@ coloring and the cover module's transversal searches all run on it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -67,36 +68,68 @@ def _choices(sizes, matchings) -> Iterator[list[int]]:
 def _greedy_clique(g: Graph) -> list[int]:
     """Deterministic maximal clique: seed with a max-degree vertex, extend by
     degree.  A lower bound for the chromatic number, not a maximum clique."""
-    if g.n == 0:
-        return []
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     best: list[int] = []
     for seed in order[: min(g.n, 4)]:
         cliq = [seed]
         for v in order:
-            if v != seed and all(g.has_edge(v, u) for u in cliq):
+            if v != seed and g.adj[v].issuperset(cliq):
                 cliq.append(v)
         if len(cliq) > len(best):
             best = cliq
     return best
 
 
+def _search_order(g: Graph, cliq: list[int]) -> list[int]:
+    """The order in which :func:`find_coloring` assigns vertices: ``cliq``,
+    then always a vertex with the most neighbors placed (ties: higher
+    degree, then lower label), so that a conflict near the clique is met
+    before the search branches over loosely attached vertices."""
+    order: list[int] = []
+    placed = [0] * g.n  # placed neighbors; -1 once the vertex is placed
+    heap = [(0, -g.degree(v), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    pending = cliq[::-1]
+    while len(order) < g.n:
+        if pending:
+            v = pending.pop()
+        else:
+            count, _, v = heapq.heappop(heap)
+            if placed[v] != -count:  # placed already, or a stale count
+                continue
+        placed[v] = -1
+        order.append(v)
+        for u in g.adj[v]:
+            if placed[u] >= 0:
+                placed[u] += 1
+                heapq.heappush(heap, (-placed[u], -g.degree(u), u))
+    return order
+
+
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """The lexicographically first proper coloring with colors ``0..k-1``,
-    or None if none exists.
+    vertices read in :func:`_search_order`, or None if none exists.
 
-    Runs :func:`_choices` under identity matchings with vertex v's colors
-    capped at ``min(k, v + 1)``.  The cap loses no coloring that matters: in
-    the lexicographically first proper coloring no vertex has a color above
-    1 + the largest color before it, since swapping those two color names
-    would give a smaller proper coloring, so vertex v's color is at most v.
+    Rejects at once when the greedy clique has more than k vertices, else
+    runs :func:`_choices` under identity matchings by search position p,
+    with p's colors capped at ``min(k, p + 1)``.  The cap is exact: in the
+    first proper coloring no position has a color above 1 + the largest
+    color before it (swapping those two color names would give an earlier
+    one), so position p's color is at most p.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
+    cliq = _greedy_clique(g)
+    if len(cliq) > k:
+        return None
+    order = _search_order(g, cliq)
+    position = {v: p for p, v in enumerate(order)}
     identity = tuple((i, i) for i in range(k))
-    sizes = [min(k, v + 1) for v in range(g.n)]
-    for choice in _choices(sizes, [(u, v, identity) for u, v in g.edges()]):
-        return tuple(choice)
+    matchings = [
+        (position[u], p, identity) for p, v in enumerate(order) for u in g.adj[v] if position[u] < p
+    ]
+    for choice in _choices([min(k, p + 1) for p in range(g.n)], matchings):
+        return tuple(choice[position[v]] for v in range(g.n))
     return None
 
 
@@ -105,14 +138,9 @@ def is_k_colorable(g: Graph, k: int) -> bool:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Least k admitting a proper k-coloring; 0 for the empty vertex set."""
-    if g.n == 0:
-        return 0
-    lower = max(1, len(_greedy_clique(g)))
-    for k in range(lower, g.n + 1):
-        if is_k_colorable(g, k):
-            return k
-    return g.n
+    """Least k admitting a proper k-coloring; 0 for the empty vertex set.
+    Each k below the greedy clique's size is rejected without a search."""
+    return next(k for k in range(g.n + 1) if is_k_colorable(g, k))
 
 
 @dataclass(frozen=True)

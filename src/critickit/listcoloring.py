@@ -126,8 +126,8 @@ def _submasks_ascending(pos: int, lo: int) -> Iterator[int]:
     s = max(lo, 1) - 1
     outside = s & ~pos
     if outside:
-        # no submask lies between s and s with every bit up to its highest
-        # bit outside pos set, so step on from there
+        # a submask above s must exceed it at a bit above its highest bit
+        # outside pos, so step on from s with every bit up to that one set
         s |= (1 << outside.bit_length()) - 1
     while True:
         s = ((s | ~pos) + 1) & pos  # the next submask above s

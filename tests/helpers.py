@@ -32,13 +32,18 @@ def brute_is_k_colorable(g: Graph, k: int) -> bool:
     )
 
 
-def brute_first_coloring(g: Graph, k: int):
-    """The first proper coloring in ``product(range(k), repeat=n)``, or None."""
+def brute_first_coloring(g: Graph, k: int, order):
+    """The first proper coloring, or None, when colorings are listed as
+    ``product(range(k), repeat=n)`` over the colors of ``order[0]``,
+    ``order[1]``, ... in turn."""
     edges = g.edges()
-    return next(
-        (c for c in product(range(k), repeat=g.n) if all(c[u] != c[v] for u, v in edges)),
-        None,
-    )
+    for colors in product(range(k), repeat=g.n):
+        c = [0] * g.n
+        for v, color in zip(order, colors):
+            c[v] = color
+        if all(c[u] != c[v] for u, v in edges):
+            return tuple(c)
+    return None
 
 
 def brute_criticality(g: Graph) -> ColoringVerdict:

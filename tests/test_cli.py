@@ -12,10 +12,12 @@ import pytest
 import critickit
 from critickit import (
     AssignmentError,
+    clique,
     CoverError,
     cover_from_assignment,
     cycle,
     find_transversal,
+    join,
     ListAssignment,
     make_canonical_cover,
 )
@@ -380,6 +382,29 @@ def test_count_colorings_on_a_long_path(tmp_path, argv, status, field, expected)
     path = tmp_path / "path.txt"
     path.write_text(format_edgelist(build_graph(3000, [(v, v + 1) for v in range(2999)])))
     got_status, out = run("--json", *argv, "--edges", str(path))
+    assert got_status == status
+    assert json.loads(out)[field] == expected
+
+
+@pytest.mark.parametrize(
+    "argv,graph,status,field,expected",
+    [
+        (["check", "critical"], clique(4), 1, "witness", {"kind": "edge", "edge": [0, 1]}),
+        (["chi", "plain"], join(cycle(5), clique(1)), 0, "value", 4),
+    ],
+    ids=["check critical path+K4", "chi plain path+W5"],
+)
+def test_conflict_labelled_after_a_long_path(tmp_path, argv, graph, status, field, expected):
+    # the path takes labels 0..39, so a search in label order would try
+    # about 2**38 path colorings before each refutation of the conflict
+    from critickit import build_graph, format_edgelist
+
+    edges = [(v, v + 1) for v in range(39)] + [(u + 40, v + 40) for u, v in graph.edges()]
+    path = tmp_path / "g.txt"
+    path.write_text(format_edgelist(build_graph(40 + graph.n, edges)))
+    start = time.monotonic()
+    got_status, out = run("--json", *argv, "--edges", str(path))
+    assert time.monotonic() - start < 2.0
     assert got_status == status
     assert json.loads(out)[field] == expected
 

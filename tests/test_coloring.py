@@ -17,6 +17,7 @@ from critickit import (
     is_k_colorable,
     join,
 )
+from critickit.coloring import _greedy_clique, _search_order
 from critickit.graphs import connected_components
 from helpers import (
     brute_count_colorings,
@@ -52,7 +53,13 @@ def test_k4_not_3_colorable():
 def test_colorability_matches_brute_force(n, k, rng):
     g = random_graph(rng, n)
     assert is_k_colorable(g, k) == brute_is_k_colorable(g, k)
-    assert find_coloring(g, k) == brute_first_coloring(g, k)
+    cliq = _greedy_clique(g)
+    order = _search_order(g, cliq)
+    assert order[: len(cliq)] == cliq and sorted(order) == list(range(g.n))
+    for p in range(len(cliq), g.n):
+        counts = [len(g.adj[v].intersection(order[:p])) for v in order[p:]]
+        assert counts[0] == max(counts)
+    assert find_coloring(g, k) == brute_first_coloring(g, k, order)
 
 
 # ---------------------------------------------------------- chromatic number
