@@ -3,6 +3,9 @@
 Exit status contract: 0 = decided yes (or value computed), 1 = decided no
 (witness emitted), 2 = unknown within limits, 64 = usage error.  With
 ``--json`` exactly one JSON document is written to standard output.
+
+A command imports only the modules it runs, once its arguments and inputs
+have been checked, so that small commands and usage errors start quickly.
 """
 
 from __future__ import annotations
@@ -11,27 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from . import jsonio
-from .coloring import (
-    chromatic_number,
-    chromatic_polynomial,
-    classify_criticality,
-    count_proper_colorings,
-)
-from .covers import (
-    NONCANONICAL_BAD_COVER_FOUND,
-    NOT_CRITICAL,
-    ROBUSTLY_CRITICAL,
-    UNKNOWN,
-    count_transversals,
-    dp_chromatic_number,
-    make_canonical_cover,
-    pdp_value,
-    robust_criticality_verdict,
-)
+from .base import EXIT_NO, EXIT_STATUS, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES
 from .errors import BudgetExceeded, CritickitError
 from .graphs import (
     Graph,
@@ -45,44 +30,7 @@ from .graphs import (
     parse_edgelist,
     parse_graph6,
 )
-from .lemmas import (
-    ALL_PASS,
-    COUNTEREXAMPLE,
-    SKIPPED_PRECONDITION,
-    TRUNCATED,
-    check_excess_lemma,
-    check_full_extension_lemma,
-    check_induction_lemma,
-    check_join_preserves,
-    check_pair_reduction,
-)
 from .limits import DEFAULT_NODE_BUDGET, SearchLimits
-from .listcoloring import (
-    NO,
-    YES,
-    list_chromatic_number,
-    strong_criticality_verdict,
-)
-
-EXIT_YES = 0
-EXIT_NO = 1
-EXIT_UNKNOWN = 2
-EXIT_USAGE = 64
-
-# The exit status of every decision a check reports; the robust and strong
-# verdicts share "unknown".
-EXIT_STATUS = {
-    YES: EXIT_YES,
-    ROBUSTLY_CRITICAL: EXIT_YES,
-    ALL_PASS: EXIT_YES,
-    NO: EXIT_NO,
-    NOT_CRITICAL: EXIT_NO,
-    NONCANONICAL_BAD_COVER_FOUND: EXIT_NO,
-    COUNTEREXAMPLE: EXIT_NO,
-    UNKNOWN: EXIT_UNKNOWN,
-    TRUNCATED: EXIT_UNKNOWN,
-    SKIPPED_PRECONDITION: EXIT_UNKNOWN,
-}
 
 BUDGET_ENV = "CRITICKIT_BUDGET"
 
@@ -105,22 +53,6 @@ class _SourceAction(argparse.Action):
             sources = []
             namespace.sources = sources
         sources.append((self.dest, values))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    node_budget: int
-    time_budget_ms: int | None
-    output_mode: str
-
-    def __post_init__(self):
-        if self.node_budget <= 0:
-            raise UsageError("node budget must be positive")
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
-            raise UsageError("--time-budget-ms must be positive")
-
-    def limits(self) -> SearchLimits:
-        return SearchLimits(max_nodes=self.node_budget, max_millis=self.time_budget_ms)
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -147,7 +79,10 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 def _read_input(path: str) -> str:
     """The text of a file, or of standard input for '-'."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CritickitError(f"cannot read {path}: {exc}") from None
 
@@ -243,7 +178,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args) -> tuple[SearchLimits, str]:
+    """The search limits and the output mode ("json" or "human")."""
     budget = args.node_budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
@@ -256,14 +192,15 @@ def _config_from_args(args) -> RunConfig:
             budget = DEFAULT_NODE_BUDGET
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    return RunConfig(
-        node_budget=budget,
-        time_budget_ms=args.time_budget_ms,
-        output_mode="json" if args.json else "human",
-    )
+    if budget <= 0:
+        raise UsageError("node budget must be positive")
+    if args.time_budget_ms is not None and args.time_budget_ms <= 0:
+        raise UsageError("--time-budget-ms must be positive")
+    limits = SearchLimits(max_nodes=budget, max_millis=args.time_budget_ms)
+    return limits, "json" if args.json else "human"
 
 
-def _cmd_gen(args, config) -> tuple[int, dict, str]:
+def _cmd_gen(args, limits) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
     word = encode_graph6(g)
     if args.edgelist:
@@ -272,16 +209,21 @@ def _cmd_gen(args, config) -> tuple[int, dict, str]:
     return EXIT_YES, {"schema": jsonio.SCHEMA_GRAPH, "graph6": word}, word
 
 
-def _cmd_chi(args, config) -> tuple[int, dict, str]:
+def _cmd_chi(args, limits) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
-    limits = config.limits()
     doc = {"schema": jsonio.SCHEMA_CHI, "variant": args.variant}
     try:
         if args.variant == "plain":
+            from .coloring import chromatic_number
+
             value = chromatic_number(g)
         elif args.variant == "list":
+            from .listcoloring import list_chromatic_number
+
             value = list_chromatic_number(g, limits)
         else:
+            from .covers import dp_chromatic_number
+
             value = dp_chromatic_number(g, limits)
     except BudgetExceeded as exc:
         lower = getattr(exc, "lower_bound", None)
@@ -292,11 +234,12 @@ def _cmd_chi(args, config) -> tuple[int, dict, str]:
     return EXIT_YES, doc, str(value)
 
 
-def _cmd_check(args, config) -> tuple[int, dict, str]:
+def _cmd_check(args, limits) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
-    limits = config.limits()
     prop = args.property
     if prop in ("critical", "vertex-critical"):
+        from .coloring import classify_criticality
+
         verdict = classify_criticality(g)
         ok = verdict.is_critical if prop == "critical" else verdict.is_vertex_critical
         doc = jsonio.criticality_to_doc(verdict)
@@ -307,6 +250,8 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
             text += f", witness deletion: {verdict.witness}"
         return (EXIT_YES if ok else EXIT_NO), doc, text
     if prop in ("strong", "strong-cc"):
+        from .listcoloring import strong_criticality_verdict
+
         mode = "critical" if prop == "strong" else "vertex_critical"
         verdict = strong_criticality_verdict(g, mode, limits)
         doc = jsonio.strong_verdict_to_doc(verdict)
@@ -314,6 +259,8 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
         if verdict.witness is not None:
             text += f"\nwitness: {jsonio.dumps(jsonio.witness_to_doc(verdict.witness)).rstrip()}"
         return EXIT_STATUS[verdict.decision], doc, text
+    from .covers import robust_criticality_verdict
+
     verdict = robust_criticality_verdict(g, limits)
     doc = jsonio.robust_verdict_to_doc(verdict)
     text = (
@@ -325,8 +272,7 @@ def _cmd_check(args, config) -> tuple[int, dict, str]:
     return EXIT_STATUS[verdict.decision], doc, text
 
 
-def _cmd_count(args, config) -> tuple[int, dict, str]:
-    limits = config.limits()
+def _cmd_count(args, limits) -> tuple[int, dict, str]:
     what = args.what
     if what == "transversals" and args.cover is not None:
         try:
@@ -334,24 +280,41 @@ def _cmd_count(args, config) -> tuple[int, dict, str]:
         except json.JSONDecodeError as exc:
             raise CritickitError(f"{args.cover} is not JSON: {exc}") from None
         cover = jsonio.cover_from_doc(document)
+        from .covers import count_transversals
+
         value = count_transversals(cover)
         doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "value": value}
         return EXIT_YES, doc, str(value)
     g = _resolve_graph(args)
     if what == "chromatic-poly":
-        poly = chromatic_polynomial(g)
+        from .coloring import chromatic_polynomial
+
+        try:
+            poly = chromatic_polynomial(g, limits)
+        except BudgetExceeded:
+            doc = {
+                "schema": jsonio.SCHEMA_POLYNOMIAL, "coefficients_ascending": None,
+                "status": "unknown",
+            }
+            return EXIT_UNKNOWN, doc, "unknown (budget exhausted)"
         doc = jsonio.polynomial_to_doc(poly)
         return EXIT_YES, doc, " ".join(str(c) for c in poly.coefficients)
     if args.k is None:
         raise UsageError(f"count {what} requires -k")
     if what == "colorings":
+        from .coloring import count_proper_colorings
+
         value = count_proper_colorings(g, args.k)
         doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
         return EXIT_YES, doc, str(value)
     if what == "transversals":
+        from .covers import count_transversals, make_canonical_cover
+
         value = count_transversals(make_canonical_cover(g, args.k))
         doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
         return EXIT_YES, doc, str(value)
+    from .covers import pdp_value
+
     try:
         result = pdp_value(g, args.k, limits)
     except BudgetExceeded as exc:
@@ -376,29 +339,38 @@ def _parse_int_list(text: str, option: str) -> list[int]:
         raise UsageError(f"{option} expects comma-separated integers, got {text!r}")
 
 
-def _cmd_lemma(args, config) -> tuple[int, dict, str]:
+def _cmd_lemma(args, limits) -> tuple[int, dict, str]:
     g = _resolve_graph(args)
-    limits = config.limits()
     which = args.which
     if which == "excess":
         if args.sizes is None:
             raise UsageError("lemma excess requires --sizes")
-        report = check_excess_lemma(g, _parse_int_list(args.sizes, "--sizes"), limits)
+        sizes = _parse_int_list(args.sizes, "--sizes")
+        from .lemmas import check_excess_lemma
+
+        report = check_excess_lemma(g, sizes, limits)
     elif which == "full-extension":
+        from .lemmas import check_full_extension_lemma
+
         report = check_full_extension_lemma(g, limits)
     elif which == "pair":
         if args.x is None or args.y is None:
             raise UsageError("lemma pair requires -x and -y")
+        from .lemmas import check_pair_reduction
+
         report = check_pair_reduction(g, args.x, args.y, limits)
     elif which == "induction":
         if args.independent_set is None:
             raise UsageError("lemma induction requires --independent-set")
-        report = check_induction_lemma(
-            g, _parse_int_list(args.independent_set, "--independent-set"), limits
-        )
+        members = _parse_int_list(args.independent_set, "--independent-set")
+        from .lemmas import check_induction_lemma
+
+        report = check_induction_lemma(g, members, limits)
     else:
         if args.t is None:
             raise UsageError("lemma join requires -t")
+        from .lemmas import check_join_preserves
+
         report = check_join_preserves(g, args.t, limits)
     doc = report.to_doc()
     text = (
@@ -435,8 +407,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     args = None
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        status, doc, text = _COMMANDS[args.command](args, config)
+        limits, output_mode = _config_from_args(args)
+        status, doc, text = _COMMANDS[args.command](args, limits)
     except UsageError as exc:
         status, error = EXIT_USAGE, {"error": f"usage error: {exc}"}
     except BudgetExceeded as exc:
@@ -444,7 +416,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     except CritickitError as exc:
         status, error = EXIT_USAGE, {"error": f"error: {exc}"}
     else:
-        if config.output_mode == "json":
+        if output_mode == "json":
             return status, jsonio.dumps(doc)
         return status, text + "\n"
     if args.json if args is not None else _wants_json(argv):

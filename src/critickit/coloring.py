@@ -14,11 +14,12 @@ coloring and the cover module's transversal searches all run on it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterator
 
+from .base import Record
 from .errors import GraphError
 from .graphs import Graph, edge_deleted, vertex_deleted
+from .limits import SearchLimits
 
 
 def _choices(sizes, matchings) -> Iterator[list[int]]:
@@ -63,6 +64,21 @@ def _choices(sizes, matchings) -> Iterator[list[int]]:
             if j is not None:
                 blocked |= 1 << j
         forbidden[v] = blocked
+
+
+def _color_matchings(g: Graph, ordered: list[list[int]]) -> list[tuple]:
+    """One cover-style entry ``(u, v, pairs)`` per edge, ``u < v``: index i
+    of u is matched to index j of v when ``ordered[u][i]`` and
+    ``ordered[v][j]`` are the same color.  ``ordered[v]`` is vertex v's list,
+    sorted, so the pairs come out sorted."""
+    position = [{c: i for i, c in enumerate(colors)} for colors in ordered]
+    entries = []
+    for u, v in g.edges():
+        at_v = position[v]
+        entries.append(
+            (u, v, tuple((i, at_v[c]) for c, i in position[u].items() if c in at_v))
+        )
+    return entries
 
 
 def _greedy_clique(g: Graph) -> list[int]:
@@ -143,8 +159,7 @@ def chromatic_number(g: Graph) -> int:
     return next(k for k in range(g.n + 1) if is_k_colorable(g, k))
 
 
-@dataclass(frozen=True)
-class ColoringVerdict:
+class ColoringVerdict(Record):
     """Criticality classification of a graph.
 
     ``witness`` is an edge ``(u, v)`` or vertex ``v`` whose deletion keeps
@@ -152,10 +167,19 @@ class ColoringVerdict:
     criticality fails.
     """
 
-    chromatic_number: int
-    is_critical: bool
-    is_vertex_critical: bool
-    witness: tuple[int, int] | int | None
+    __slots__ = ("chromatic_number", "is_critical", "is_vertex_critical", "witness")
+
+    def __init__(
+        self,
+        chromatic_number: int,
+        is_critical: bool,
+        is_vertex_critical: bool,
+        witness: tuple[int, int] | int | None,
+    ):
+        object.__setattr__(self, "chromatic_number", chromatic_number)
+        object.__setattr__(self, "is_critical", is_critical)
+        object.__setattr__(self, "is_vertex_critical", is_vertex_critical)
+        object.__setattr__(self, "witness", witness)
 
 
 def classify_criticality(g: Graph) -> ColoringVerdict:
@@ -198,11 +222,13 @@ def count_proper_colorings(g: Graph, k: int) -> int:
     return sum(1 for _ in _choices((k,) * g.n, [(u, v, identity) for u, v in g.edges()]))
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Integer polynomial, coefficients in the monomial basis, ascending degree."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def degree(self) -> int:
@@ -228,35 +254,55 @@ def _poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def chromatic_polynomial(g: Graph) -> Polynomial:
-    """Chromatic polynomial via deletion-contraction.
+def _contract_least(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The edge set after contracting the least edge (u, v): v merges into
+    u, every w > v is relabeled w - 1, and parallel edges collapse."""
+    u, v = min(edges)
+    contracted = set()
+    for a, b in edges:
+        a = u if a == v else a
+        b = u if b == v else b
+        if a == b:
+            continue
+        a = a if a < v else a - 1
+        b = b if b < v else b - 1
+        contracted.add((min(a, b), max(a, b)))
+    return frozenset(contracted)
 
-    Contractions collapse parallel edges; intermediate results are memoized
-    by exact (n, edge set) key, which is enough at these sizes.
+
+def chromatic_polynomial(g: Graph, limits: SearchLimits | None = None) -> Polynomial:
+    """Chromatic polynomial via deletion-contraction on the least edge, run
+    on an explicit stack.
+
+    Intermediate results are memoized by exact (n, edge set) key, which is
+    enough at these sizes.  Each memo miss charges one unit to a budget
+    started from ``limits``, which raises
+    :class:`~critickit.errors.BudgetExceeded` when it trips.
     """
+    budget = (limits or SearchLimits()).start()
     memo: dict[tuple[int, frozenset[tuple[int, int]]], tuple[int, ...]] = {}
-
-    def solve(n: int, edges: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-        if not edges:
-            return (0,) * n + (1,)
-        key = (n, edges)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        u, v = min(edges)
-        deleted = edges - {(u, v)}
-        # contract v into u, relabel w > v down by one, drop parallels
-        contracted = set()
-        for a, b in deleted:
-            a = u if a == v else a
-            b = u if b == v else b
-            if a == b:
+    results: list[tuple[int, ...]] = []  # solved subproblems not yet combined
+    # frames (n, edges, stage): stage 0 is unsolved, 1 has the deletion on
+    # ``results``, 2 has the deletion and then the contraction there
+    stack = [(g.n, frozenset(g.edges()), 0)]
+    while stack:
+        n, edges, stage = stack.pop()
+        if stage == 0:
+            if not edges:
+                results.append((0,) * n + (1,))
                 continue
-            a = a if a < v else a - 1
-            b = b if b < v else b - 1
-            contracted.add((min(a, b), max(a, b)))
-        result = _poly_sub(solve(n, deleted), solve(n - 1, frozenset(contracted)))
-        memo[key] = result
-        return result
-
-    return Polynomial(solve(g.n, frozenset(g.edges())))
+            cached = memo.get((n, edges))
+            if cached is not None:
+                results.append(cached)
+                continue
+            budget.spend()
+            stack.append((n, edges, 1))
+            stack.append((n, edges - {min(edges)}, 0))
+        elif stage == 1:
+            stack.append((n, edges, 2))
+            stack.append((n - 1, _contract_least(edges), 0))
+        else:
+            contracted = results.pop()
+            result = memo[(n, edges)] = _poly_sub(results.pop(), contracted)
+            results.append(result)
+    return Polynomial(results.pop())

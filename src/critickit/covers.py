@@ -19,40 +19,46 @@ is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
 from operator import getitem, or_
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .coloring import ColoringVerdict, _choices, chromatic_number, classify_criticality
+from .base import NONCANONICAL_BAD_COVER_FOUND, NOT_CRITICAL, ROBUSTLY_CRITICAL, UNKNOWN, Record
+from .coloring import (
+    ColoringVerdict,
+    _choices,
+    _color_matchings,
+    chromatic_number,
+    classify_criticality,
+)
 from .errors import BudgetExceeded, CoverError, GraphError
 from .graphs import Graph, connected_components, degeneracy, spanning_tree
 from .limits import Budget, SearchLimits
-from .listcoloring import UNKNOWN, ListAssignment, _color_matchings
 
-ROBUSTLY_CRITICAL = "robustly_critical"
-NOT_CRITICAL = "not_critical"
-NONCANONICAL_BAD_COVER_FOUND = "noncanonical_bad_cover_found"
+if TYPE_CHECKING:
+    from .listcoloring import ListAssignment
 
 Matching = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """A cover of ``graph``: list sizes per vertex plus one partial injection
     per host edge.
 
     ``matchings`` holds one entry ``(u, v, pairs)`` per host edge with
     ``u < v``, entries sorted by edge and pairs sorted ascending; ``(i, j)``
-    in pairs means index i of u is matched to index j of v.  The dataclass
+    in pairs means index i of u is matched to index j of v.  The record
     itself is a plain container; use :func:`validate_cover` to check the
     cover invariants.
     """
 
-    graph: Graph
-    sizes: tuple[int, ...]
-    matchings: tuple[Matching, ...]
+    __slots__ = ("graph", "sizes", "matchings")
+
+    def __init__(self, graph: Graph, sizes: tuple[int, ...], matchings: tuple[Matching, ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "matchings", matchings)
 
     def is_uniform(self) -> bool:
         return len(set(self.sizes)) <= 1
@@ -636,8 +642,7 @@ class _GaugeScan:
         return self.best_value, self.best_combo
 
 
-@dataclass(frozen=True)
-class RobustVerdict:
+class RobustVerdict(Record):
     """Outcome of the robust-criticality scan.
 
     ``witness`` is a deletion witness (edge/vertex) for ``not_critical`` or a
@@ -646,11 +651,21 @@ class RobustVerdict:
     covers decided (all of them on a completed scan).
     """
 
-    decision: str
-    k: int
-    witness: Cover | tuple[int, int] | int | None
-    covers_scanned: int
-    criticality: ColoringVerdict | None = None
+    __slots__ = ("decision", "k", "witness", "covers_scanned", "criticality")
+
+    def __init__(
+        self,
+        decision: str,
+        k: int,
+        witness: Cover | tuple[int, int] | int | None,
+        covers_scanned: int,
+        criticality: ColoringVerdict | None = None,
+    ):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "covers_scanned", covers_scanned)
+        object.__setattr__(self, "criticality", criticality)
 
 
 def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> RobustVerdict:
@@ -713,11 +728,13 @@ def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PdpResult:
-    value: int
-    cover: Cover
-    covers_scanned: int
+class PdpResult(Record):
+    __slots__ = ("value", "cover", "covers_scanned")
+
+    def __init__(self, value: int, cover: Cover, covers_scanned: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "covers_scanned", covers_scanned)
 
 
 def pdp_value(g: Graph, k: int, limits: SearchLimits | None = None) -> PdpResult:

@@ -7,15 +7,14 @@ layout so downstream witnesses are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from .base import Record
 from .errors import DisconnectedError, Graph6Error, GraphError
 
 GRAPH6_HEADER = ">>graph6<<"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable simple graph given by vertex count and neighbor sets.
 
     Invariants (enforced by the constructors in this module): adjacency is
@@ -23,8 +22,11 @@ class Graph:
     ``[0, n)``.
     """
 
-    n: int
-    adj: tuple[frozenset[int], ...]
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @property
     def m(self) -> int:
@@ -89,29 +91,27 @@ def generate_named(kind: str, *params: int) -> Graph:
     return makers[kind](*params)
 
 
-@dataclass(frozen=True)
-class EkabParams:
+class EkabParams(Record):
     """Parameters of the two-cliques-plus-apex family.
 
     Constraints: ``k >= 3``, ``1 <= a <= k-2``, ``1 <= b <= k-2`` and
     ``a + b >= k-1``; violations are rejected naming the failed inequality.
     """
 
-    k: int
-    a: int
-    b: int
+    __slots__ = ("k", "a", "b")
 
-    def __post_init__(self):
-        if self.k < 3:
-            raise GraphError(f"ekab requires k >= 3, got k={self.k}")
-        if not 1 <= self.a <= self.k - 2:
-            raise GraphError(f"ekab requires 1 <= a <= k-2, got a={self.a}, k={self.k}")
-        if not 1 <= self.b <= self.k - 2:
-            raise GraphError(f"ekab requires 1 <= b <= k-2, got b={self.b}, k={self.k}")
-        if self.a + self.b < self.k - 1:
-            raise GraphError(
-                f"ekab requires a + b >= k-1, got a+b={self.a + self.b}, k={self.k}"
-            )
+    def __init__(self, k: int, a: int, b: int):
+        if k < 3:
+            raise GraphError(f"ekab requires k >= 3, got k={k}")
+        if not 1 <= a <= k - 2:
+            raise GraphError(f"ekab requires 1 <= a <= k-2, got a={a}, k={k}")
+        if not 1 <= b <= k - 2:
+            raise GraphError(f"ekab requires 1 <= b <= k-2, got b={b}, k={k}")
+        if a + b < k - 1:
+            raise GraphError(f"ekab requires a + b >= k-1, got a+b={a + b}, k={k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def generate_ekab(k: int, a: int, b: int) -> Graph:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 
-from .covers import Cover, RobustVerdict, cover_violation
-from .coloring import ColoringVerdict, Polynomial
 from .errors import AssignmentError, CoverError
 from .graphs import parse_graph6, encode_graph6
-from .listcoloring import ListAssignment, StrongVerdict
+
+# The cover, assignment and verdict types appear here in annotations only:
+# the functions that build one import its module, so that a command loads
+# only the modules it runs.
 
 SCHEMA_ASSIGNMENT = "critickit/assignment/1"
 SCHEMA_COVER = "critickit/cover/1"
@@ -56,6 +57,8 @@ def assignment_from_doc(document: dict) -> ListAssignment:
         raise AssignmentError(f"malformed assignment document ({exc!r})") from None
     if any(c < 0 for colors in lists for c in colors):
         raise AssignmentError("colors must be non-negative")
+    from .listcoloring import ListAssignment
+
     return ListAssignment.of(lists)
 
 
@@ -100,6 +103,8 @@ def cover_from_doc(document: dict) -> Cover:
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise CoverError(f"malformed cover document ({exc!r})") from None
+    from .covers import Cover, cover_violation
+
     cover = Cover(graph, sizes, matchings)
     problem = cover_violation(cover)
     if problem is not None:
@@ -107,20 +112,21 @@ def cover_from_doc(document: dict) -> Cover:
     return cover
 
 
-def _deletion_witness_doc(witness) -> dict:
-    if isinstance(witness, tuple):
-        return {"kind": "edge", "edge": list(witness)}
-    return {"kind": "vertex", "vertex": witness}
-
-
 def witness_to_doc(witness) -> dict | None:
+    """The document of a witness: a deleted edge ``(u, v)`` or vertex, a
+    :class:`~critickit.covers.Cover` or a
+    :class:`~critickit.listcoloring.ListAssignment`."""
     if witness is None:
         return None
-    if isinstance(witness, Cover):
+    if isinstance(witness, tuple):
+        return {"kind": "edge", "edge": list(witness)}
+    if isinstance(witness, int):
+        return {"kind": "vertex", "vertex": witness}
+    # told apart by attribute: an isinstance test would import the module
+    # of a type that the running command may not use
+    if hasattr(witness, "matchings"):
         return {"kind": "cover", "cover": cover_to_doc(witness)}
-    if isinstance(witness, ListAssignment):
-        return {"kind": "assignment", "assignment": assignment_to_doc(witness)}
-    return _deletion_witness_doc(witness)
+    return {"kind": "assignment", "assignment": assignment_to_doc(witness)}
 
 
 def witness_from_doc(document: dict | None):

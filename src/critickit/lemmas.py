@@ -27,16 +27,23 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import prod
 from operator import getitem, or_
 
+from .base import (
+    ALL_PASS,
+    COUNTEREXAMPLE,
+    ROBUSTLY_CRITICAL,
+    SKIPPED_PRECONDITION,
+    TRUNCATED,
+    UNKNOWN,
+    YES,
+    Record,
+)
 from .coloring import classify_criticality
 from .covers import (
-    ROBUSTLY_CRITICAL,
-    UNKNOWN,
     Cover,
     _GaugeScan,
     _survivor_walk,
@@ -48,26 +55,32 @@ from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
 from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
 from .limits import SearchLimits
-from .listcoloring import YES, ListAssignment, strong_criticality_verdict
-
-ALL_PASS = "all_pass"
-COUNTEREXAMPLE = "counterexample"
-SKIPPED_PRECONDITION = "skipped_precondition"
-TRUNCATED = "truncated"
+from .listcoloring import ListAssignment, strong_criticality_verdict
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma: str
-    graph6: str
-    checked: int
-    outcome: str
-    mode: str
-    counterexample: dict | None = None
-    detail: str | None = None
+class LemmaReport(Record):
+    __slots__ = ("lemma", "graph6", "checked", "outcome", "mode", "counterexample", "detail")
+
+    def __init__(
+        self,
+        lemma: str,
+        graph6: str,
+        checked: int,
+        outcome: str,
+        mode: str,
+        counterexample: dict | None = None,
+        detail: str | None = None,
+    ):
+        object.__setattr__(self, "lemma", lemma)
+        object.__setattr__(self, "graph6", graph6)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "detail", detail)
 
     def to_doc(self) -> dict:
         return {

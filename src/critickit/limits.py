@@ -15,25 +15,25 @@ checks the deadline with zero-unit charges.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from .base import Record
 from .errors import BudgetExceeded
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Record):
     """Caps for one bounded search: node budget and optional wall-clock cap."""
 
-    max_nodes: int = DEFAULT_NODE_BUDGET
-    max_millis: int | None = None
+    __slots__ = ("max_nodes", "max_millis")
 
-    def __post_init__(self):
-        if self.max_nodes <= 0:
+    def __init__(self, max_nodes: int = DEFAULT_NODE_BUDGET, max_millis: int | None = None):
+        if max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_millis is not None and self.max_millis <= 0:
+        if max_millis is not None and max_millis <= 0:
             raise ValueError("max_millis must be positive")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "max_millis", max_millis)
 
     def start(self) -> "Budget":
         return Budget(self)

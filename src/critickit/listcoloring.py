@@ -8,24 +8,28 @@ systems in a canonical order removes the renaming symmetry exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .coloring import ColoringVerdict, _choices, chromatic_number, classify_criticality
+from .base import NO, UNKNOWN, YES, Record
+from .coloring import (
+    ColoringVerdict,
+    _choices,
+    _color_matchings,
+    chromatic_number,
+    classify_criticality,
+)
 from .errors import AssignmentError, BudgetExceeded, GraphError
 from .graphs import Graph
 from .limits import SearchLimits
 
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"  # every verdict that a budget stopped, robust ones too
 
-
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(Record):
     """Per-vertex finite color sets; color ids are non-negative integers."""
 
-    lists: tuple[frozenset[int], ...]
+    __slots__ = ("lists",)
+
+    def __init__(self, lists: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "lists", lists)
 
     @classmethod
     def uniform(cls, n: int, colors) -> "ListAssignment":
@@ -44,21 +48,6 @@ def is_constant_assignment(assignment: ListAssignment) -> bool:
     """True iff all lists are equal as sets (vacuously true when empty)."""
     lists = assignment.lists
     return all(l == lists[0] for l in lists)
-
-
-def _color_matchings(g: Graph, ordered: list[list[int]]) -> list[tuple]:
-    """One cover-style entry ``(u, v, pairs)`` per edge, ``u < v``: index i
-    of u is matched to index j of v when ``ordered[u][i]`` and
-    ``ordered[v][j]`` are the same color.  ``ordered[v]`` is vertex v's list,
-    sorted, so the pairs come out sorted."""
-    position = [{c: i for i, c in enumerate(colors)} for colors in ordered]
-    entries = []
-    for u, v in g.edges():
-        at_v = position[v]
-        entries.append(
-            (u, v, tuple((i, at_v[c]) for c, i in position[u].items() if c in at_v))
-        )
-    return entries
 
 
 def find_list_coloring(g: Graph, assignment: ListAssignment) -> tuple[int, ...] | None:
@@ -81,8 +70,7 @@ def is_list_colorable(g: Graph, assignment: ListAssignment) -> bool:
     return find_list_coloring(g, assignment) is not None
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """A multiset of vertex subsets (one block per color), as sorted bitmasks.
 
     ``blocks[i]`` has bit v set iff vertex v carries color i.  Sorting the
@@ -90,19 +78,20 @@ class BlockSystem:
     related by a color bijection yield the same system.
     """
 
-    n: int
-    multiplicity: int
-    blocks: tuple[int, ...]
+    __slots__ = ("n", "multiplicity", "blocks")
 
-    def __post_init__(self):
-        full = (1 << self.n) - 1
-        for i, b in enumerate(self.blocks):
+    def __init__(self, n: int, multiplicity: int, blocks: tuple[int, ...]):
+        full = (1 << n) - 1
+        for i, b in enumerate(blocks):
             if b == 0:
                 raise AssignmentError(f"block {i} is empty")
             if b & ~full:
-                raise AssignmentError(f"block {i} uses vertices outside 0..{self.n - 1}")
-        if list(self.blocks) != sorted(self.blocks):
+                raise AssignmentError(f"block {i} uses vertices outside 0..{n - 1}")
+        if list(blocks) != sorted(blocks):
             raise AssignmentError("blocks must be sorted non-decreasingly")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def assignment_from_blocks(system: BlockSystem) -> ListAssignment:
@@ -341,8 +330,7 @@ def list_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class StrongVerdict:
+class StrongVerdict(Record):
     """Decision for strong criticality / strong chromatic-choosability.
 
     ``witness``: a deletion witness (edge tuple or vertex id) when the
@@ -350,11 +338,21 @@ class StrongVerdict:
     part fails; None on yes.
     """
 
-    decision: str
-    k: int
-    mode: str
-    witness: tuple[int, int] | int | ListAssignment | None
-    criticality: ColoringVerdict
+    __slots__ = ("decision", "k", "mode", "witness", "criticality")
+
+    def __init__(
+        self,
+        decision: str,
+        k: int,
+        mode: str,
+        witness: tuple[int, int] | int | ListAssignment | None,
+        criticality: ColoringVerdict,
+    ):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "criticality", criticality)
 
 
 def strong_criticality_verdict(

@@ -238,6 +238,14 @@ def test_json_witness_replays():
     assert doc["witness"]["kind"] == "edge"
 
 
+def test_json_vertex_witness():
+    # K2 plus an isolated vertex: every edge deletion lowers chi, deleting
+    # vertex 2 does not
+    status, out = run("--json", "check", "critical", "--graph6", "B_")
+    assert status == 1
+    assert json.loads(out)["witness"] == {"kind": "vertex", "vertex": 2}
+
+
 def test_json_lemma_report():
     status, out = run("--json", "lemma", "full-extension", "--clique", "3")
     doc = json.loads(out)
@@ -323,6 +331,7 @@ GRID_6X6 = (
     "chCKAC`CGO_`?_?O_CG?`?AC?CG?C??AC??`??CG??O_??`???_???O_??CG???`"
     "???AC???CG???C????AC????`????CG????O_????`"
 )
+GRID_5X5 = "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
 TIME_CAPPED = {
     "check robust": HUGE + ["check", "robust", "--cycle", "5", "--clique", "2", "--join"],
     "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
@@ -339,6 +348,7 @@ TIME_CAPPED = {
         "--independent-set", "6",
     ],
     "lemma join": HUGE + ["lemma", "join", "--cycle", "5", "-t", "2"],
+    "count chromatic-poly": ["count", "chromatic-poly", "--graph6", GRID_5X5],
 }
 
 
@@ -353,6 +363,24 @@ def test_time_budget_holds(argv):
     assert "unknown" in (doc.get("status"), doc.get("decision")) or (
         doc.get("outcome") == "truncated"
     ), doc
+
+
+def test_time_budget_holds_on_a_long_path_polynomial(tmp_path):
+    # 1500 vertices: deeper than the default recursion limit, and far more
+    # deletion-contraction subproblems than 100 ms allows
+    from critickit import build_graph, format_edgelist
+
+    path = tmp_path / "path.txt"
+    path.write_text(format_edgelist(build_graph(1500, [(v, v + 1) for v in range(1499)])))
+    start = time.monotonic()
+    status, out = run(
+        "--json", "--time-budget-ms", "100", "count", "chromatic-poly", "--edges", str(path)
+    )
+    assert time.monotonic() - start < 5.0
+    assert status == 2
+    assert json.loads(out) == {
+        "schema": "critickit/polynomial/1", "coefficients_ascending": None, "status": "unknown",
+    }
 
 
 def test_time_budget_holds_while_the_scan_is_built():

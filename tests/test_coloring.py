@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critickit import (
+    BudgetExceeded,
+    SearchLimits,
     build_graph,
     chromatic_number,
     chromatic_polynomial,
@@ -197,6 +199,15 @@ def test_polynomial_c5_closed_form():
 
 def test_polynomial_edgeless():
     assert chromatic_polynomial(build_graph(3, [])).coefficients == (0, 0, 0, 1)
+
+
+def test_polynomial_charges_one_unit_per_memo_miss():
+    # C5's memoized deletion-contraction meets 13 distinct subproblems that
+    # still have an edge
+    poly = chromatic_polynomial(cycle(5), SearchLimits(max_nodes=13))
+    assert poly.coefficients == (0, 4, -10, 10, -5, 1)
+    with pytest.raises(BudgetExceeded):
+        chromatic_polynomial(cycle(5), SearchLimits(max_nodes=12))
 
 
 def test_polynomial_shape_invariants():
