@@ -6,9 +6,17 @@ vertices); counts are arbitrary-precision integers.
 
 :func:`_choices` is the package's one coloring walker.  Ordinary colorings,
 list colorings and the transversals of a cover are all choices of one index
-per vertex that select no matched pair, so :func:`find_coloring` (and with
-it the chromatic number and criticality), the coloring counts here, list
-coloring and the cover module's transversal searches all run on it.
+per vertex that select no matched pair, so colorability, the chromatic
+number, criticality, the coloring counts here, list coloring and the cover
+module's transversal searches all run on it.
+
+Every yes-or-no question shares one search set-up per graph and first
+peels, on an explicit stack, each vertex of remaining degree below k.
+Colored after the vertices still there when it goes, it always finds a free
+color, so only the k-core is searched.  In criticality, a vertex on an edge whose
+deletion drops the chromatic number needs no search (deleting it deletes
+the edge), so when every edge drops it only isolated vertices are asked
+about, and each is a witness iff n >= 2.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Iterator
 
 from .base import Record
 from .errors import GraphError
-from .graphs import Graph, edge_deleted, vertex_deleted
+from .graphs import Graph
 from .limits import SearchLimits
 
 
@@ -97,7 +105,7 @@ def _greedy_clique(g: Graph) -> list[int]:
 
 
 def _search_order(g: Graph, cliq: list[int]) -> list[int]:
-    """The order in which :func:`find_coloring` assigns vertices: ``cliq``,
+    """The order in which every search here assigns vertices: ``cliq``,
     then always a vertex with the most neighbors placed (ties: higher
     degree, then lower label), so that a conflict near the clique is met
     before the search branches over loosely attached vertices."""
@@ -122,41 +130,81 @@ def _search_order(g: Graph, cliq: list[int]) -> list[int]:
     return order
 
 
+def _questions(g: Graph):
+    """One search set-up for g (greedy clique, :func:`_search_order`,
+    neighbors by search position) for every colorability question about g
+    and its single deletions.  Returns the positions and ``first(k,
+    edge=None, vertex=None, peel=True)``: the first proper k-coloring, one
+    color per searched position, of g less that edge or vertex, or None.
+    Searched position p's colors are capped at ``min(k, p + 1)``, which is
+    exact: swapping color names shows that the first coloring never uses a
+    color above 1 + the largest one before it."""
+    cliq = _greedy_clique(g)
+    order = _search_order(g, cliq)
+    n, size = g.n, len(cliq)
+    position = {v: p for p, v in enumerate(order)}
+    adj = [[position[u] for u in g.adj[v]] for v in order]
+    degree = [len(near) for near in adj]
+
+    def first(k: int, edge=None, vertex=None, peel=True) -> list[int] | None:
+        if k < 0:
+            raise GraphError(f"k must be non-negative, got {k}")
+        a, b = (position[edge[0]], position[edge[1]]) if edge else (n, n)
+        x = n if vertex is None else position[vertex]
+        if size > k and x >= size and max(a, b) >= size:
+            return None  # what is left keeps the clique
+        gone, floor = {a: b, b: a}, k if peel else 0
+        deg = degree[:]
+        if edge:
+            deg[a] -= 1
+            deg[b] -= 1
+        kept = [p != x and deg[p] >= floor for p in range(n)]
+        stack = [p for p in range(n) if not kept[p]]
+        while stack:
+            p = stack.pop()
+            skip = gone.get(p)
+            for q in adj[p]:
+                if kept[q] and q != skip:
+                    deg[q] -= 1
+                    if deg[q] < floor:
+                        kept[q] = False
+                        stack.append(q)
+        core = [p for p in range(n) if kept[p]]
+        index = {p: i for i, p in enumerate(core)}
+        identity = tuple((i, i) for i in range(k))
+        matchings = [
+            (index[q], i, identity)
+            for i, p in enumerate(core)
+            for q in adj[p]
+            if q < p and kept[q] and gone.get(p) != q
+        ]
+        for choice in _choices([min(k, i + 1) for i in range(len(core))], matchings):
+            return choice[:]
+        return None
+
+    return position, first
+
+
 def find_coloring(g: Graph, k: int) -> tuple[int, ...] | None:
     """The lexicographically first proper coloring with colors ``0..k-1``,
-    vertices read in :func:`_search_order`, or None if none exists.
-
-    Rejects at once when the greedy clique has more than k vertices, else
-    runs :func:`_choices` under identity matchings by search position p,
-    with p's colors capped at ``min(k, p + 1)``.  The cap is exact: in the
-    first proper coloring no position has a color above 1 + the largest
-    color before it (swapping those two color names would give an earlier
-    one), so position p's color is at most p.
-    """
-    if k < 0:
-        raise GraphError(f"k must be non-negative, got {k}")
-    cliq = _greedy_clique(g)
-    if len(cliq) > k:
-        return None
-    order = _search_order(g, cliq)
-    position = {v: p for p, v in enumerate(order)}
-    identity = tuple((i, i) for i in range(k))
-    matchings = [
-        (position[u], p, identity) for p, v in enumerate(order) for u in g.adj[v] if position[u] < p
-    ]
-    for choice in _choices([min(k, p + 1) for p in range(g.n)], matchings):
-        return tuple(choice[position[v]] for v in range(g.n))
-    return None
+    vertices read in :func:`_search_order`, or None if none exists.  It
+    searches the whole graph, unpeeled, for callers that want a coloring."""
+    position, first = _questions(g)
+    choice = first(k, peel=False)
+    return None if choice is None else tuple(choice[position[v]] for v in range(g.n))
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:
-    return find_coloring(g, k) is not None
+    """Whether g is k-colorable, searching only its k-core (module docstring)."""
+    return _questions(g)[1](k) is not None
 
 
 def chromatic_number(g: Graph) -> int:
     """Least k admitting a proper k-coloring; 0 for the empty vertex set.
-    Each k below the greedy clique's size is rejected without a search."""
-    return next(k for k in range(g.n + 1) if is_k_colorable(g, k))
+    Every k shares one search set-up and searches only the k-core (module
+    docstring); each k below the greedy clique's size is rejected at once."""
+    first = _questions(g)[1]
+    return next(k for k in range(g.n + 1) if first(k) is not None)
 
 
 class ColoringVerdict(Record):
@@ -186,23 +234,25 @@ def classify_criticality(g: Graph) -> ColoringVerdict:
     """Check chromatic-number drop under every single edge and vertex deletion.
 
     Both deletion kinds are checked: edge deletions alone miss graphs whose
-    only redundancy is an isolated or irrelevant vertex.
+    only redundancy is an isolated or irrelevant vertex.  A deletion keeps
+    the chromatic number k iff what is left is not (k-1)-colorable, asked
+    on its (k-1)-core; vertex answers are derived where possible (module
+    docstring).
     """
     if g.n < 1:
         raise GraphError("criticality is defined for graphs with at least one vertex")
-    k = chromatic_number(g)
-    # a deletion never raises the chromatic number, so it keeps it at k
-    # exactly when the smaller graph is not (k-1)-colorable
+    first = _questions(g)[1]
+    k = next(k for k in range(g.n + 1) if first(k) is not None)
+    settled = [False] * g.n  # endpoints of edges whose deletion drops k
     edge_witness = None
     for u, v in g.edges():
-        if not is_k_colorable(edge_deleted(g, u, v), k - 1):
+        if first(k - 1, edge=(u, v)) is None:
             edge_witness = (u, v)
             break
-    vertex_witness = None
-    for v in range(g.n):
-        if not is_k_colorable(vertex_deleted(g, v), k - 1):
-            vertex_witness = v
-            break
+        settled[u] = settled[v] = True
+    vertex_witness = next(
+        (v for v in range(g.n) if not settled[v] and first(k - 1, vertex=v) is None), None
+    )
     is_vertex_critical = vertex_witness is None
     is_critical = is_vertex_critical and edge_witness is None
     witness = edge_witness if edge_witness is not None else vertex_witness

@@ -144,24 +144,6 @@ def join(g: Graph, h: Graph) -> Graph:
     return build_graph(g.n + h.n, edges)
 
 
-def vertex_deleted(g: Graph, v: int) -> Graph:
-    """Graph with vertex v removed; vertices above v shift down by one."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    relabel = {u: (u if u < v else u - 1) for u in range(g.n) if u != v}
-    return build_graph(
-        g.n - 1,
-        [(relabel[a], relabel[b]) for a, b in g.edges() if v not in (a, b)],
-    )
-
-
-def edge_deleted(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    drop = {u, v}
-    return build_graph(g.n, [e for e in g.edges() if set(e) != drop])
-
-
 def induced_subgraph(g: Graph, keep) -> Graph:
     """Induced subgraph on ``keep``, relabeled to 0..len(keep)-1 in sorted order."""
     keep = sorted(set(keep))

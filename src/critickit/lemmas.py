@@ -35,11 +35,11 @@ from operator import getitem, or_
 from .base import (
     ALL_PASS,
     COUNTEREXAMPLE,
+    NO,
     ROBUSTLY_CRITICAL,
     SKIPPED_PRECONDITION,
     TRUNCATED,
     UNKNOWN,
-    YES,
     Record,
 )
 from .coloring import classify_criticality
@@ -55,7 +55,7 @@ from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
 from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
 from .limits import SearchLimits
-from .listcoloring import ListAssignment, strong_criticality_verdict
+from .listcoloring import find_bad_nonconstant_assignment
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -528,21 +528,18 @@ def check_join_preserves(
             else {"witness": str(rv.witness)},
             detail=f"join verdict: {rv.decision}",
         )
-    sv = strong_criticality_verdict(joined, "critical", limits)
-    if sv.decision == UNKNOWN:
+    # a robustly critical join is critical, so only the list part is left
+    try:
+        bad = find_bad_nonconstant_assignment(joined, rv.k - 1, limits)
+    except BudgetExceeded:
         return LemmaReport(
             "join", word, rv.covers_scanned, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the strong-criticality search",
         )
-    if sv.decision != YES:
-        payload = (
-            {"assignment": assignment_to_doc(sv.witness)}
-            if isinstance(sv.witness, ListAssignment)
-            else {"witness": str(sv.witness)}
-        )
+    if bad is not None:
         return LemmaReport(
             "join", word, rv.covers_scanned, COUNTEREXAMPLE, EXHAUSTIVE,
-            counterexample=payload,
-            detail=f"strong criticality verdict: {sv.decision}",
+            counterexample={"assignment": assignment_to_doc(bad)},
+            detail=f"strong criticality verdict: {NO}",
         )
     return LemmaReport("join", word, rv.covers_scanned, ALL_PASS, EXHAUSTIVE)

@@ -2,14 +2,16 @@
 
 Everything here enumerates raw search spaces directly and stays independent
 of the library's search paths, so a library bug cannot hide in its own test.
-The exceptions are the references at the end: a plain recursive copy of
-the gauge-fixed scan's walk that reads the scan's tables, which pins the
-walk's decisions and charges, not the tables; the induction check's cover
-loop run on every cover one by one, which pins what the survivor walk may
-skip; plain recursive copies of the block-system enumeration and of the
-bad-assignment search, which pin the shared block walk's systems, charges
-and witnesses, not the search's certificate; and a plain recursive copy of
-that certificate, which pins its answers.
+The exceptions are :func:`per_deletion_criticality`, the criticality
+classifier as it was before its deletions shared one search set-up, and the
+references at the end: a plain recursive copy of the gauge-fixed scan's walk
+that reads the scan's tables, which pins the walk's decisions and charges,
+not the tables; the induction check's cover loop run on every cover one by
+one, which pins what the survivor walk may skip; plain recursive copies of
+the block-system enumeration and of the bad-assignment search, which pin the
+shared block walk's systems, charges and witnesses, not the search's
+certificate; and a plain recursive copy of that certificate, which pins its
+answers.
 """
 
 from __future__ import annotations
@@ -19,9 +21,19 @@ import zlib
 from itertools import combinations, permutations, product
 
 from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
-from critickit.coloring import ColoringVerdict
-from critickit.graphs import edge_deleted, vertex_deleted
+from critickit.coloring import ColoringVerdict, find_coloring
+from critickit.graphs import induced_subgraph
 from critickit.limits import Budget
+
+
+def vertex_deleted(g: Graph, v: int) -> Graph:
+    """g less vertex v; the vertices above v shift down by one."""
+    return induced_subgraph(g, set(range(g.n)) - {v})
+
+
+def edge_deleted(g: Graph, u: int, v: int) -> Graph:
+    assert g.has_edge(u, v), (u, v)
+    return build_graph(g.n, [e for e in g.edges() if set(e) != {u, v}])
 
 
 def brute_is_k_colorable(g: Graph, k: int) -> bool:
@@ -56,6 +68,23 @@ def brute_criticality(g: Graph) -> ColoringVerdict:
     k = chi(g)
     edge = next((e for e in g.edges() if chi(edge_deleted(g, *e)) == k), None)
     vertex = next((v for v in range(g.n) if chi(vertex_deleted(g, v)) == k), None)
+    return ColoringVerdict(
+        k, edge is None and vertex is None, vertex is None, edge if edge is not None else vertex
+    )
+
+
+def per_deletion_criticality(g: Graph) -> ColoringVerdict:
+    """The classifier as it was before deletions shared one search set-up:
+    a new graph per deletion, each asked in full through ``find_coloring``
+    (itself pinned to :func:`brute_first_coloring`), with no peeling and no
+    derived vertex answers.  Fast enough for the n <= 8 comparisons."""
+
+    def colorable(h: Graph, k: int) -> bool:
+        return find_coloring(h, k) is not None
+
+    k = next(k for k in range(g.n + 1) if colorable(g, k))
+    edge = next((e for e in g.edges() if not colorable(edge_deleted(g, *e), k - 1)), None)
+    vertex = next((v for v in range(g.n) if not colorable(vertex_deleted(g, v), k - 1)), None)
     return ColoringVerdict(
         k, edge is None and vertex is None, vertex is None, edge if edge is not None else vertex
     )
@@ -142,6 +171,19 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0)
+
+
+def hub_with_pendant_paths(m: int) -> Graph:
+    """Hub 0 in the triangle 0, 1, 2, m pendant 2-paths on the hub, and a
+    wheel W5 (rim, then centre) hung off the hub through the next vertex."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for i in range(m):
+        edges += [(0, 3 + 2 * i), (3 + 2 * i, 4 + 2 * i)]
+    link = 3 + 2 * m
+    rim = [link + 1 + i for i in range(5)]
+    edges += [(0, link), (link, rim[0])]
+    edges += [(rim[i], rim[(i + 1) % 5]) for i in range(5)] + [(r, link + 6) for r in rim]
+    return build_graph(link + 7, edges)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5, connected: bool = False) -> Graph:

@@ -48,7 +48,6 @@ from critickit import (
     strong_criticality_verdict,
 )
 from critickit.cli import run_command
-from critickit.graphs import edge_deleted, vertex_deleted
 from critickit.jsonio import (
     assignment_from_doc,
     assignment_to_doc,
@@ -67,10 +66,12 @@ from helpers import (
     brute_count_colorings,
     brute_find_transversal,
     brute_is_list_colorable,
+    edge_deleted,
     random_assignment,
     random_cover,
     random_graph,
     random_relabeling,
+    vertex_deleted,
 )
 
 K3_PLUS_PENDANT = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])

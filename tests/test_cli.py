@@ -437,6 +437,29 @@ def test_conflict_labelled_after_a_long_path(tmp_path, argv, graph, status, fiel
     assert json.loads(out)[field] == expected
 
 
+@pytest.mark.parametrize(
+    "argv,status,field,expected",
+    [
+        (["check", "critical"], 1, "witness", {"kind": "edge", "edge": [0, 1]}),
+        (["chi", "plain"], 0, "value", 4),
+    ],
+    ids=["check critical", "chi plain"],
+)
+def test_hub_with_pendant_paths_and_a_far_wheel(tmp_path, argv, status, field, expected):
+    # 24 pendant 2-paths sit in the search order between the hub's triangle
+    # and the wheel; a whole-graph search doubles its work with each of them
+    from critickit import format_edgelist
+    from helpers import hub_with_pendant_paths
+
+    path = tmp_path / "g.txt"
+    path.write_text(format_edgelist(hub_with_pendant_paths(24)))
+    start = time.monotonic()
+    got_status, out = run("--json", *argv, "--edges", str(path))
+    assert time.monotonic() - start < 2.0
+    assert got_status == status
+    assert json.loads(out)[field] == expected
+
+
 # ----------------------------------------------------------- JSON roundtrips
 
 

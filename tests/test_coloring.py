@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from helpers import (
     brute_criticality,
     brute_first_coloring,
     brute_is_k_colorable,
+    per_deletion_criticality,
     random_graph,
 )
 
@@ -110,7 +114,7 @@ def test_c4_not_critical_edge_witness():
     verdict = classify_criticality(cycle(4))
     assert not verdict.is_critical
     u, v = verdict.witness
-    from critickit.graphs import edge_deleted
+    from helpers import edge_deleted
 
     assert chromatic_number(edge_deleted(cycle(4), u, v)) == verdict.chromatic_number
 
@@ -156,6 +160,62 @@ def test_criticality_matches_brute_force(n, rng):
     # the chromatic number, both flags and the first deletion witness
     g = random_graph(rng, n, p=rng.uniform(0.2, 1))
     assert classify_criticality(g) == brute_criticality(g), g.edges()
+
+
+def _brute_chi(g):
+    return next(k for k in range(g.n + 1) if brute_is_k_colorable(g, k))
+
+
+def test_every_graph_on_at_most_five_vertices():
+    # every labelled graph, so every witness position is met
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            chi = _brute_chi(g)
+            assert chromatic_number(g) == chi, g.edges()
+            assert [is_k_colorable(g, k) for k in range(n + 2)] == [k >= chi for k in range(n + 2)]
+            if n:
+                assert classify_criticality(g) == brute_criticality(g), g.edges()
+
+
+def test_criticality_matches_per_deletion_reference():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        g = random_graph(rng, n, p=rng.uniform(0.1, 1))
+        verdict = classify_criticality(g)
+        assert verdict == per_deletion_criticality(g), g.edges()
+        assert chromatic_number(g) == verdict.chromatic_number
+        k = verdict.chromatic_number
+        assert is_k_colorable(g, k) and not is_k_colorable(g, k - 1)
+
+
+TWO_K3 = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+@pytest.mark.parametrize(
+    "graph,expected",
+    [
+        (clique(1), (1, True, True, None)),
+        (build_graph(2, []), (1, False, False, 0)),
+        (build_graph(4, []), (1, False, False, 0)),
+        # the pendant edge is the witness, and its end 3 must still be asked
+        # about: deleting 3 leaves the triangle
+        (K3_PLUS_PENDANT, (3, False, False, (0, 3))),
+        (TWO_K3, (3, False, False, (0, 1))),
+        # every edge drops chi; the isolated vertex does not
+        (build_graph(4, [(0, 1), (0, 2), (1, 2)]), (3, False, False, 3)),
+        (build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), (3, False, False, 0)),
+        (build_graph(3, [(1, 2)]), (2, False, False, 0)),
+    ],
+    ids=["K1", "2K1", "4K1", "K3+pendant", "2K3", "K3+K1", "K1+C5", "K1+K2"],
+)
+def test_criticality_of_small_named_graphs(graph, expected):
+    verdict = classify_criticality(graph)
+    assert verdict == brute_criticality(graph)
+    got = (verdict.chromatic_number, verdict.is_critical, verdict.is_vertex_critical)
+    assert got + (verdict.witness,) == expected
 
 
 # ------------------------------------------------------------------ counting
