@@ -22,6 +22,7 @@ about, and each is a witness iff n >= 2.
 from __future__ import annotations
 
 import heapq
+from math import comb
 from typing import Iterator
 
 from .base import Record
@@ -320,21 +321,45 @@ def _contract_least(edges: frozenset[tuple[int, int]]) -> frozenset[tuple[int, i
     return frozenset(contracted)
 
 
+def _peel_leaves(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
+    """(vertices peeled, edges left) after removing, on a stack, each vertex
+    of remaining degree 1; a tree peels down to one isolated vertex."""
+    degree = [len(neighbors) for neighbors in g.adj]
+    gone = [False] * g.n
+    stack = [v for v in range(g.n) if degree[v] == 1]
+    peeled = 0
+    while stack:
+        v = stack.pop()
+        if degree[v] != 1:
+            continue  # its last neighbor went first
+        gone[v] = True
+        degree[v] = 0
+        peeled += 1
+        w = next(w for w in g.adj[v] if not gone[w])
+        degree[w] -= 1
+        if degree[w] == 1:
+            stack.append(w)
+    return peeled, frozenset((u, v) for u, v in g.edges() if not gone[u] and not gone[v])
+
+
 def chromatic_polynomial(g: Graph, limits: SearchLimits | None = None) -> Polynomial:
     """Chromatic polynomial via deletion-contraction on the least edge, run
     on an explicit stack.
 
+    Before branching, every vertex of degree 1 is peeled, repeatedly:
+    P(G) = (x - 1) P(G - v), so a tree costs linear time and no branching.
     Intermediate results are memoized by exact (n, edge set) key, which is
     enough at these sizes.  Each memo miss charges one unit to a budget
     started from ``limits``, which raises
     :class:`~critickit.errors.BudgetExceeded` when it trips.
     """
     budget = (limits or SearchLimits()).start()
+    peeled, core = _peel_leaves(g)
     memo: dict[tuple[int, frozenset[tuple[int, int]]], tuple[int, ...]] = {}
     results: list[tuple[int, ...]] = []  # solved subproblems not yet combined
     # frames (n, edges, stage): stage 0 is unsolved, 1 has the deletion on
     # ``results``, 2 has the deletion and then the contraction there
-    stack = [(g.n, frozenset(g.edges()), 0)]
+    stack = [(g.n - peeled, core, 0)]
     while stack:
         n, edges, stage = stack.pop()
         if stage == 0:
@@ -355,4 +380,13 @@ def chromatic_polynomial(g: Graph, limits: SearchLimits | None = None) -> Polyno
             contracted = results.pop()
             result = memo[(n, edges)] = _poly_sub(results.pop(), contracted)
             results.append(result)
-    return Polynomial(results.pop())
+    coefficients = results.pop()
+    if peeled:  # times (x - 1)^peeled
+        factor = [comb(peeled, i) * (-1) ** (peeled - i) for i in range(peeled + 1)]
+        out = [0] * (len(coefficients) + peeled)
+        for i, a in enumerate(coefficients):
+            if a:
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+        coefficients = tuple(out)
+    return Polynomial(coefficients)

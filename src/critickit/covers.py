@@ -19,9 +19,9 @@ is the identity.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import permutations, product
-from operator import getitem, or_
+from functools import lru_cache, reduce
+from itertools import islice, permutations, product, repeat
+from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
 from .base import NONCANONICAL_BAD_COVER_FOUND, NOT_CRITICAL, ROBUSTLY_CRITICAL, UNKNOWN, Record
@@ -348,36 +348,45 @@ def enumerate_full_covers(
         yield _gauge_cover(g, k, tree, nontree, perms, combo)
 
 
-def _survivor_bound(
-    kill: list[list[int]], keep: list[list[int]], depth: int, survivors: int,
-    need: int, full: bool,
-) -> tuple[bool, int | None]:
-    """Survivor bound over a kill table: ``kill[e]`` and ``keep[e]`` hold one
-    mask per option of edge e, the survivors that option removes and the
-    ones it keeps.  Each edge from ``depth`` on removes at most as many
-    survivors as its most destructive option; when those maxima sum to at
-    most ``survivors.bit_count() - need``, every completion keeps ``need``
-    survivors.  At the last edge with ``need`` 1 that test is containment:
-    every option keeps a survivor.
+_ZEROS = b"0" * 256
 
-    Returns (whether every completion keeps ``need`` survivors, tail).
-    ``tail`` is the sum over the edges after ``depth`` (0 at the last edge),
-    or None when the sum stopped early: it stops once it exceeds the cap,
-    unless ``full``.  A child's survivors are a subset of these, so
-    ``tail + need <= child.bit_count()`` implies the child's own test."""
-    if depth == len(kill) - 1:
-        masks = keep[depth]
-        if need == 1:
-            return all(map(survivors.__and__, masks)), 0
-        return min(map(int.bit_count, map(survivors.__and__, masks))) >= need, 0
-    cap = survivors.bit_count() - need
-    tail = 0
-    for e in range(depth + 1, len(kill)):
-        tail += max(map(int.bit_count, map(survivors.__and__, kill[e])))
-        if tail > cap and not full:
-            return False, None
-    head = max(map(int.bit_count, map(survivors.__and__, kill[depth])))
-    return tail + head <= cap, tail
+
+def _kill_masks(tuples, sizes, edges, options, spend) -> tuple[int, list[list[int]]]:
+    """(the mask of every tuple, ``kill``) over the index tuples
+    ``tuples``, one index per vertex and ``0..sizes[v]-1`` at vertex v: bit
+    i stands for the i-th tuple, and ``kill[e][o]`` holds the tuples whose
+    indices at the endpoints of ``edges[e]`` form one of the pairs of
+    option ``options[e][o]``.
+
+    The per-(vertex, index) masks are built column by column: the tuples'
+    bytes are laid end to end, each vertex's column is sliced out, last
+    tuple first, and ``translate`` turns it into a string of binary digits
+    for ``int(..., 2)`` (base 2 is exempt from the int-string digit limit).
+    Reading the tuples is most of the set-up time, so the deadline is
+    checked every 4096 tuples, charging nothing."""
+    n = len(sizes)
+    rows = map(bytes, tuples)
+    data = bytearray()
+    count = 0
+    while True:
+        chunk = list(islice(rows, 4096))
+        if not chunk:
+            break
+        spend(0)
+        count += len(chunk)
+        data += b"".join(chunk)
+    at = []  # at[v][a]: the tuples with index a at v
+    for v, size in enumerate(sizes):
+        column = data[v::n][::-1]
+        at.append([
+            int(column.translate(_ZEROS[:a] + b"1" + _ZEROS[a + 1 :]) or b"0", 2)
+            for a in range(size)
+        ])
+    kill = []
+    for (u, v), opts in zip(edges, options):
+        at_u, at_v = at[u], at[v]
+        kill.append([reduce(or_, [at_u[a] & at_v[b] for a, b in pairs], 0) for pairs in opts])
+    return (1 << count) - 1, kill
 
 
 def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None):
@@ -389,23 +398,42 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
     Yields (depth, survivors) at each node with no survivor or no edge left,
     with ``picks`` holding its prefix, for the caller to decide and charge;
     a value sent back replaces ``need``.  Every other cover is charged to
-    ``spend`` here: subtrees in which :func:`_survivor_bound` shows every
-    completion keeps ``need`` survivors and, with ``leader_step``
-    (:meth:`_GaugeScan._leader_step`), children that are not their orbit's
-    lex-leader.  Without it every child is live.
+    ``spend`` here: subtrees in which every completion keeps ``need``
+    survivors and, with ``leader_step`` (:meth:`_LeaderTables.leader_step`),
+    children that are not their orbit's lex-leader.  Without it every child
+    is live.
+
+    The survivor bound is computed in place.  Each edge after the node's own
+    removes at most as many survivors as its most destructive option; when
+    those maxima (the tail) plus the node's own edge's maximum (the head)
+    sum to at most ``popcount - need`` (the cap), every completion keeps
+    ``need`` survivors.  At the last edge the test is containment: every
+    option keeps ``need`` survivors.  At the second-to-last edge the tail is
+    one maximum.  The tail stops summing once it exceeds the cap, and the
+    head is then never computed; nor is it when the parent's maximum on this
+    node's edge, which bounds the head, already passes the test.
 
     A child's survivors are a subset of its parent's, so the parent's tail
-    of per-edge maxima dismisses a child with one AND and one popcount.  A
-    node sums that tail past its own failed test only when it has at least
+    dismisses a child whose popcount reaches ``tail + need``.  That popcount
+    is the parent's popcount less the survivors the child's option kills,
+    counted once per option on the parent's edge; a child that is not
+    dismissed takes its own cap from it.  A tail of at least the parent's popcount
+    can dismiss no child, so it is dropped.  While ``need`` is 1 the tail is
+    of use to a child only within the cap; for a larger ``need``, which may
+    fall later, a node sums its tail past its own cap when it has at least
     as many live children as edges left, a rule that depends only on the
     input."""
+    bc = int.bit_count
     total = len(kill)
+    last = total - 1
     below = [1] * (total + 1)  # below[d]: the covers under a node at depth d
     for d in range(total - 1, -1, -1):
         below[d] = below[d + 1] * len(kill[d])
-    path, steps, tails = [0] * total, [None] * total, [None] * total
+    # per open node: survivors, leader step, tail, popcount, the survivors
+    # each option of its edge kills, and its maximum on the next edge
+    frames = [None] * total
     free = None if leader_step else [[()] * len(masks) for masks in kill]
-    depth, stab = 0, None
+    depth, stab, count = 0, None, None
     while True:
         if survivors == 0 or depth == total:
             sent = yield depth, survivors
@@ -413,14 +441,40 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
                 need = sent
         else:
             step = leader_step(stab) if free is None else free[depth]
-            live = len(step) - step.count(False)
-            dismissed, tail = _survivor_bound(
-                kill, keep, depth, survivors, need, live >= total - depth
-            )
+            heads = first = None
+            if depth == last:
+                if need == 1:
+                    dismissed = all(map(and_, repeat(survivors), keep[last]))
+                else:
+                    dismissed = min([bc(survivors & m) for m in keep[last]]) >= need
+                tail = 0
+            else:
+                if count is None:
+                    count = bc(survivors)
+                cap = count - need
+                first = tail = max([bc(survivors & m) for m in kill[depth + 1]])
+                if depth < last - 1:
+                    stop = cap
+                    if need > 1 and len(step) - step.count(False) >= total - depth:
+                        stop = count - 1
+                    e = depth + 2
+                    while tail <= stop and e < total:
+                        tail += max([bc(survivors & m) for m in kill[e]])
+                        e += 1
+                dismissed = tail <= cap
+                if dismissed and (depth == 0 or tail + frames[depth - 1][5] > cap):
+                    heads = [bc(survivors & m) for m in kill[depth]]
+                    dismissed = tail + max(heads) <= cap
+                if tail >= count:
+                    tail = None
             if dismissed:
                 spend(below[depth])
             else:
-                path[depth], steps[depth], tails[depth] = survivors, step, tail
+                if tail is not None and heads is None:
+                    heads = [bc(survivors & m) for m in kill[depth]]
+                    if count is None:
+                        count = bc(survivors)
+                frames[depth] = (survivors, step, tail, count, heads, first)
                 picks[depth] = -1
                 depth += 1
         # enter the next child of the deepest open node
@@ -428,19 +482,21 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
             depth -= 1
             if depth < 0:
                 return
-            step, tail, parent, options = (
-                steps[depth], tails[depth], path[depth], keep[depth]
-            )
-            size = below[depth + 1]
+            parent, step, tail, before, heads, _ = frames[depth]
+            options, size = keep[depth], below[depth + 1]
             for p in range(picks[depth] + 1, len(options)):
                 stab = step[p]
                 if stab is False:
                     spend(size)
                     continue
+                if tail is None:
+                    count = None
+                else:
+                    count = before - heads[p]
+                    if tail + need <= count:
+                        spend(size)
+                        continue
                 survivors = parent & options[p]
-                if tail is not None and tail + need <= survivors.bit_count():
-                    spend(size)
-                    continue
                 picks[depth] = p
                 break
             else:
@@ -449,71 +505,20 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
         depth += 1
 
 
-class _GaugeScan:
-    """Gauge-fixed full k-fold covers, walked by :func:`_survivor_walk`.
+class _LeaderTables:
+    """Lex-leader tables of Sym(k) acting on permutations by conjugation:
+    the permutations in lexicographic order, their index, the conjugation
+    rows and the leader steps, each built on first use.  They depend only on
+    k, so every scan at k shares one set (:func:`_leader_tables`)."""
 
-    Each non-tree edge's options are the k! permutations.  A survivor is a
-    transversal of the tree-only cover, one bit of a bitset; permutation p
-    on a non-tree edge kills the transversals it matches (``kill``) and
-    keeps the rest (``keep``).  The survivors of a prefix are the
-    transversals compatible with every permutation chosen so far, so a
-    cover is bad iff it has none, and its transversal count is the number
-    left after the last edge.
-
-    Relabeling every vertex by the same sigma keeps the tree matchings at the
-    identity and conjugates each non-tree permutation, so both scans visit
-    only prefixes that are the lexicographic leader of their conjugation
-    orbit (lex-leader symmetry breaking, :meth:`_leader_step`).  A node
-    carries the stabilizer of its prefix: None for all of Sym(k), else a
-    tuple of the non-identity elements.  Badness, canonicity and transversal
-    counts are invariant under the relabeling, so the lexicographically
-    first bad cover or minimizer is always a leader and the witnesses are
-    unchanged.
-
-    Work is accounted per cover decided; subtrees dismissed by the survivor
-    bound or by symmetry are charged in full.
-    """
-
-    def __init__(self, g: Graph, k: int, budget: Budget):
-        self.g = g
+    def __init__(self, k: int):
         self.k = k
-        self.budget = budget
-        self.tree, self.nontree = _gauge_edges(g)
         self.perms = list(permutations(range(k)))
         self.nperm = len(self.perms)
-        self.depth_total = len(self.nontree)
-        self.full_mask, self.kill = self._kill_masks()
-        self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
+        self.pairs = [tuple(enumerate(p)) for p in self.perms]
         self._index = {p: i for i, p in enumerate(self.perms)}
         self._conj_rows: dict[int, list[int]] = {}
         self._steps: dict[tuple[int, ...] | None, list] = {(): [()] * self.nperm}
-
-    def _kill_masks(self) -> tuple[int, list[list[int]]]:
-        """(the mask of every transversal of the tree-only cover, ``kill``).
-        Bit i stands for the i-th transversal in lexicographic order, and
-        ``kill[e][p]`` holds the transversals t that permutation p on
-        non-tree edge e = (u, v) removes, those with p[t[u]] == t[v].
-
-        The walk over the tree-only transversals is most of a scan's set-up
-        time, so it checks the deadline every 4096 transversals, charging
-        nothing."""
-        identity = tuple((i, i) for i in range(self.k))
-        tree_only = [(min(u, v), max(u, v), identity) for u, v in self.tree]
-        at = [[0] * self.k for _ in range(self.g.n)]  # at[v][a]: t[v] == a
-        bit = 1
-        for index, t in enumerate(_choices((self.k,) * self.g.n, tree_only)):
-            if not index & 4095:
-                self.budget.spend(0)
-            for row, a in zip(at, t):
-                row[a] |= bit
-            bit <<= 1
-        kill = []
-        for u, v in self.nontree:
-            pair = [[mu & mv for mv in at[v]] for mu in at[u]]
-            kill.append([reduce(or_, map(getitem, pair, p), 0) for p in self.perms])
-        return bit - 1, kill
-
-    # -- lex-leader symmetry breaking -------------------------------------
 
     def _conj_row(self, s: int) -> list[int]:
         """``row[p]`` is the index of sigma p sigma^-1 for sigma = perms[s]."""
@@ -559,7 +564,7 @@ class _GaugeScan:
             step.append(None if len(centralizer) == self.nperm - 1 else centralizer)
         return step
 
-    def _leader_step(self, stab: tuple[int, ...] | None) -> list:
+    def leader_step(self, stab: tuple[int, ...] | None) -> list:
         """Per child permutation p of a node whose prefix has stabilizer
         ``stab``: the child's stabilizer, or False when some sigma in
         ``stab`` conjugates p to an earlier permutation, so that no cover
@@ -583,6 +588,57 @@ class _GaugeScan:
                 step.append(kept)
         self._steps[stab] = step
         return step
+
+
+@lru_cache(maxsize=None)
+def _leader_tables(k: int) -> _LeaderTables:
+    return _LeaderTables(k)
+
+
+class _GaugeScan:
+    """Gauge-fixed full k-fold covers, walked by :func:`_survivor_walk`.
+
+    Each non-tree edge's options are the k! permutations.  A survivor is a
+    transversal of the tree-only cover, one bit of a bitset; permutation p
+    on a non-tree edge kills the transversals it matches (``kill``) and
+    keeps the rest (``keep``).  The survivors of a prefix are the
+    transversals compatible with every permutation chosen so far, so a
+    cover is bad iff it has none, and its transversal count is the number
+    left after the last edge.  The kill table comes from :func:`_kill_masks`
+    over the tree-only transversals, built column by column.
+
+    Relabeling every vertex by the same sigma keeps the tree matchings at the
+    identity and conjugates each non-tree permutation, so both scans visit
+    only prefixes that are the lexicographic leader of their conjugation
+    orbit (lex-leader symmetry breaking, :meth:`_LeaderTables.leader_step`).
+    A node carries the stabilizer of its prefix: None for all of Sym(k),
+    else a tuple of the non-identity elements.  Badness, canonicity and
+    transversal counts are invariant under the relabeling, so the
+    lexicographically first bad cover or minimizer is always a leader and
+    the witnesses are unchanged.  The permutations and leader tables depend
+    only on k and are shared by every scan at k.
+
+    Work is accounted per cover decided; subtrees dismissed by the survivor
+    bound or by symmetry are charged in full.
+    """
+
+    def __init__(self, g: Graph, k: int, budget: Budget):
+        self.g = g
+        self.k = k
+        self.budget = budget
+        self.tree, self.nontree = _gauge_edges(g)
+        tables = _leader_tables(k)
+        self.perms = tables.perms
+        self.nperm = tables.nperm
+        self._leader_step = tables.leader_step
+        self.depth_total = len(self.nontree)
+        identity = tuple((i, i) for i in range(k))
+        tree_only = [(min(u, v), max(u, v), identity) for u, v in self.tree]
+        self.full_mask, self.kill = _kill_masks(
+            _choices((k,) * g.n, tree_only), (k,) * g.n, self.nontree,
+            [tables.pairs] * self.depth_total, budget.spend,
+        )
+        self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
@@ -677,10 +733,19 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     is enough; gauge fixing makes "canonical" synonymous with "all non-tree
     permutations are the identity".
     """
+    return _robust_verdict(g, limits, None)
+
+
+def _robust_verdict(
+    g: Graph, limits: SearchLimits | None, verdict: ColoringVerdict | None
+) -> RobustVerdict:
+    """:func:`robust_criticality_verdict`, taking g's classification as
+    ``verdict`` when the caller already has it (None: classify here)."""
     if g.n < 1:
         raise GraphError("robust criticality needs at least one vertex")
     spanning_tree(g)  # connectivity precondition
-    verdict = classify_criticality(g)
+    if verdict is None:
+        verdict = classify_criticality(g)
     k = verdict.chromatic_number
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0, verdict)

@@ -46,6 +46,8 @@ from .coloring import classify_criticality
 from .covers import (
     Cover,
     _GaugeScan,
+    _kill_masks,
+    _robust_verdict,
     _survivor_walk,
     canonical_labeling,
     find_transversal,
@@ -55,7 +57,6 @@ from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
 from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
 from .limits import SearchLimits
-from .listcoloring import find_bad_nonconstant_assignment
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -156,18 +157,13 @@ class _ProfileCovers:
         )
         return Cover(self.g, self.sizes, entries)
 
-    def _kill_table(self) -> tuple[int, list[list[int]]]:
+    def _kill_table(self, spend) -> tuple[int, list[list[int]]]:
         """(mask of every index tuple of the profile, per edge and option the
-        tuples whose endpoint indices form one of the option's pairs)."""
-        universe = list(product(*(range(s) for s in self.sizes)))
-        kill = []
-        for (u, v), opts in zip(self.edges, self.options):
-            by_pair: dict[tuple[int, int], int] = {}
-            for idx, t in enumerate(universe):
-                key = (t[u], t[v])
-                by_pair[key] = by_pair.get(key, 0) | 1 << idx
-            kill.append([sum(by_pair.get(pair, 0) for pair in pairs) for pairs in opts])
-        return (1 << len(universe)) - 1, kill
+        tuples whose endpoint indices form one of the option's pairs), from
+        :func:`~critickit.covers._kill_masks`, which checks the deadline on
+        ``spend``."""
+        universe = product(*(range(s) for s in self.sizes))
+        return _kill_masks(universe, self.sizes, self.edges, self.options, spend)
 
     def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
         """(mode, covers to decide in all, iterator of (covers decided so
@@ -187,7 +183,7 @@ class _ProfileCovers:
         budget = limits.start()
         table = None
         if prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes:
-            table = self._kill_table()
+            table = self._kill_table(budget.spend)
         if self.total * (self.g.n + 1) <= limits.max_nodes:
             mode, count = EXHAUSTIVE, self.total
             if table is not None:
@@ -362,7 +358,8 @@ def check_pair_reduction(
     common = g.adj[x] & g.adj[y]
     if len(common) > 1:
         return skipped(f"vertices {x} and {y} have {len(common)} common neighbors")
-    if not classify_criticality(g).is_critical:
+    cv = classify_criticality(g)
+    if not cv.is_critical:
         return skipped("graph is not critical")
     reduced = induced_subgraph(g, set(range(g.n)) - {x, y})
     try:
@@ -374,7 +371,7 @@ def check_pair_reduction(
             f"graph minus {{{x}, {y}}} is not verified robustly critical "
             f"(got {rv_reduced.decision})"
         )
-    rv = robust_criticality_verdict(g, limits)
+    rv = _robust_verdict(g, limits, cv)
     if rv.decision == ROBUSTLY_CRITICAL:
         return LemmaReport("pair", word, rv.covers_scanned, ALL_PASS, EXHAUSTIVE)
     if rv.decision == UNKNOWN:
@@ -529,6 +526,8 @@ def check_join_preserves(
             detail=f"join verdict: {rv.decision}",
         )
     # a robustly critical join is critical, so only the list part is left
+    from .listcoloring import find_bad_nonconstant_assignment
+
     try:
         bad = find_bad_nonconstant_assignment(joined, rv.k - 1, limits)
     except BudgetExceeded:

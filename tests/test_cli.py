@@ -365,13 +365,14 @@ def test_time_budget_holds(argv):
     ), doc
 
 
-def test_time_budget_holds_on_a_long_path_polynomial(tmp_path):
-    # 1500 vertices: deeper than the default recursion limit, and far more
-    # deletion-contraction subproblems than 100 ms allows
-    from critickit import build_graph, format_edgelist
+def test_time_budget_holds_on_a_long_cycle_polynomial(tmp_path):
+    # 1500 vertices and no vertex of degree 1 to peel: deeper than the
+    # default recursion limit, and far more deletion-contraction subproblems
+    # than 100 ms allows
+    from critickit import cycle, format_edgelist
 
-    path = tmp_path / "path.txt"
-    path.write_text(format_edgelist(build_graph(1500, [(v, v + 1) for v in range(1499)])))
+    path = tmp_path / "cycle.txt"
+    path.write_text(format_edgelist(cycle(1500)))
     start = time.monotonic()
     status, out = run(
         "--json", "--time-budget-ms", "100", "count", "chromatic-poly", "--edges", str(path)

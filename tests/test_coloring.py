@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -268,6 +269,20 @@ def test_polynomial_charges_one_unit_per_memo_miss():
     assert poly.coefficients == (0, 4, -10, 10, -5, 1)
     with pytest.raises(BudgetExceeded):
         chromatic_polynomial(cycle(5), SearchLimits(max_nodes=12))
+
+
+def test_polynomial_peels_a_long_path():
+    # every vertex of a 1500-vertex path peels before branching, so with no
+    # time cap the answer x (x - 1)^1499 is exact, quick and charges nothing
+    from math import comb
+
+    g = build_graph(1500, [(v, v + 1) for v in range(1499)])
+    start = time.monotonic()
+    poly = chromatic_polynomial(g, SearchLimits(max_nodes=1))
+    assert time.monotonic() - start < 5.0
+    assert poly.coefficients == (0,) + tuple(
+        comb(1499, i) * (-1) ** (1499 - i) for i in range(1500)
+    )
 
 
 def test_polynomial_shape_invariants():

@@ -647,6 +647,41 @@ def test_survivor_walk_matches_recursive_reference():
                 ), (g.edges(), k, max_nodes)
 
 
+def test_scans_share_leader_tables_per_k(monkeypatch):
+    # scans at k = 3, 4, 3 in one process share each k's leader tables, the
+    # second k = 3 scan finding them already built; every scan must decide
+    # and charge exactly as one whose tables are its own
+    from critickit import covers
+
+    cases = [(join(cycle(7), clique(1)), 3), (clique(5), 4), (generate_ekab(4, 2, 2), 3)]
+    limits = SearchLimits(max_nodes=2 * 10**8)
+
+    def run(g, k):
+        recorded = _recorded(g, k, limits.max_nodes, lambda s: s.find_bad(True))
+        return robust_criticality_verdict(g, limits), recorded
+
+    covers._leader_tables.cache_clear()
+    shared = [run(g, k) for g, k in cases]
+    monkeypatch.setattr(covers, "_leader_tables", covers._LeaderTables)
+    private = [run(g, k) for g, k in cases]
+    assert shared == private
+    assert [verdict.k - 1 for verdict, _ in shared] == [3, 4, 3]
+    assert shared[1][0].covers_scanned == 191_102_976
+
+
+def test_survivor_walk_matches_recursive_reference_on_dense_joins():
+    # deeper walks than the random hosts reach, where the parent's maximum on
+    # a node's edge often settles the node's bound without its own head
+    for g, k, max_nodes in [
+        (join(cycle(7), clique(1)), 3, 10**7),
+        (join(cycle(5), clique(2)), 4, 3 * 10**6),
+        (clique(5), 4, 2 * 10**8),
+    ]:
+        assert _recorded(g, k, max_nodes, lambda s: s.find_bad(True)) == _recorded(
+            g, k, max_nodes, lambda s: oracle_find_bad(s, True)
+        ), (g.edges(), k, max_nodes)
+
+
 def test_kill_masks_match_pair_construction():
     # bit i of a mask stands for the i-th transversal of the tree-only
     # cover in lexicographic order: the proper colorings of the tree

@@ -66,6 +66,20 @@ COMMANDS = {
     ),
     "check strong": (["check", "strong", "--cycle", "5"], {"covers", "lemmas"}),
     "chi list": (["chi", "list", "--cycle", "5"], {"covers", "lemmas"}),
+    "lemma excess": (
+        ["lemma", "excess", "--cycle", "5", "--sizes", "2,2,2,2,3"], {"listcoloring"}
+    ),
+    "lemma full-extension": (["lemma", "full-extension", "--cycle", "5"], {"listcoloring"}),
+    "lemma pair": (
+        ["lemma", "pair", "--ekab", "4", "2", "2", "-x", "0", "-y", "3"], {"listcoloring"}
+    ),
+    "lemma induction": (
+        [
+            "lemma", "induction", "--cycle", "5", "--clique", "1", "--join",
+            "--independent-set", "5",
+        ],
+        {"listcoloring"},
+    ),
     "lemma join": (["lemma", "join", "--cycle", "5", "-t", "1"], set()),
 }
 

@@ -157,6 +157,29 @@ def test_profile_scan_matches_per_cover_oracle():
     }
 
 
+def test_profile_kill_table_matches_pair_construction():
+    # bit i stands for the i-th index tuple of the profile in product order;
+    # an option kills the tuples whose endpoint indices form one of its pairs
+    from itertools import product
+
+    rng = random.Random(13)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 5), connected=True)
+        sizes = tuple(rng.randint(1, 3) for _ in range(g.n))
+        universe = list(product(*(range(s) for s in sizes)))
+        for maximal in (False, True):
+            profile = _ProfileCovers(g, sizes, maximal)
+            full, kill = profile._kill_table(lambda units: None)
+            assert full == (1 << len(universe)) - 1
+            assert kill == [
+                [
+                    sum(1 << i for i, t in enumerate(universe) if (t[u], t[v]) in pairs)
+                    for pairs in options
+                ]
+                for (u, v), options in zip(profile.edges, profile.options)
+            ], (g.edges(), sizes, maximal)
+
+
 def test_bad_cover_exists_iff_bad_maximal_cover_exists():
     # completing a cover only removes transversals, the fact that lets the
     # excess check decide oversized profiles over maximal covers alone
@@ -211,6 +234,24 @@ def test_pair_e422():
     report = check_pair_reduction(generate_ekab(4, 2, 2), 0, 3)
     assert report.outcome == "all_pass"
     assert report.checked == 6**5
+
+
+def test_pair_classifies_each_graph_once(monkeypatch):
+    # the precondition's classification of the graph is handed to its own
+    # robust scan, so only the graph and the reduced graph are classified
+    from critickit import coloring, covers
+
+    sizes = []
+
+    def counting(g):
+        sizes.append(g.n)
+        return coloring.classify_criticality(g)
+
+    monkeypatch.setattr(lemmas, "classify_criticality", counting)
+    monkeypatch.setattr(covers, "classify_criticality", counting)
+    report = check_pair_reduction(generate_ekab(4, 2, 2), 0, 3)
+    assert report.outcome == "all_pass"
+    assert sizes == [7, 5]
 
 
 def test_pair_c5_antipodal_skips():
