@@ -417,8 +417,9 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
     dismisses a child whose popcount reaches ``tail + need``.  That popcount
     is the parent's popcount less the survivors the child's option kills,
     counted once per option on the parent's edge; a child that is not
-    dismissed takes its own cap from it.  A tail of at least the parent's popcount
-    can dismiss no child, so it is dropped.  While ``need`` is 1 the tail is
+    dismissed takes its own cap from it.  A tail that stopped summing before
+    the last edge bounds nothing, and one of at least the parent's popcount
+    can dismiss no child, so both are dropped.  While ``need`` is 1 the tail is
     of use to a child only within the cap; for a larger ``need``, which may
     fall later, a node sums its tail past its own cap when it has at least
     as many live children as edges left, a rule that depends only on the
@@ -453,11 +454,11 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
                     count = bc(survivors)
                 cap = count - need
                 first = tail = max([bc(survivors & m) for m in kill[depth + 1]])
-                if depth < last - 1:
+                e = depth + 2
+                if e < total:
                     stop = cap
                     if need > 1 and len(step) - step.count(False) >= total - depth:
                         stop = count - 1
-                    e = depth + 2
                     while tail <= stop and e < total:
                         tail += max([bc(survivors & m) for m in kill[e]])
                         e += 1
@@ -465,7 +466,7 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
                 if dismissed and (depth == 0 or tail + frames[depth - 1][5] > cap):
                     heads = [bc(survivors & m) for m in kill[depth]]
                     dismissed = tail + max(heads) <= cap
-                if tail >= count:
+                if e < total or tail >= count:
                     tail = None
             if dismissed:
                 spend(below[depth])

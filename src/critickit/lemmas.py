@@ -172,7 +172,9 @@ class _ProfileCovers:
         ones.  The iterator charges one unit per cover decided to a budget
         started from ``limits`` now, and raises :class:`BudgetExceeded` when
         it trips; the mode rule keeps the covers within the node budget, so
-        only the time cap can trip it.
+        only the time cap can trip it.  The kill table is built on the
+        iterator's first step, so a cap that trips while the table is read
+        is raised there too.
 
         The mode rule: exhaustive when the estimated search nodes, covers
         times (n+1), fit the node budget; otherwise a seeded sample, drawn
@@ -181,34 +183,35 @@ class _ProfileCovers:
         fits the node budget, and otherwise one at a time by
         :func:`find_transversal`."""
         budget = limits.start()
-        table = None
-        if prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes:
-            table = self._kill_table(budget.spend)
+        table = prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes
+        draws = None
         if self.total * (self.g.n + 1) <= limits.max_nodes:
             mode, count = EXHAUSTIVE, self.total
-            if table is not None:
-                return mode, count, (
-                    (budget.spent, picks) for picks in _bad_picks(*table, budget.spend)
-                )
-            draws = product(*(range(len(opts)) for opts in self.options))
+            if not table:
+                draws = product(*(range(len(opts)) for opts in self.options))
         else:
             count = max(1, limits.max_nodes // (self.g.n + 1))
             mode = f"{SAMPLED}:{count}"
             randrange = random.Random(_seed(*seed_parts)).randrange
             lengths = [len(opts) for opts in self.options]
             draws = (tuple(map(randrange, lengths)) for _ in range(count))
-        if table is not None:
-            full, kill = table
-
-            def is_bad(picks) -> bool:
-                return reduce(or_, map(getitem, kill, picks), 0) == full
-
-        else:
-
-            def is_bad(picks) -> bool:
-                return find_transversal(self.cover_at(picks)) is None
 
         def decide():
+            if table:
+                full, kill = self._kill_table(budget.spend)
+                if draws is None:
+                    for picks in _bad_picks(full, kill, budget.spend):
+                        yield budget.spent, picks
+                    return
+
+                def is_bad(picks) -> bool:
+                    return reduce(or_, map(getitem, kill, picks), 0) == full
+
+            else:
+
+                def is_bad(picks) -> bool:
+                    return find_transversal(self.cover_at(picks)) is None
+
             for picks in draws:
                 budget.spend()
                 if is_bad(picks):

@@ -670,6 +670,8 @@ def test_scans_share_leader_tables_per_k(monkeypatch):
 
 
 def test_survivor_walk_matches_recursive_reference_on_dense_joins():
+    from critickit.covers import _GaugeScan
+
     # deeper walks than the random hosts reach, where the parent's maximum on
     # a node's edge often settles the node's bound without its own head
     for g, k, max_nodes in [
@@ -680,6 +682,21 @@ def test_survivor_walk_matches_recursive_reference_on_dense_joins():
         assert _recorded(g, k, max_nodes, lambda s: s.find_bad(True)) == _recorded(
             g, k, max_nodes, lambda s: oracle_find_bad(s, True)
         ), (g.edges(), k, max_nodes)
+    # the minimizing walk asks for more than one survivor, so a node may keep
+    # a tail of maxima summed past its own cap for its children; a sum that
+    # stopped before the last edge is no bound, and using one loses the
+    # minimum on all three of the first hosts
+    for g, k in [
+        (complete_bipartite(3, 3), 3),
+        (complete_bipartite(3, 4), 3),
+        (join(cycle(4), clique(1)), 3),
+        (join(cycle(5), clique(2)), 4),
+        (clique(4), 4),
+    ]:
+        for max_nodes in (10**9, 300, 37):
+            assert _recorded(g, k, max_nodes, _GaugeScan.min_transversals) == _recorded(
+                g, k, max_nodes, oracle_min_transversals
+            ), (g.edges(), k, max_nodes)
 
 
 def test_kill_masks_match_pair_construction():

@@ -113,6 +113,42 @@ def test_excess_keeps_the_time_budget():
     assert time.monotonic() - start < 5.0
 
 
+def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
+    # 3**9 index tuples take far longer than 1 ms to read into the kill
+    # table, whose deadline check must end in a truncated report, not an
+    # exception out of the lemma check
+    from critickit.errors import BudgetExceeded
+
+    tripped = []
+    build = _ProfileCovers._kill_table
+
+    def recording_build(self, spend):
+        try:
+            return build(self, spend)
+        except BudgetExceeded:
+            tripped.append(self.sizes)
+            raise
+
+    monkeypatch.setattr(_ProfileCovers, "_kill_table", recording_build)
+    monkeypatch.setattr(
+        lemmas, "robust_criticality_verdict",
+        lambda g, limits: SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=4),
+    )
+    monkeypatch.setattr(
+        lemmas, "classify_criticality",
+        lambda g: SimpleNamespace(is_critical=True, chromatic_number=4),
+    )
+    limits = SearchLimits(max_nodes=10**9, max_millis=1)
+    for check in (
+        lambda: check_excess_lemma(cycle(9), (3,) * 9, limits),
+        lambda: check_full_extension_lemma(cycle(9), limits),
+    ):
+        tripped.clear()
+        report = check()
+        assert (report.outcome, report.checked) == ("truncated", 0)
+        assert tripped == [(3,) * 9]
+
+
 NON_ROBUST_HOSTS = [
     cycle(4),
     build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]),  # K4 minus an edge
