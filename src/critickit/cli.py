@@ -20,12 +20,10 @@ from .base import EXIT_NO, EXIT_STATUS, EXIT_UNKNOWN, EXIT_USAGE, EXIT_YES
 from .errors import BudgetExceeded, CritickitError
 from .graphs import (
     Graph,
-    clique,
-    complete_bipartite,
-    cycle,
     encode_graph6,
     format_edgelist,
     generate_ekab,
+    generate_named,
     join,
     parse_edgelist,
     parse_graph6,
@@ -92,15 +90,10 @@ def _build_source(kind: str, value) -> Graph:
         return parse_graph6(value)
     if kind == "edges":
         return parse_edgelist(_read_input(value))
-    if kind == "clique":
-        return clique(value)
-    if kind == "cycle":
-        return cycle(value)
-    if kind == "complete_bipartite":
-        return complete_bipartite(*value)
     if kind == "ekab":
         return generate_ekab(*value)
-    raise UsageError(f"unknown graph source {kind}")
+    # --clique, --cycle and --complete-bipartite name a family
+    return generate_named(kind, *(value if isinstance(value, list) else [value]))
 
 
 def _resolve_graph(args) -> Graph:
@@ -120,21 +113,19 @@ def _resolve_graph(args) -> Graph:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="critickit", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument(
-        "--deterministic", action="store_true",
-        help="accepted for compatibility, no effect: --json output is always "
-        "deterministic",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted for compatibility, no effect: scans run in one process",
+        "--json", action="store_true",
+        help="emit one JSON document, byte-identical from run to run",
     )
     parser.add_argument(
         "--node-budget", type=int, default=None,
         help=f"search budget (default {DEFAULT_NODE_BUDGET}; env {BUDGET_ENV})",
     )
-    parser.add_argument("--time-budget-ms", type=int, default=None)
+    parser.add_argument(
+        "--time-budget-ms", type=int, default=None,
+        help="wall-clock cap; a search or count that reaches it answers "
+        "unknown (exit 2)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a graph")
@@ -190,8 +181,6 @@ def _config_from_args(args) -> tuple[SearchLimits, str]:
                 raise UsageError(f"{BUDGET_ENV} must be an integer, got {env!r}")
         else:
             budget = DEFAULT_NODE_BUDGET
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     if budget <= 0:
         raise UsageError("node budget must be positive")
     if args.time_budget_ms is not None and args.time_budget_ms <= 0:
@@ -272,6 +261,19 @@ def _cmd_check(args, limits) -> tuple[int, dict, str]:
     return EXIT_STATUS[verdict.decision], doc, text
 
 
+def _count(count, fields: dict) -> tuple[int, dict, str]:
+    """The count document for ``fields``, with the value of ``count()``, or
+    with ``"value": null, "status": "unknown"`` when it runs out of time."""
+    doc = {"schema": jsonio.SCHEMA_COUNT, **fields}
+    try:
+        value = count()
+    except BudgetExceeded:
+        doc.update({"value": None, "status": "unknown"})
+        return EXIT_UNKNOWN, doc, "unknown (budget exhausted)"
+    doc["value"] = value
+    return EXIT_YES, doc, str(value)
+
+
 def _cmd_count(args, limits) -> tuple[int, dict, str]:
     what = args.what
     if what == "transversals" and args.cover is not None:
@@ -282,9 +284,7 @@ def _cmd_count(args, limits) -> tuple[int, dict, str]:
         cover = jsonio.cover_from_doc(document)
         from .covers import count_transversals
 
-        value = count_transversals(cover)
-        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "value": value}
-        return EXIT_YES, doc, str(value)
+        return _count(lambda: count_transversals(cover, limits), {"what": what})
     g = _resolve_graph(args)
     if what == "chromatic-poly":
         from .coloring import chromatic_polynomial
@@ -304,15 +304,12 @@ def _cmd_count(args, limits) -> tuple[int, dict, str]:
     if what == "colorings":
         from .coloring import count_proper_colorings
 
-        value = count_proper_colorings(g, args.k)
-        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
-        return EXIT_YES, doc, str(value)
+        return _count(lambda: count_proper_colorings(g, args.k, limits), {"what": what, "k": args.k})
     if what == "transversals":
         from .covers import count_transversals, make_canonical_cover
 
-        value = count_transversals(make_canonical_cover(g, args.k))
-        doc = {"schema": jsonio.SCHEMA_COUNT, "what": what, "k": args.k, "value": value}
-        return EXIT_YES, doc, str(value)
+        cover = make_canonical_cover(g, args.k)
+        return _count(lambda: count_transversals(cover, limits), {"what": what, "k": args.k})
     from .covers import pdp_value
 
     try:

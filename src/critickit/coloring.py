@@ -31,7 +31,7 @@ from .graphs import Graph
 from .limits import SearchLimits
 
 
-def _choices(sizes, matchings) -> Iterator[list[int]]:
+def _choices(sizes, matchings, spend=None) -> Iterator[list[int]]:
     """Every choice of one index per vertex, ``0..sizes[v]-1`` at vertex v,
     that selects no matched pair, in lexicographic order.  ``matchings``
     holds cover-style entries ``(u, v, pairs)`` with ``u < v``; ``(i, j)``
@@ -39,7 +39,9 @@ def _choices(sizes, matchings) -> Iterator[list[int]]:
 
     Yields one shared choice list that the caller must copy before
     advancing.  Vertices are assigned in order 0..n-1 on an explicit stack,
-    so input size is not limited by the interpreter's recursion limit."""
+    so input size is not limited by the interpreter's recursion limit.
+    Given ``spend``, the walk checks the deadline every 4096 backtracks
+    with a zero-unit charge."""
     n = len(sizes)
     if n == 0:
         yield []
@@ -52,6 +54,7 @@ def _choices(sizes, matchings) -> Iterator[list[int]]:
         incoming[v].append((u, dict(pairs)))
     choice = [-1] * n
     forbidden = [0] * n
+    backtracks = 0
     v = 0
     while v >= 0:
         size, blocked = sizes[v], forbidden[v]
@@ -61,6 +64,10 @@ def _choices(sizes, matchings) -> Iterator[list[int]]:
         if i == size:
             choice[v] = -1
             v -= 1
+            if spend is not None:
+                backtracks += 1
+                if not backtracks & 4095:
+                    spend(0)
             continue
         choice[v] = i
         if v == n - 1:
@@ -260,17 +267,21 @@ def classify_criticality(g: Graph) -> ColoringVerdict:
     return ColoringVerdict(k, is_critical, is_vertex_critical, witness)
 
 
-def count_proper_colorings(g: Graph, k: int) -> int:
+def count_proper_colorings(g: Graph, k: int, limits: SearchLimits | None = None) -> int:
     """Exact number of proper colorings with color set ``0..k-1``.
 
     Counts the choices of :func:`_choices` under identity matchings, one by
     one, independently of the chromatic polynomial so the two can be
-    cross-checked.
+    cross-checked.  The count charges nothing, but checks the deadline of a
+    budget started from ``limits`` and raises
+    :class:`~critickit.errors.BudgetExceeded` once it passes.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
+    spend = (limits or SearchLimits()).start().spend
     identity = tuple((i, i) for i in range(k))
-    return sum(1 for _ in _choices((k,) * g.n, [(u, v, identity) for u, v in g.edges()]))
+    matchings = [(u, v, identity) for u, v in g.edges()]
+    return sum(1 for _ in _choices((k,) * g.n, matchings, spend))
 
 
 class Polynomial(Record):

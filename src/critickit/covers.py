@@ -33,7 +33,7 @@ from .coloring import (
     classify_criticality,
 )
 from .errors import BudgetExceeded, CoverError, GraphError
-from .graphs import Graph, connected_components, degeneracy, spanning_tree
+from .graphs import Graph, degeneracy, spanning_forest, spanning_tree
 from .limits import Budget, SearchLimits
 
 if TYPE_CHECKING:
@@ -176,17 +176,31 @@ def is_full(cover: Cover) -> bool:
     return all(len(pairs) == k for _, _, pairs in cover.matchings)
 
 
-def complete_to_full(cover: Cover) -> Cover:
-    """Extend every partial matching to a bijection, pairing unmatched
-    indices in ascending order; existing pairs are preserved (idempotent on
-    full covers)."""
+def full_extensions(cover: Cover) -> Iterator[Cover]:
+    """All full covers extending a uniform partial cover, pairing the
+    unmatched indices of each edge in every injective way; existing pairs
+    are preserved.  Each edge's free sources, ascending, go to every
+    permutation of its free targets in lexicographic order, the last edge
+    varying fastest."""
     k = cover.fold
-    entries = []
+    per_edge = []
     for u, v, pairs in cover.matchings:
         free_src = sorted(set(range(k)) - {i for i, _ in pairs})
         free_dst = sorted(set(range(k)) - {j for _, j in pairs})
-        entries.append((u, v, tuple(sorted(pairs + tuple(zip(free_src, free_dst))))))
-    return Cover(cover.graph, cover.sizes, tuple(entries))
+        per_edge.append(
+            [
+                (u, v, tuple(sorted(pairs + tuple(zip(free_src, perm)))))
+                for perm in permutations(free_dst)
+            ]
+        )
+    for entries in product(*per_edge):
+        yield Cover(cover.graph, cover.sizes, entries)
+
+
+def complete_to_full(cover: Cover) -> Cover:
+    """The first of :func:`full_extensions`: unmatched indices paired in
+    ascending order (idempotent on full covers)."""
+    return next(full_extensions(cover))
 
 
 def find_transversal(cover: Cover) -> tuple[int, ...] | None:
@@ -197,9 +211,12 @@ def find_transversal(cover: Cover) -> tuple[int, ...] | None:
     return None
 
 
-def count_transversals(cover: Cover) -> int:
-    """Exact number of transversals (no early exit)."""
-    return sum(1 for _ in _choices(cover.sizes, cover.matchings))
+def count_transversals(cover: Cover, limits: SearchLimits | None = None) -> int:
+    """Exact number of transversals (no early exit).  The count charges
+    nothing, but checks the deadline of a budget started from ``limits`` and
+    raises :class:`~critickit.errors.BudgetExceeded` once it passes."""
+    spend = (limits or SearchLimits()).start().spend
+    return sum(1 for _ in _choices(cover.sizes, cover.matchings, spend))
 
 
 def is_bad(cover: Cover) -> bool:
@@ -207,51 +224,45 @@ def is_bad(cover: Cover) -> bool:
     return find_transversal(cover) is None
 
 
+def _forest_labels(cover: Cover, forest: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Per-vertex index bijections of a full cover under which every matching
+    on ``forest`` (edges (parent, child), each parent before its children)
+    is the identity.  Each root keeps its indices; the child's index matched
+    to the parent's index i takes i's label."""
+    k = cover.fold
+    forward = {(u, v): pairs for u, v, pairs in cover.matchings}
+    labels = [tuple(range(k))] * cover.graph.n
+    for parent, child in forest:
+        at_parent = labels[parent]
+        s = [0] * k
+        if parent < child:
+            for i, j in forward[(parent, child)]:
+                s[j] = at_parent[i]
+        else:
+            for j, i in forward[(child, parent)]:
+                s[j] = at_parent[i]
+        labels[child] = tuple(s)
+    return labels
+
+
 def canonical_labeling(cover: Cover) -> tuple[tuple[int, ...], ...] | None:
     """Per-vertex bijections of list indices to ``0..k-1`` under which
     matched means equal labels, or None when no such labeling exists.
 
     Requires all lists of one size and all matchings perfect (otherwise
-    None); labels are propagated along a spanning tree of each host
-    component and every remaining edge is checked.
+    None).  The labels make every matching on the host's
+    :func:`~critickit.graphs.spanning_forest` the identity
+    (:func:`_forest_labels`), which fixes them up to one relabeling per
+    component; every edge is then checked.
     """
-    g = cover.graph
-    if g.n == 0:
-        return ()
-    if not cover.is_uniform():
+    if not cover.is_uniform() or not is_full(cover):
         return None
-    k = cover.fold
-    if any(len(pairs) != k for _, _, pairs in cover.matchings):
-        return None
-    forward = {(u, v): dict(pairs) for u, v, pairs in cover.matchings}
-    neighbors_map: dict[int, list[int]] = {v: sorted(g.adj[v]) for v in range(g.n)}
-    labels: list[tuple[int, ...] | None] = [None] * g.n
-    for comp in connected_components(g):
-        root = comp[0]
-        labels[root] = tuple(range(k))
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in neighbors_map[u]:
-                if labels[w] is not None:
-                    continue
-                if (u, w) in forward:
-                    mapping = forward[(u, w)]
-                    lw = [0] * k
-                    for i, j in mapping.items():
-                        lw[j] = labels[u][i]
-                else:
-                    mapping = forward[(w, u)]
-                    lw = [0] * k
-                    for i, j in mapping.items():
-                        lw[i] = labels[u][j]
-                labels[w] = tuple(lw)
-                queue.append(w)
+    labels = _forest_labels(cover, spanning_forest(cover.graph))
     for u, v, pairs in cover.matchings:
         for i, j in pairs:
             if labels[u][i] != labels[v][j]:
                 return None
-    return tuple(labels)  # type: ignore[arg-type]
+    return tuple(labels)
 
 
 def relabel_cover(cover: Cover, relabelings) -> Cover:
@@ -274,25 +285,9 @@ def normalize_cover(cover: Cover, tree: list[tuple[int, int]] | None = None) -> 
     """
     if not is_full(cover):
         raise CoverError("normalize_cover requires a full cover")
-    g = cover.graph
     if tree is None:
-        tree = spanning_tree(g)
-    k = cover.fold
-    forward = {(u, v): dict(pairs) for u, v, pairs in cover.matchings}
-    sigma: list[tuple[int, ...] | None] = [None] * g.n
-    if g.n:
-        sigma[0] = tuple(range(k))
-    for parent, child in tree:
-        if (parent, child) in forward:
-            mapping = forward[(parent, child)]
-        else:
-            mapping = {j: i for i, j in forward[(child, parent)].items()}
-        # force the tree matching to identity: sigma_child(m(i)) = sigma_parent(i)
-        s = [0] * k
-        for i, j in mapping.items():
-            s[j] = sigma[parent][i]
-        sigma[child] = tuple(s)
-    return relabel_cover(cover, sigma)
+        tree = spanning_tree(cover.graph)
+    return relabel_cover(cover, _forest_labels(cover, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +703,7 @@ class RobustVerdict(Record):
     covers decided (all of them on a completed scan).
     """
 
-    __slots__ = ("decision", "k", "witness", "covers_scanned", "criticality")
+    __slots__ = ("decision", "k", "witness", "covers_scanned")
 
     def __init__(
         self,
@@ -716,13 +711,11 @@ class RobustVerdict(Record):
         k: int,
         witness: Cover | tuple[int, int] | int | None,
         covers_scanned: int,
-        criticality: ColoringVerdict | None = None,
     ):
         object.__setattr__(self, "decision", decision)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "covers_scanned", covers_scanned)
-        object.__setattr__(self, "criticality", criticality)
 
 
 def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> RobustVerdict:
@@ -749,19 +742,19 @@ def _robust_verdict(
         verdict = classify_criticality(g)
     k = verdict.chromatic_number
     if not verdict.is_critical:
-        return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0, verdict)
+        return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0)
     budget = (limits or SearchLimits()).start()
     try:
         scan = _GaugeScan(g, k - 1, budget)
         combo = scan.find_bad(skip_canonical=True)
     except BudgetExceeded as exc:
-        return RobustVerdict(UNKNOWN, k, None, exc.spent, verdict)
+        return RobustVerdict(UNKNOWN, k, None, exc.spent)
     if combo is None:
-        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent, verdict)
+        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent)
     witness = scan.cover_at(combo)
     if find_transversal(witness) is not None or canonical_labeling(witness) is not None:
         raise CoverError("internal error: witness failed re-verification")
-    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, budget.spent, verdict)
+    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, budget.spent)
 
 
 def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:

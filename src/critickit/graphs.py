@@ -177,10 +177,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
 def degeneracy(g: Graph) -> int:
     """Smallest d such that every subgraph has a vertex of degree at most d
     (computed by min-degree peeling)."""
@@ -196,30 +192,39 @@ def degeneracy(g: Graph) -> int:
     return best
 
 
+def spanning_forest(g: Graph) -> list[tuple[int, int]]:
+    """Deterministic spanning forest: breadth-first from each component's
+    least vertex, components in order of that vertex, neighbors in ascending
+    id order.  Edges are returned as (parent, child) in discovery order, so
+    every parent appears before its children."""
+    tree = []
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in sorted(g.adj[u]):
+                if not seen[w]:
+                    seen[w] = True
+                    tree.append((u, w))
+                    queue.append(w)
+    return tree
+
+
 def spanning_tree(g: Graph) -> list[tuple[int, int]]:
-    """Deterministic spanning tree: breadth-first from vertex 0, neighbors in
-    ascending id order.  Edges are returned as (parent, child) in discovery
-    order.  Raises :class:`DisconnectedError` naming two components.
+    """:func:`spanning_forest` of a connected graph, so breadth-first from
+    vertex 0.  Raises :class:`DisconnectedError` naming two components.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
+    tree = spanning_forest(g)
+    if len(tree) < g.n - 1:
+        comps = connected_components(g)
         raise DisconnectedError(
             f"graph is disconnected: components {comps[0]} and {comps[1]}",
             (comps[0], comps[1]),
         )
-    tree = []
-    if g.n == 0:
-        return tree
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(g.adj[u]):
-            if not seen[w]:
-                seen[w] = True
-                tree.append((u, w))
-                queue.append(w)
     return tree
 
 

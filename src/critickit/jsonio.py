@@ -1,8 +1,10 @@
 """Witness and report (de)serialization.
 
 Every document carries a versioned ``schema`` field.  Emission is canonical
-(sorted keys, fixed separators, trailing newline) so that deterministic runs
-are byte-identical and serialize/parse/serialize round-trips exactly.
+(sorted keys, fixed separators, trailing newline) so that runs are
+byte-identical.  The cover and assignment documents also parse back, and
+serialize/parse/serialize round-trips them exactly; the verdict and report
+documents are output only.
 """
 
 from __future__ import annotations
@@ -127,21 +129,6 @@ def witness_to_doc(witness) -> dict | None:
     if hasattr(witness, "matchings"):
         return {"kind": "cover", "cover": cover_to_doc(witness)}
     return {"kind": "assignment", "assignment": assignment_to_doc(witness)}
-
-
-def witness_from_doc(document: dict | None):
-    if document is None:
-        return None
-    kind = document["kind"]
-    if kind == "cover":
-        return cover_from_doc(document["cover"])
-    if kind == "assignment":
-        return assignment_from_doc(document["assignment"])
-    if kind == "edge":
-        return tuple(document["edge"])
-    if kind == "vertex":
-        return document["vertex"]
-    raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def criticality_to_doc(verdict: ColoringVerdict) -> dict:

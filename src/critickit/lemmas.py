@@ -51,6 +51,7 @@ from .covers import (
     _survivor_walk,
     canonical_labeling,
     find_transversal,
+    full_extensions,
     robust_criticality_verdict,
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
@@ -273,31 +274,6 @@ def check_excess_lemma(
     return LemmaReport("excess", word, total, ALL_PASS, mode)
 
 
-def _full_extensions(cover: Cover):
-    """All full covers extending a uniform partial cover, pairing the
-    unmatched indices in every injective way."""
-    k = cover.fold
-    per_edge = []
-    for u, v, pairs in cover.matchings:
-        free_src = sorted(set(range(k)) - {i for i, _ in pairs})
-        free_dst = sorted(set(range(k)) - {j for _, j in pairs})
-        per_edge.append(
-            [
-                tuple(sorted(pairs + tuple(zip(free_src, perm))))
-                for perm in permutations(free_dst)
-            ]
-        )
-    for combo in product(*per_edge):
-        yield Cover(
-            cover.graph,
-            cover.sizes,
-            tuple(
-                (u, v, pairs)
-                for (u, v, _), pairs in zip(cover.matchings, combo)
-            ),
-        )
-
-
 def check_full_extension_lemma(
     g: Graph, limits: SearchLimits | None = None
 ) -> LemmaReport:
@@ -322,7 +298,7 @@ def check_full_extension_lemma(
             if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
                 continue  # full covers are outside the lemma's hypothesis
             cover = profile.cover_at(picks)
-            for extension in _full_extensions(cover):
+            for extension in full_extensions(cover):
                 extensions += 1
                 if canonical_labeling(extension) is not None:
                     return LemmaReport(

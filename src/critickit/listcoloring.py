@@ -12,7 +12,6 @@ from typing import Iterator
 
 from .base import NO, UNKNOWN, YES, Record
 from .coloring import (
-    ColoringVerdict,
     _choices,
     _color_matchings,
     chromatic_number,
@@ -197,10 +196,13 @@ class _BadAssignmentSearch:
     each deferred vertex one fresh color per pending block, fresh colors
     never clash with current ones, and peelability lets a reverse-peel greedy
     pick pairwise-compatible fresh colors inside D.
+
+    At a complete system no vertex has a pending block, so nothing can be
+    deferred and the certificate is exactly a search for a proper list
+    coloring: the same method decides the complete systems too.
     """
 
     def __init__(self, g: Graph, k: int, limits: SearchLimits | None):
-        self.g = g
         self.n = g.n
         self.k = k
         self.adj = [0] * g.n
@@ -224,10 +226,11 @@ class _BadAssignmentSearch:
         self, rem: list[int], lists: list[tuple[int, ...]]
     ) -> bool:
         """Is there a partial coloring with a peelable deferred set, as in
-        the class docstring?  Vertices are tried in order of fewest options,
-        each deferred first (if it has pending blocks) and then given each
-        of its colors that no colored neighbor holds, on an explicit stack;
-        the deadline is checked every 4096 nodes."""
+        the class docstring?  On a complete system: is it colorable?
+        Vertices are tried in order of fewest options, each deferred first
+        (if it has pending blocks) and then given each of its colors that no
+        colored neighbor holds, on an explicit stack; the deadline is
+        checked every 4096 nodes."""
         n, adj = self.n, self.adj
         order = sorted(range(n), key=lambda v: (len(lists[v]) + (rem[v] > 0), v))
         holders: dict[int, int] = {}  # color -> mask of the vertices holding it
@@ -276,18 +279,11 @@ class _BadAssignmentSearch:
             i += 1
             entering = True
 
-    def _colorable(self, lists: list[tuple[int, ...]]) -> bool:
-        return is_list_colorable(
-            self.g, ListAssignment(tuple(frozenset(l) for l in lists))
-        )
-
     def run(self) -> BlockSystem | None:
-        walk = _block_walk(
-            self.n, self.k, self.budget.spend, self._all_completions_colorable
-        )
-        for blocks, _, lists in walk:
+        colorable = self._all_completions_colorable
+        for blocks, rem, lists in _block_walk(self.n, self.k, self.budget.spend, colorable):
             # the constant assignment is never a witness
-            if any(b != self.full for b in blocks) and not self._colorable(lists):
+            if any(b != self.full for b in blocks) and not colorable(rem, lists):
                 return BlockSystem(self.n, self.k, tuple(blocks))
         return None
 
@@ -338,7 +334,7 @@ class StrongVerdict(Record):
     part fails; None on yes.
     """
 
-    __slots__ = ("decision", "k", "mode", "witness", "criticality")
+    __slots__ = ("decision", "k", "mode", "witness")
 
     def __init__(
         self,
@@ -346,13 +342,11 @@ class StrongVerdict(Record):
         k: int,
         mode: str,
         witness: tuple[int, int] | int | ListAssignment | None,
-        criticality: ColoringVerdict,
     ):
         object.__setattr__(self, "decision", decision)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "criticality", criticality)
 
 
 def strong_criticality_verdict(
@@ -369,11 +363,11 @@ def strong_criticality_verdict(
     k = verdict.chromatic_number
     ok = verdict.is_critical if mode == "critical" else verdict.is_vertex_critical
     if not ok:
-        return StrongVerdict(NO, k, mode, verdict.witness, verdict)
+        return StrongVerdict(NO, k, mode, verdict.witness)
     try:
         bad = find_bad_nonconstant_assignment(g, k - 1, limits)
     except BudgetExceeded:
-        return StrongVerdict(UNKNOWN, k, mode, None, verdict)
+        return StrongVerdict(UNKNOWN, k, mode, None)
     if bad is not None:
-        return StrongVerdict(NO, k, mode, bad, verdict)
-    return StrongVerdict(YES, k, mode, None, verdict)
+        return StrongVerdict(NO, k, mode, bad)
+    return StrongVerdict(YES, k, mode, None)

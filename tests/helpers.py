@@ -10,8 +10,9 @@ not the tables; the induction check's cover loop run on every cover one by
 one, which pins what the survivor walk may skip; plain recursive copies of
 the block-system enumeration and of the bad-assignment search, which pin the
 shared block walk's systems, charges and witnesses, not the search's
-certificate; and a plain recursive copy of that certificate, which pins its
-answers.
+certificate; a plain recursive copy of that certificate, which pins its
+answers; and the covers' index relabeling and completion as they were
+before they shared one spanning-forest walk and one extension enumerator.
 """
 
 from __future__ import annotations
@@ -524,11 +525,14 @@ def oracle_block_systems(n: int, k: int):
 def oracle_bad_assignment(search):
     """The bad-assignment search as a plain recursion over block systems,
     charging ``search.budget`` one unit per node and asking the search's own
-    ``_all_completions_colorable`` and ``_colorable``.  Same witness and the
-    same ``spend`` calls as ``search.run()``."""
+    ``_all_completions_colorable``, at complete systems too.  Same witness
+    and the same ``spend`` calls as ``search.run()``.  Every complete
+    system it finds bad, and on at most 5 vertices every one it finds
+    colorable, is checked against :func:`brute_is_list_colorable`."""
     from critickit.listcoloring import BlockSystem, _submasks_ascending
 
     n, k = search.n, search.k
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u) if search.adj[u] >> v & 1])
     rem = [k] * n
     blocks: list[int] = []
 
@@ -538,9 +542,10 @@ def oracle_bad_assignment(search):
         if pos == 0:
             if all(b == search.full for b in blocks):
                 return None  # the constant assignment, never a witness
-            if not search._colorable(lists):
-                return BlockSystem(n, k, tuple(blocks))
-            return None
+            colorable = search._all_completions_colorable(rem, lists)
+            if not colorable or n <= 5:
+                assert colorable == brute_is_list_colorable(g, ListAssignment.of(lists)), blocks
+            return None if colorable else BlockSystem(n, k, tuple(blocks))
         if pos < min_mask:
             return None
         if search._all_completions_colorable(rem, lists):
@@ -591,3 +596,94 @@ def oracle_all_completions_colorable(search, rem, lists) -> bool:
         return False
 
     return rec(0, 0)
+
+
+def oracle_canonical_labeling(cover: Cover):
+    """:func:`critickit.canonical_labeling` as a per-component breadth-first
+    walk of its own: labels go from each component's least vertex along the
+    first edge that reaches a vertex, then every edge is checked."""
+    g = cover.graph
+    if g.n == 0:
+        return ()
+    if not cover.is_uniform():
+        return None
+    k = cover.fold
+    if any(len(pairs) != k for _, _, pairs in cover.matchings):
+        return None
+    forward = {(u, v): dict(pairs) for u, v, pairs in cover.matchings}
+    labels = [None] * g.n
+    for root in range(g.n):
+        if labels[root] is not None:
+            continue
+        labels[root] = tuple(range(k))
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for w in sorted(g.adj[u]):
+                if labels[w] is not None:
+                    continue
+                lw = [0] * k
+                if (u, w) in forward:
+                    for i, j in forward[(u, w)].items():
+                        lw[j] = labels[u][i]
+                else:
+                    for i, j in forward[(w, u)].items():
+                        lw[i] = labels[u][j]
+                labels[w] = tuple(lw)
+                queue.append(w)
+    for u, v, pairs in cover.matchings:
+        for i, j in pairs:
+            if labels[u][i] != labels[v][j]:
+                return None
+    return tuple(labels)
+
+
+def oracle_normalize_cover(cover: Cover, tree) -> Cover:
+    """:func:`critickit.normalize_cover` on a full cover and a spanning tree
+    of (parent, child) edges rooted at vertex 0, parents first."""
+    from critickit import relabel_cover
+
+    k = cover.fold
+    forward = {(u, v): dict(pairs) for u, v, pairs in cover.matchings}
+    sigma = [None] * cover.graph.n
+    if cover.graph.n:
+        sigma[0] = tuple(range(k))
+    for parent, child in tree:
+        if (parent, child) in forward:
+            mapping = forward[(parent, child)]
+        else:
+            mapping = {j: i for i, j in forward[(child, parent)].items()}
+        s = [0] * k
+        for i, j in mapping.items():
+            s[j] = sigma[parent][i]
+        sigma[child] = tuple(s)
+    return relabel_cover(cover, sigma)
+
+
+def oracle_complete_to_full(cover: Cover) -> Cover:
+    """:func:`critickit.complete_to_full`: each edge's unmatched indices
+    paired in ascending order."""
+    k = cover.fold
+    entries = []
+    for u, v, pairs in cover.matchings:
+        free_src = sorted(set(range(k)) - {i for i, _ in pairs})
+        free_dst = sorted(set(range(k)) - {j for _, j in pairs})
+        entries.append((u, v, tuple(sorted(pairs + tuple(zip(free_src, free_dst))))))
+    return Cover(cover.graph, cover.sizes, tuple(entries))
+
+
+def random_uniform_cover(rng: random.Random, g: Graph, k: int) -> Cover:
+    """A k-fold cover of g of one of three kinds, drawn evenly: a random
+    partial cover, a random full cover, or the canonical cover relabeled at
+    random (which has a canonical labeling)."""
+    from critickit import make_canonical_cover, make_cover, relabel_cover
+
+    kind = rng.randrange(3)
+    if kind == 2:
+        canonical = make_canonical_cover(g, k)
+        return relabel_cover(canonical, random_relabeling(rng, canonical))
+    matchings = {}
+    for u, v in g.edges():
+        count = k if kind == 1 else rng.randint(0, k)
+        matchings[(u, v)] = dict(zip(rng.sample(range(k), count), rng.sample(range(k), count)))
+    return make_cover(g, [k] * g.n, matchings)

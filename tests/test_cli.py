@@ -166,16 +166,18 @@ def test_budget_env_override(monkeypatch):
     assert status == 0
 
 
-def test_workers_flag_accepted():
-    status, _ = run("--workers", "2", "check", "robust", "--cycle", "5")
-    assert status == 0
-    status, _ = run("--workers", "0", "check", "robust", "--cycle", "5")
+def test_node_budget_holds_for_the_whole_scan():
+    status, out = run("--json", "--node-budget", "100", "check", "robust", "--ekab", "4", "2", "2")
+    assert status == 2
+    doc = json.loads(out)
+    assert doc["decision"] == "unknown" and doc["covers_scanned"] <= 100
+
+
+@pytest.mark.parametrize("flags", [["--workers", "2"], ["--deterministic"]])
+def test_removed_flags_are_usage_errors(flags):
+    status, out = run("--json", *flags, "check", "robust", "--cycle", "5")
     assert status == 64
-    # the node budget holds for the whole scan, whatever --workers says
-    argv = ("--json", "--node-budget", "100", "check", "robust", "--ekab", "4", "2", "2")
-    plain = run(*argv)
-    assert run("--workers", "2", *argv) == plain
-    assert json.loads(plain[1])["covers_scanned"] <= 100
+    assert json.loads(out)["schema"] == "critickit/error/1"
 
 
 # ---------------------------------------------------------------- JSON mode
@@ -260,8 +262,8 @@ def test_json_usage_error_is_json():
 
 
 def test_deterministic_runs_byte_identical():
-    first = run("--json", "--deterministic", "check", "robust", "--ekab", "4", "2", "2")
-    second = run("--json", "--deterministic", "check", "robust", "--ekab", "4", "2", "2")
+    first = run("--json", "check", "robust", "--ekab", "4", "2", "2")
+    second = run("--json", "check", "robust", "--ekab", "4", "2", "2")
     assert first == second
 
 
@@ -332,6 +334,7 @@ GRID_6X6 = (
     "???AC???CG???C????AC????`????CG????O_????`"
 )
 GRID_5X5 = "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
+PATH_THEN_K4 = "YhCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???B???B_"
 TIME_CAPPED = {
     "check robust": HUGE + ["check", "robust", "--cycle", "5", "--clique", "2", "--join"],
     "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
@@ -349,6 +352,10 @@ TIME_CAPPED = {
     ],
     "lemma join": HUGE + ["lemma", "join", "--cycle", "5", "-t", "2"],
     "count chromatic-poly": ["count", "chromatic-poly", "--graph6", GRID_5X5],
+    # a K4 hung off the end of a 22-vertex path: each of the 3 * 2**21
+    # colorings of the path dies at the K4, so the count is 0
+    "count colorings": ["count", "colorings", "-k", "3", "--graph6", PATH_THEN_K4],
+    "count transversals": ["count", "transversals", "-k", "3", "--graph6", PATH_THEN_K4],
 }
 
 

@@ -50,13 +50,17 @@ from helpers import (
     brute_count_transversals,
     brute_find_transversal,
     grid_graph,
+    oracle_canonical_labeling,
+    oracle_complete_to_full,
     oracle_find_bad,
     oracle_kill_masks,
     oracle_min_transversals,
+    oracle_normalize_cover,
     random_assignment,
     random_cover,
     random_graph,
     random_relabeling,
+    random_uniform_cover,
 )
 
 K3_PLUS_PENDANT = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -318,6 +322,40 @@ def test_normalize_maps_into_enumeration():
             sigma = random_relabeling(rng, cover)
             shuffled = relabel_cover(cover, sigma)
             assert normalize_cover(shuffled, tree) == cover
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_relabeling_and_completion_match_reference():
+    # labels, normal forms and completions of random covers, error types
+    # included: partial, full and relabeled canonical covers, on hosts
+    # that may be disconnected, plus covers with unequal list sizes
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(0, 7), p=rng.uniform(0.1, 0.9))
+        if rng.random() < 0.1:
+            cover = random_cover(rng, g, max_size=3)
+        else:
+            cover = random_uniform_cover(rng, g, rng.randint(1, 4))
+        labels = oracle_canonical_labeling(cover)
+        assert canonical_labeling(cover) == labels, cover
+        completed = _outcome(oracle_complete_to_full, cover)
+        assert _outcome(complete_to_full, cover) == completed, cover
+        try:
+            tree = spanning_tree(g)
+        except DisconnectedError:
+            tree = None
+        if isinstance(completed, Cover):
+            normal = DisconnectedError if tree is None else oracle_normalize_cover(completed, tree)
+            assert _outcome(normalize_cover, completed) == normal, completed
+        kinds.add((labels is not None, tree is None))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_c5_two_normal_forms():

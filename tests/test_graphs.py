@@ -25,6 +25,7 @@ from critickit import (
     parse_graph6,
     spanning_tree,
 )
+from critickit.graphs import spanning_forest
 from helpers import are_isomorphic, random_graph
 
 
@@ -238,6 +239,13 @@ def test_graph6_exhaustive_small():
 
 def test_spanning_tree_c5_bfs_order():
     assert spanning_tree(cycle(5)) == [(0, 1), (0, 4), (1, 2), (4, 3)]
+
+
+def test_spanning_forest_roots_every_component():
+    # breadth-first from each component's least vertex, in that order
+    g = build_graph(7, [(0, 4), (1, 6), (3, 6), (4, 5), (2, 5)])
+    assert spanning_forest(g) == [(0, 4), (4, 5), (5, 2), (1, 6), (6, 3)]
+    assert spanning_forest(cycle(5)) == spanning_tree(cycle(5))
 
 
 def test_spanning_tree_k2():

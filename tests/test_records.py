@@ -82,7 +82,6 @@ def _reference(cls, defaults=None, checks=None):
 
 C5 = cycle(5)
 COVER = make_canonical_cover(C5, 2)
-VERDICT = ColoringVerdict(3, True, True, None)
 
 # record type -> (reference, valid field tuples, invalid field tuples)
 CASES = {
@@ -113,8 +112,8 @@ CASES = {
         [],
     ),
     RobustVerdict: (
-        _reference(RobustVerdict, {"criticality": None}),
-        [("robustly_critical", 3, None, 2), ("noncanonical_bad_cover_found", 3, COVER, 7, VERDICT)],
+        _reference(RobustVerdict),
+        [("robustly_critical", 3, None, 2), ("noncanonical_bad_cover_found", 3, COVER, 7)],
         [],
     ),
     PdpResult: (_reference(PdpResult), [(0, COVER, 5)], []),
@@ -130,7 +129,7 @@ CASES = {
     ),
     StrongVerdict: (
         _reference(StrongVerdict),
-        [("yes", 3, "critical", None, VERDICT), ("no", 3, "vertex_critical", 4, VERDICT)],
+        [("yes", 3, "critical", None), ("no", 3, "vertex_critical", 4)],
         [],
     ),
     LemmaReport: (
