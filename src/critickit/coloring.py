@@ -40,8 +40,8 @@ def _choices(sizes, matchings, spend=None) -> Iterator[list[int]]:
     Yields one shared choice list that the caller must copy before
     advancing.  Vertices are assigned in order 0..n-1 on an explicit stack,
     so input size is not limited by the interpreter's recursion limit.
-    Given ``spend``, the walk checks the deadline every 4096 backtracks
-    with a zero-unit charge."""
+    Given ``spend``, the walk charges one unit per backtrack, 4096 at a
+    time, which also checks the deadline."""
     n = len(sizes)
     if n == 0:
         yield []
@@ -67,7 +67,7 @@ def _choices(sizes, matchings, spend=None) -> Iterator[list[int]]:
             if spend is not None:
                 backtracks += 1
                 if not backtracks & 4095:
-                    spend(0)
+                    spend(4096)
             continue
         choice[v] = i
         if v == n - 1:
@@ -272,9 +272,9 @@ def count_proper_colorings(g: Graph, k: int, limits: SearchLimits | None = None)
 
     Counts the choices of :func:`_choices` under identity matchings, one by
     one, independently of the chromatic polynomial so the two can be
-    cross-checked.  The count charges nothing, but checks the deadline of a
-    budget started from ``limits`` and raises
-    :class:`~critickit.errors.BudgetExceeded` once it passes.
+    cross-checked.  The walk charges its backtracks to a budget started from
+    ``limits`` (see :func:`_choices`), which raises
+    :class:`~critickit.errors.BudgetExceeded` when it trips.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")

@@ -15,6 +15,13 @@ Sym(k) at every vertex, which conjugates each non-tree permutation.  The
 scans further quotient by that conjugation (see :class:`_GaugeScan`).  In
 the gauge-fixed picture a cover is canonical iff every non-tree permutation
 is the identity.
+
+Robust criticality of a join g = h + a, a dominating vertex, at fold
+m = chi(g) - 1 >= 4 is decided from h's verdict by the apex step
+(:func:`critickit.apex.apex_step`) in the star gauge at a, whose gauge-fixed
+covers are those of the scan; at m = 3 and below the scan is faster.  The
+step charges the budget in the scan's unit, one per gauge-fixed cover
+decided.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from itertools import islice, permutations, product, repeat
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
+from .apex import apex_step
 from .base import NONCANONICAL_BAD_COVER_FOUND, NOT_CRITICAL, ROBUSTLY_CRITICAL, UNKNOWN, Record
 from .coloring import (
     ColoringVerdict,
@@ -33,7 +41,7 @@ from .coloring import (
     classify_criticality,
 )
 from .errors import BudgetExceeded, CoverError, GraphError
-from .graphs import Graph, degeneracy, spanning_forest, spanning_tree
+from .graphs import Graph, degeneracy, induced_subgraph, spanning_forest, spanning_tree
 from .limits import Budget, SearchLimits
 
 if TYPE_CHECKING:
@@ -212,9 +220,10 @@ def find_transversal(cover: Cover) -> tuple[int, ...] | None:
 
 
 def count_transversals(cover: Cover, limits: SearchLimits | None = None) -> int:
-    """Exact number of transversals (no early exit).  The count charges
-    nothing, but checks the deadline of a budget started from ``limits`` and
-    raises :class:`~critickit.errors.BudgetExceeded` once it passes."""
+    """Exact number of transversals (no early exit).  The walk charges its
+    backtracks to a budget started from ``limits`` (see
+    :func:`coloring._choices`), which raises
+    :class:`~critickit.errors.BudgetExceeded` when it trips."""
     spend = (limits or SearchLimits()).start().spend
     return sum(1 for _ in _choices(cover.sizes, cover.matchings, spend))
 
@@ -700,7 +709,8 @@ class RobustVerdict(Record):
     ``witness`` is a deletion witness (edge/vertex) for ``not_critical`` or a
     verified bad non-canonical full cover for
     ``noncanonical_bad_cover_found``.  ``covers_scanned`` counts gauge-fixed
-    covers decided (all of them on a completed scan).
+    covers decided (all of them on a completed scan), by the graph's own
+    apex step or scan only (see :func:`robust_criticality_verdict`).
     """
 
     __slots__ = ("decision", "k", "witness", "covers_scanned")
@@ -718,14 +728,31 @@ class RobustVerdict(Record):
         object.__setattr__(self, "covers_scanned", covers_scanned)
 
 
+_APEX_MIN_FOLD = 4  # below it the scan decides joins faster than the apex step
+
+
 def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> RobustVerdict:
-    """Decide robust criticality by scanning all gauge-fixed full covers at
-    one below the chromatic number.
+    """Decide robust criticality by deciding all gauge-fixed full covers at
+    m, one below the chromatic number.
 
     Completing a partial cover only removes transversals, so a bad cover of a
     critical graph always has a bad full extension and scanning full covers
     is enough; gauge fixing makes "canonical" synonymous with "all non-tree
     permutations are the identity".
+
+    While m >= 4 and the graph has a dominating vertex, the vertex is peeled
+    (the least one, in a loop): each level is critical with the fold one
+    less, as g's one classification implies.  The bottom level, and any
+    level with m < 4, is scanned by :class:`_GaugeScan`.  Going back up, a
+    level whose level below is robustly critical is decided by
+    :func:`~critickit.apex.apex_step`; the step declines, and the level is
+    scanned on the budget left, where the level below is not robustly
+    critical or a bad sigma other than the identity turns up, so a witness is
+    always the scan's lexicographically first one.  The whole chain runs on
+    one budget from ``limits`` and stops at the first trip with ``unknown``;
+    a decided step charges m!^|E(g - a)|, the scan's count.
+    ``covers_scanned`` counts g's own level only: the step's charges, or the
+    scan's once the step declines, and 0 when a lower level trips.
     """
     return _robust_verdict(g, limits, None)
 
@@ -744,17 +771,37 @@ def _robust_verdict(
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0)
     budget = (limits or SearchLimits()).start()
+    # levels: g, then each level less a dominating vertex while the fold
+    # (k - 1 at g, one less per level) is at least _APEX_MIN_FOLD
+    levels = [g]
+    while k - len(levels) >= _APEX_MIN_FOLD:
+        h = levels[-1]
+        a = next((v for v in range(h.n) if len(h.adj[v]) == h.n - 1), None)
+        if a is None:
+            break
+        levels.append(induced_subgraph(h, [v for v in range(h.n) if v != a]))
+    start = None  # the budget spent before g's own step or scan
     try:
-        scan = _GaugeScan(g, k - 1, budget)
-        combo = scan.find_bad(skip_canonical=True)
+        robust = False  # the verdict of the level below, none at the bottom
+        for i in range(len(levels) - 1, -1, -1):
+            fold = k - 1 - i
+            if i == 0:
+                start = budget.spent
+            if robust and apex_step(levels[i + 1], _leader_tables(fold), budget)[0]:
+                continue
+            if i == 0:  # a declined step: the scan counts its own covers
+                start = budget.spent
+            scan = _GaugeScan(levels[i], fold, budget)
+            combo = scan.find_bad(skip_canonical=True)
+            robust = combo is None
     except BudgetExceeded as exc:
-        return RobustVerdict(UNKNOWN, k, None, exc.spent)
-    if combo is None:
-        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent)
+        return RobustVerdict(UNKNOWN, k, None, 0 if start is None else exc.spent - start)
+    if robust:
+        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent - start)
     witness = scan.cover_at(combo)
     if find_transversal(witness) is not None or canonical_labeling(witness) is not None:
         raise CoverError("internal error: witness failed re-verification")
-    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, budget.spent)
+    return RobustVerdict(NONCANONICAL_BAD_COVER_FOUND, k, witness, budget.spent - start)
 
 
 def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:

@@ -7,10 +7,15 @@ operations: cover scans, the lemma checks' profile scans among them, charge
 one unit per cover decided, a sampled cover included (covers dismissed in
 bulk by the survivor bound or by symmetry, as not the lex-leader of their
 relabeling orbit, are still charged), assignment searches charge one unit
-per enumeration node.  Work that is not metered checks the deadline with
-zero-unit charges: building a cover scan's kill masks, the bad-assignment
-search's deferral certificate (which also decides every complete block
-system), and the coloring and transversal counts.
+per enumeration node, and the coloring and transversal counts one unit per
+backtrack, 4096 at a time.  The robust verdict's apex step, which decides a
+join g = h + a at fold m >= 4 through its dominating vertex a, charges in
+the scan's unit: each option it does not try is charged its whole subtree,
+each leaf one unit, so a completed step charges every gauge-fixed cover,
+and the scans and steps of the levels below charge the same budget first.
+Work that is not metered checks the deadline with zero-unit charges:
+building a cover scan's kill masks and the bad-assignment search's deferral
+certificate (which also decides every complete block system).
 """
 
 from __future__ import annotations

@@ -329,6 +329,9 @@ def test_json_pdp_stops_at_a_cover_without_transversals():
 # 2 s without it; where the default node budget would stop it sooner, a
 # larger one is given, so that only the deadline can.
 HUGE = ["--node-budget", str(10**15)]
+# C5+K3 has about 1.8e33 gauge-fixed covers at fold 5, and its apex step
+# takes over 2 s to decide them
+BEYOND_C5_K3 = ["--node-budget", str(10**40)]
 GRID_6X6 = (
     "chCKAC`CGO_`?_?O_CG?`?AC?CG?C??AC??`??CG??O_??`???_???O_??CG???`"
     "???AC???CG???C????AC????`????CG????O_????`"
@@ -336,7 +339,7 @@ GRID_6X6 = (
 GRID_5X5 = "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
 PATH_THEN_K4 = "YhCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???B???B_"
 TIME_CAPPED = {
-    "check robust": HUGE + ["check", "robust", "--cycle", "5", "--clique", "2", "--join"],
+    "check robust": BEYOND_C5_K3 + ["check", "robust", "--cycle", "5", "--clique", "3", "--join"],
     "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
     "chi list": ["chi", "list", "--complete-bipartite", "5", "5"],
     # the 6x6 grid: the block walk's root has 2**36 - 1 children
@@ -350,12 +353,13 @@ TIME_CAPPED = {
         "lemma", "induction", "--cycle", "5", "--clique", "2", "--join",
         "--independent-set", "6",
     ],
-    "lemma join": HUGE + ["lemma", "join", "--cycle", "5", "-t", "2"],
+    "lemma join": BEYOND_C5_K3 + ["lemma", "join", "--cycle", "5", "-t", "3"],
     "count chromatic-poly": ["count", "chromatic-poly", "--graph6", GRID_5X5],
     # a K4 hung off the end of a 22-vertex path: each of the 3 * 2**21
-    # colorings of the path dies at the K4, so the count is 0
-    "count colorings": ["count", "colorings", "-k", "3", "--graph6", PATH_THEN_K4],
-    "count transversals": ["count", "transversals", "-k", "3", "--graph6", PATH_THEN_K4],
+    # colorings of the path dies at the K4, so the count is 0; the count's
+    # backtracks would trip the default node budget after about 10 s
+    "count colorings": HUGE + ["count", "colorings", "-k", "3", "--graph6", PATH_THEN_K4],
+    "count transversals": HUGE + ["count", "transversals", "-k", "3", "--graph6", PATH_THEN_K4],
 }
 
 
@@ -370,6 +374,35 @@ def test_time_budget_holds(argv):
     assert "unknown" in (doc.get("status"), doc.get("decision")) or (
         doc.get("outcome") == "truncated"
     ), doc
+
+
+@pytest.mark.parametrize("what", ["colorings", "transversals"])
+def test_counts_charge_the_node_budget(what):
+    # the count charges its backtracks, so the node budget alone stops it
+    start = time.monotonic()
+    status, out = run("--json", "--node-budget", "1000", "count", what, "-k", "3",
+                      "--graph6", PATH_THEN_K4)
+    assert time.monotonic() - start < 2.0
+    assert status == 2
+    assert json.loads(out)["status"] == "unknown"
+
+
+def test_apex_step_decides_joins():
+    # K5 through K4 and C5+K2 through C5+K1: covers_scanned counts the join's
+    # own gauge-fixed covers, (k-1)!^|E(H)|, not the level below
+    status, out = run("--json", "--node-budget", "200000000", "check", "robust", "--clique", "5")
+    assert status == 0
+    assert out == (
+        '{"covers_scanned":191102976,"decision":"robustly_critical","k":5,'
+        '"schema":"critickit/robust-verdict/1","witness":null}\n'
+    )
+    start = time.monotonic()
+    status, out = run("--json", "--node-budget", str(10**14),
+                      "check", "robust", "--cycle", "5", "--clique", "2", "--join")
+    assert time.monotonic() - start < 2.0
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["decision"] == "robustly_critical" and doc["covers_scanned"] == 24**10
 
 
 def test_time_budget_holds_on_a_long_cycle_polynomial(tmp_path):
