@@ -16,6 +16,10 @@ scans further quotient by that conjugation (see :class:`_GaugeScan`).  In
 the gauge-fixed picture a cover is canonical iff every non-tree permutation
 is the identity.
 
+Scans decide whether a bad cover exists walking the non-tree edges most
+destructive first (:func:`_decision_order`); a witness is the first bad
+cover in canonical edge order, found by walking again in that order.
+
 Robust criticality of a join g = h + a, a dominating vertex, at fold
 m = chi(g) - 1 >= 4 is decided from h's verdict by the apex step
 (:func:`critickit.apex.apex_step`) in the star gauge at a, whose gauge-fixed
@@ -27,7 +31,7 @@ decided.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import islice, permutations, product, repeat
+from itertools import permutations, product, repeat
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
@@ -353,43 +357,70 @@ def enumerate_full_covers(
 
 
 _ZEROS = b"0" * 256
+_BLOCK_ROWS = 1 << 16
 
 
-def _kill_masks(tuples, sizes, edges, options, spend) -> tuple[int, list[list[int]]]:
-    """(the mask of every tuple, ``kill``) over the index tuples
-    ``tuples``, one index per vertex and ``0..sizes[v]-1`` at vertex v: bit
-    i stands for the i-th tuple, and ``kill[e][o]`` holds the tuples whose
-    indices at the endpoints of ``edges[e]`` form one of the pairs of
-    option ``options[e][o]``.
+def _product_blocks(sizes):
+    """``product(*map(range, sizes))`` as blocks of (rows, one bytes column
+    per position) written by byte repetition, each running through the
+    trailing positions that fit in ``_BLOCK_ROWS`` rows."""
+    if 0 in sizes:
+        return
+    h, tail = len(sizes), 1
+    while h and tail * sizes[h - 1] <= _BLOCK_ROWS:
+        h -= 1
+        tail *= sizes[h]
+    columns, inner, outer = [], tail, 1
+    for s in sizes[h:]:
+        inner //= s
+        columns.append(b"".join([bytes([d]) * inner for d in range(s)]) * outer)
+        outer *= s
+    for head in product(*map(range, sizes[:h])):
+        yield tail, [bytes([d]) * tail for d in head] + columns
 
-    The per-(vertex, index) masks are built column by column: the tuples'
-    bytes are laid end to end, each vertex's column is sliced out, last
-    tuple first, and ``translate`` turns it into a string of binary digits
-    for ``int(..., 2)`` (base 2 is exempt from the int-string digit limit).
-    Reading the tuples is most of the set-up time, so the deadline is
-    checked every 4096 tuples, charging nothing."""
-    n = len(sizes)
-    rows = map(bytes, tuples)
-    data = bytearray()
+
+def _tree_colorings(k: int, n: int, tree):
+    """The proper k-colorings of a tree, (parent, child) edges from root 0,
+    in :func:`_product_blocks` of one column per vertex: the root's color,
+    then per edge a digit d < k - 1, the child's color d + (d >= parent's),
+    packed as d * k + parent's color in each byte by one big-int sum (k <=
+    16) and mapped by one ``translate``."""
+    lanes = bytes(x // k + (x // k >= x % k) for x in range(256)) if k > 1 else None
+    for rows, digits in _product_blocks((k,) + (k - 1,) * len(tree)):
+        colors = [digits[0]] * n
+        for (parent, child), column in zip(tree, digits[1:]):
+            packed = int.from_bytes(column, "big") * k + int.from_bytes(colors[parent], "big")
+            colors[child] = packed.to_bytes(rows, "big").translate(lanes)
+        yield rows, colors
+
+
+def _kill_masks(blocks, sizes, edges, options, spend) -> tuple[int, list[list[int]]]:
+    """(the mask of every row, ``kill``) over the index tuples in
+    ``blocks`` of (rows, one bytes column per vertex), ``0..sizes[v]-1`` at
+    v: bit i stands for row i, and ``kill[e][o]`` holds the rows whose
+    indices at ``edges[e]``'s ends form a pair of option ``options[e][o]``.
+    ``translate`` turns a column, last row first, into binary digits for
+    ``int(..., 2)``, which has no digit limit.  The deadline is checked at
+    every block and edge, charging nothing."""
+    parts = [[] for _ in sizes]
     count = 0
-    while True:
-        chunk = list(islice(rows, 4096))
-        if not chunk:
-            break
+    for rows, columns in blocks:
         spend(0)
-        count += len(chunk)
-        data += b"".join(chunk)
-    at = []  # at[v][a]: the tuples with index a at v
-    for v, size in enumerate(sizes):
-        column = data[v::n][::-1]
+        count += rows
+        for part, column in zip(parts, columns):
+            part.append(column)
+    at = []  # at[v][a]: the rows with index a at v
+    for part, size in zip(parts, sizes):
+        column = b"".join(part)[::-1]
         at.append([
             int(column.translate(_ZEROS[:a] + b"1" + _ZEROS[a + 1 :]) or b"0", 2)
             for a in range(size)
         ])
     kill = []
     for (u, v), opts in zip(edges, options):
-        at_u, at_v = at[u], at[v]
-        kill.append([reduce(or_, [at_u[a] & at_v[b] for a, b in pairs], 0) for pairs in opts])
+        spend(0)
+        both = [[a & b for b in at[v]] for a in at[u]]
+        kill.append([reduce(or_, [both[a][b] for a, b in pairs], 0) for pairs in opts])
     return (1 << count) - 1, kill
 
 
@@ -600,28 +631,32 @@ def _leader_tables(k: int) -> _LeaderTables:
     return _LeaderTables(k)
 
 
+def _decision_order(kill) -> list[int]:
+    """The non-tree edges by descending root max kill (the most survivors
+    one option kills), ties in canonical order."""
+    return sorted(range(len(kill)), key=lambda e: -max(map(int.bit_count, kill[e])))
+
+
 class _GaugeScan:
     """Gauge-fixed full k-fold covers, walked by :func:`_survivor_walk`.
 
     Each non-tree edge's options are the k! permutations.  A survivor is a
-    transversal of the tree-only cover, one bit of a bitset; permutation p
-    on a non-tree edge kills the transversals it matches (``kill``) and
-    keeps the rest (``keep``).  The survivors of a prefix are the
-    transversals compatible with every permutation chosen so far, so a
-    cover is bad iff it has none, and its transversal count is the number
-    left after the last edge.  The kill table comes from :func:`_kill_masks`
-    over the tree-only transversals, built column by column.
+    transversal of the tree-only cover, a proper coloring of the tree, one
+    bit of a bitset (:func:`_tree_colorings`); permutation p on a non-tree
+    edge kills the transversals it matches (``kill``) and keeps the rest
+    (``keep``), both in canonical edge order.  A cover is bad iff its
+    permutations keep no survivor; its transversal count is how many they
+    keep.  ``order`` is the decision order.
 
     Relabeling every vertex by the same sigma keeps the tree matchings at the
-    identity and conjugates each non-tree permutation, so both scans visit
-    only prefixes that are the lexicographic leader of their conjugation
-    orbit (lex-leader symmetry breaking, :meth:`_LeaderTables.leader_step`).
-    A node carries the stabilizer of its prefix: None for all of Sym(k),
-    else a tuple of the non-identity elements.  Badness, canonicity and
-    transversal counts are invariant under the relabeling, so the
-    lexicographically first bad cover or minimizer is always a leader and
-    the witnesses are unchanged.  The permutations and leader tables depend
-    only on k and are shared by every scan at k.
+    identity and conjugates each non-tree permutation, every coordinate
+    alike, so the walks, in any edge order, visit only prefixes that are the
+    lexicographic leader of their conjugation orbit
+    (:meth:`_LeaderTables.leader_step`).  A node carries the stabilizer of
+    its prefix: None for all of Sym(k), else a tuple of the non-identity
+    elements.  Badness, canonicity and transversal counts are invariant
+    under the relabeling, so the first bad cover or minimizer is always a
+    leader.  Scans at one k share its leader tables.
 
     Work is accounted per cover decided; subtrees dismissed by the survivor
     bound or by symmetry are charged in full.
@@ -637,36 +672,39 @@ class _GaugeScan:
         self.nperm = tables.nperm
         self._leader_step = tables.leader_step
         self.depth_total = len(self.nontree)
-        identity = tuple((i, i) for i in range(k))
-        tree_only = [(min(u, v), max(u, v), identity) for u, v in self.tree]
         self.full_mask, self.kill = _kill_masks(
-            _choices((k,) * g.n, tree_only), (k,) * g.n, self.nontree,
+            _tree_colorings(k, g.n, self.tree), (k,) * g.n, self.nontree,
             [tables.pairs] * self.depth_total, budget.spend,
         )
         self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
+        self.order = _decision_order(self.kill)
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
 
-    def find_bad(self, skip_canonical: bool):
-        """Lexicographically first bad gauge-fixed cover (skipping the
-        all-identity one when ``skip_canonical``), as its combo, or None after
-        deciding the whole space."""
+    def find_bad(self, skip_canonical: bool, order=None):
+        """The first bad gauge-fixed cover (not the all-identity one if
+        ``skip_canonical``) walking the non-tree edges in ``order``, as its
+        combo in canonical edge order, or None after deciding the whole
+        space; the lexicographically first in canonical order (None)."""
         total = self.depth_total
+        order = range(total) if order is None else order
         picks = [0] * total
         for depth, survivors in _survivor_walk(
-            self.kill, self.keep, self.full_mask, picks, self.budget.spend,
-            leader_step=self._leader_step,
+            [self.kill[e] for e in order], [self.keep[e] for e in order],
+            self.full_mask, picks, self.budget.spend, leader_step=self._leader_step,
         ):
             if survivors == 0:
-                rest = total - depth
-                if not skip_canonical or any(picks[:depth]):
-                    return tuple(picks[:depth]) + (0,) * rest
-                if rest and self.nperm > 1:
-                    # lexicographically first non-identity completion
-                    return (0,) * (total - 1) + (1,)
+                picks[depth:] = [0] * (total - depth)  # the walk reopens them
+                if not skip_canonical or any(picks):
+                    break
+                if depth < total and self.nperm > 1:
+                    picks[-1] = 1  # the first non-identity completion
+                    break
             self.budget.spend(1)  # colorable, or the canonical cover skipped
-        return None
+        else:
+            return None
+        return tuple(p for _, p in sorted(zip(order, picks)))
 
     # -- minimize the transversal count -----------------------------------
 
@@ -743,16 +781,17 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     While m >= 4 and the graph has a dominating vertex, the vertex is peeled
     (the least one, in a loop): each level is critical with the fold one
     less, as g's one classification implies.  The bottom level, and any
-    level with m < 4, is scanned by :class:`_GaugeScan`.  Going back up, a
-    level whose level below is robustly critical is decided by
-    :func:`~critickit.apex.apex_step`; the step declines, and the level is
-    scanned on the budget left, where the level below is not robustly
-    critical or a bad sigma other than the identity turns up, so a witness is
-    always the scan's lexicographically first one.  The whole chain runs on
-    one budget from ``limits`` and stops at the first trip with ``unknown``;
-    a decided step charges m!^|E(g - a)|, the scan's count.
-    ``covers_scanned`` counts g's own level only: the step's charges, or the
-    scan's once the step declines, and 0 when a lower level trips.
+    level with m < 4, is scanned by :class:`_GaugeScan` in decision order.
+    Going back up, a level whose level below is robustly critical is decided
+    by :func:`~critickit.apex.apex_step`; the step declines, and the level
+    is scanned, where the level below is not robustly critical or a bad
+    sigma other than the identity turns up.  A bad cover found out of
+    canonical order is found again in it, so the witness is the scan's
+    lexicographically first.  The chain runs on one budget from ``limits``
+    and stops at the first trip with ``unknown``; a decided step charges
+    m!^|E(g - a)|, the scan's count.  ``covers_scanned`` counts g's own
+    level only: the step's charges, or the last walk's of g's scan, and 0
+    when a lower level trips.
     """
     return _robust_verdict(g, limits, None)
 
@@ -792,8 +831,11 @@ def _robust_verdict(
             if i == 0:  # a declined step: the scan counts its own covers
                 start = budget.spent
             scan = _GaugeScan(levels[i], fold, budget)
-            combo = scan.find_bad(skip_canonical=True)
+            combo = scan.find_bad(True, scan.order)
             robust = combo is None
+        if not robust and scan.order != sorted(scan.order):
+            start = budget.spent  # the witness's walk counts its own covers
+            combo = scan.find_bad(True)
     except BudgetExceeded as exc:
         return RobustVerdict(UNKNOWN, k, None, 0 if start is None else exc.spent - start)
     if robust:
@@ -821,7 +863,8 @@ def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
     while k < greedy_cap:
         budget = (limits or SearchLimits()).start()
         try:
-            combo = _GaugeScan(g, k, budget).find_bad(skip_canonical=False)
+            scan = _GaugeScan(g, k, budget)
+            combo = scan.find_bad(False, scan.order)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"dp_chromatic_number undecided at k={k}",

@@ -47,6 +47,7 @@ from .covers import (
     Cover,
     _GaugeScan,
     _kill_masks,
+    _product_blocks,
     _robust_verdict,
     _survivor_walk,
     canonical_labeling,
@@ -163,8 +164,9 @@ class _ProfileCovers:
         tuples whose endpoint indices form one of the option's pairs), from
         :func:`~critickit.covers._kill_masks`, which checks the deadline on
         ``spend``."""
-        universe = product(*(range(s) for s in self.sizes))
-        return _kill_masks(universe, self.sizes, self.edges, self.options, spend)
+        return _kill_masks(
+            _product_blocks(self.sizes), self.sizes, self.edges, self.options, spend
+        )
 
     def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
         """(mode, covers to decide in all, iterator of (covers decided so

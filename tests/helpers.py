@@ -325,6 +325,21 @@ class RecordingBudget(Budget):
         super().spend(units)
 
 
+def oracle_tree_colorings(k: int, n: int, tree):
+    """The proper k-colorings of a tree on ``n`` vertices, (parent, child)
+    edges from the root at vertex 0, as the gauge-fixed scan numbers its
+    survivors: the root's color, then one digit d < k - 1 per tree edge, the
+    child taking the d-th color other than its parent's, in ``product``
+    order over the digits."""
+    out = []
+    for digits in product(range(k), *[range(k - 1)] * len(tree)):
+        colors = [digits[0]] * n
+        for (parent, child), d in zip(tree, digits[1:]):
+            colors[child] = [c for c in range(k) if c != colors[parent]][d]
+        out.append(tuple(colors))
+    return out
+
+
 def oracle_kill_masks(transversals, nontree, perms):
     """Per non-tree edge (u, v) and permutation p, the mask of transversals
     t with p[t[u]] == t[v], built pair by pair."""
@@ -349,11 +364,14 @@ def _oracle_kills_at_most(kill, depth: int, survivors: int, cap: int) -> bool:
     return bound <= cap
 
 
-def oracle_find_bad(scan, skip_canonical: bool):
-    """The gauge-fixed scan's bad-cover walk as a plain recursion: every node
-    evaluates its own survivor bound from scratch.  Same results and the same
-    ``spend`` calls as ``scan.find_bad``."""
+def oracle_find_bad(scan, skip_canonical: bool, order=None):
+    """The gauge-fixed scan's bad-cover walk as a plain recursion over the
+    non-tree edges in ``order`` (canonical when None): every node evaluates
+    its own survivor bound from scratch.  Same results, in canonical edge
+    order, and the same ``spend`` calls as ``scan.find_bad``."""
     total = scan.depth_total
+    order = range(total) if order is None else order
+    kills = [scan.kill[e] for e in order]
 
     def size(depth):
         return scan.nperm ** (total - depth)
@@ -371,10 +389,10 @@ def oracle_find_bad(scan, skip_canonical: bool):
             scan.budget.spend(1)
             return None
         cap = survivors.bit_count() - 1
-        if _oracle_kills_at_most(scan.kill, depth, survivors, cap):
+        if _oracle_kills_at_most(kills, depth, survivors, cap):
             scan.budget.spend(size(depth))
             return None
-        kill = scan.kill[depth]
+        kill = kills[depth]
         for p, child in enumerate(scan._leader_step(stab)):
             if child is False:
                 scan.budget.spend(size(depth + 1))
@@ -390,7 +408,13 @@ def oracle_find_bad(scan, skip_canonical: bool):
                 return found
         return None
 
-    return dfs(0, scan.full_mask, (), True, None)
+    found = dfs(0, scan.full_mask, (), True, None)
+    if found is None:
+        return None
+    combo = [0] * total
+    for e, p in zip(order, found):
+        combo[e] = p
+    return tuple(combo)
 
 
 def oracle_min_transversals(scan):

@@ -45,7 +45,7 @@ from critickit import (
     validate_cover,
 )
 from critickit.coloring import ColoringVerdict
-from critickit.graphs import induced_subgraph
+from critickit.graphs import induced_subgraph, parse_graph6
 from helpers import (
     RecordingBudget,
     brute_count_list_colorings,
@@ -60,6 +60,7 @@ from helpers import (
     oracle_min_transversals,
     oracle_normalize_cover,
     oracle_splices_canonical,
+    oracle_tree_colorings,
     random_assignment,
     random_cover,
     random_graph,
@@ -774,7 +775,7 @@ def test_routed_verdict_matches_the_scan(monkeypatch):
 
 def test_gauge_scan_setup_keeps_the_time_budget():
     # E(5,2,3) at k = 4 has 26,244 tree-only transversals; building the kill
-    # masks over them takes far longer than 1 ms, and checks the deadline
+    # masks over them takes several milliseconds, and checks the deadline
     from critickit.covers import _GaugeScan
 
     with pytest.raises(BudgetExceeded):
@@ -810,17 +811,33 @@ def _recorded(g, k, max_nodes, call):
     return outcome, budget.calls, getattr(scan, "best_value", None)
 
 
+def _decide_then_witness(find, skip_canonical):
+    """``find(scan, skip_canonical, order)`` walked in the scan's decision
+    order and, once that reordered walk finds a bad cover, again in
+    canonical order for the witness: the walks of a verdict's own level.
+    Returns both walks' combos."""
+
+    def call(scan):
+        found = find(scan, skip_canonical, scan.order)
+        if found is not None and scan.order != sorted(scan.order):
+            return found, find(scan, skip_canonical, None)
+        return found, found
+
+    return call
+
+
 def test_survivor_walk_matches_recursive_reference():
     # reusing the parent's bound, the containment test at the last edge and
     # the explicit stack must leave every decision and every charge as the
-    # plain recursion makes them, including where the budget trips
+    # plain recursion makes them, including where the budget trips, in the
+    # decision order and in the canonical order of the witness's walk
     from critickit.covers import _GaugeScan
 
     for g, k, budgets in _walk_cases():
         for max_nodes in budgets:
             calls = [
-                (lambda s, skip=skip: s.find_bad(skip),
-                 lambda s, skip=skip: oracle_find_bad(s, skip))
+                (_decide_then_witness(_GaugeScan.find_bad, skip),
+                 _decide_then_witness(oracle_find_bad, skip))
                 for skip in (True, False)
             ]
             calls.append((_GaugeScan.min_transversals, oracle_min_transversals))
@@ -862,8 +879,10 @@ def test_survivor_walk_matches_recursive_reference_on_dense_joins():
         (join(cycle(5), clique(2)), 4, 3 * 10**6),
         (clique(5), 4, 2 * 10**8),
     ]:
-        assert _recorded(g, k, max_nodes, lambda s: s.find_bad(True)) == _recorded(
-            g, k, max_nodes, lambda s: oracle_find_bad(s, True)
+        new = _decide_then_witness(_GaugeScan.find_bad, True)
+        reference = _decide_then_witness(oracle_find_bad, True)
+        assert _recorded(g, k, max_nodes, new) == _recorded(
+            g, k, max_nodes, reference
         ), (g.edges(), k, max_nodes)
     # the minimizing walk asks for more than one survivor, so a node may keep
     # a tail of maxima summed past its own cap for its children; a sum that
@@ -882,25 +901,108 @@ def test_survivor_walk_matches_recursive_reference_on_dense_joins():
             ), (g.edges(), k, max_nodes)
 
 
-def test_kill_masks_match_pair_construction():
-    # bit i of a mask stands for the i-th transversal of the tree-only
-    # cover in lexicographic order: the proper colorings of the tree
+def test_kill_masks_match_pair_construction(monkeypatch):
+    # bit i of a mask stands for the i-th proper coloring of the spanning
+    # tree in digit order (helpers.oracle_tree_colorings), and those rows are
+    # every proper coloring of the tree once; blocks of 7 rows, where the
+    # columns are built in many pieces, give the same tables
     from itertools import product
 
-    from critickit.covers import _GaugeScan
+    from critickit import covers
 
-    for g, k, _ in _walk_cases():
-        scan = _GaugeScan(g, k, SearchLimits().start())
-        transversals = [
-            t
-            for t in product(range(k), repeat=g.n)
-            if all(t[u] != t[v] for u, v in scan.tree)
-        ]
-        assert scan.full_mask == (1 << len(transversals)) - 1
-        assert scan.kill == oracle_kill_masks(transversals, scan.nontree, scan.perms)
-        assert scan.keep == [
-            [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
-        ]
+    for rows in (1 << 16, 7):
+        monkeypatch.setattr(covers, "_BLOCK_ROWS", rows)
+        for g, k, _ in _walk_cases():
+            scan = covers._GaugeScan(g, k, SearchLimits().start())
+            colorings = oracle_tree_colorings(k, g.n, scan.tree)
+            assert sorted(colorings) == [
+                t
+                for t in product(range(k), repeat=g.n)
+                if all(t[u] != t[v] for u, v in scan.tree)
+            ]
+            assert scan.full_mask == (1 << len(colorings)) - 1
+            assert scan.kill == oracle_kill_masks(colorings, scan.nontree, scan.perms)
+            assert scan.keep == [
+                [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
+            ]
+
+
+def test_product_blocks_list_the_product(monkeypatch):
+    # whatever the block size, the blocks' columns read row by row are the
+    # index tuples of product(...) in order
+    from itertools import product
+
+    from critickit import covers
+
+    for sizes in [(), (1,), (3,), (2, 3, 4), (4, 1, 3, 2), (2, 0, 3)]:
+        for rows in (1, 5, 6, 1 << 16):
+            monkeypatch.setattr(covers, "_BLOCK_ROWS", rows)
+            got = []
+            for count, columns in covers._product_blocks(sizes):
+                assert all(len(column) == count for column in columns)
+                got += zip(*columns) if columns else [()] * count
+            assert got == list(product(*map(range, sizes))), (sizes, rows)
+
+
+def test_decision_order_changes_no_record(monkeypatch):
+    # the decision order only decides which covers the walk settles first:
+    # forced to the canonical order or its reverse, every verdict, witness
+    # and count stays the same.  C13(1,5)'s own order is all ties, so only
+    # the reversed order makes its verdict walk again for the witness; its
+    # DP scan at k = 4 (2,125,764 survivors) is left out for its size
+    from critickit import covers
+
+    e422 = generate_ekab(4, 2, 2)
+    perm = list(range(e422.n))
+    random.Random(16).shuffle(perm)
+    c13 = parse_graph6("LhEIHEPQHGaPaP")
+    hosts = [g for g, _, _ in _walk_cases()] + [
+        join(cycle(7), clique(1)),
+        build_graph(e422.n, [(perm[u], perm[v]) for u, v in e422.edges()]),
+        c13,
+    ]
+    find_bad = covers._GaugeScan.find_bad
+    rewalked = []
+
+    def recording(scan, skip_canonical, order=None):
+        if order is None:
+            rewalked.append(scan.g)
+        combo = find_bad(scan, skip_canonical, order)
+        if combo is not None:  # a real bad cover, in canonical edge order
+            assert is_bad(scan.cover_at(combo))
+            assert any(combo) or not skip_canonical
+        return combo
+
+    monkeypatch.setattr(covers._GaugeScan, "find_bad", recording)
+
+    def dp(g):
+        try:
+            return dp_chromatic_number(g, SearchLimits(max_nodes=10**6))
+        except BudgetExceeded as exc:
+            return "undecided", exc.lower_bound
+
+    def records():
+        rewalked.clear()
+        return [robust_criticality_verdict(g) for g in hosts] + [dp(g) for g in hosts[:-1]]
+
+    own = records()
+    assert rewalked.count(c13) == 0
+    assert own[len(hosts) - 1].decision == "noncanonical_bad_cover_found"
+    for order in (lambda kill: list(range(len(kill))), lambda kill: list(range(len(kill)))[::-1]):
+        monkeypatch.setattr(covers, "_decision_order", order)
+        assert records() == own
+    assert rewalked.count(c13) == 1
+
+
+def test_c13_1_5_has_a_noncanonical_bad_cover():
+    # the circulant C13(1,5) is 4-critical with no dominating vertex, so its
+    # verdict is the m = 3 scan alone; its bad cover is real and not canonical
+    verdict = robust_criticality_verdict(parse_graph6("LhEIHEPQHGaPaP"))
+    assert (verdict.decision, verdict.k, verdict.covers_scanned) == (
+        "noncanonical_bad_cover_found", 4, 876_963,
+    )
+    assert brute_find_transversal(verdict.witness) is None
+    assert oracle_canonical_labeling(verdict.witness) is None
 
 
 def test_deep_scan_needs_no_recursion():
