@@ -20,22 +20,18 @@ Scans decide whether a bad cover exists walking the non-tree edges most
 destructive first (:func:`_decision_order`); a witness is the first bad
 cover in canonical edge order, found by walking again in that order.
 
-Robust criticality of a join g = h + a, a dominating vertex, at fold
-m = chi(g) - 1 >= 4 is decided from h's verdict by the apex step
-(:func:`critickit.apex.apex_step`) in the star gauge at a, whose gauge-fixed
-covers are those of the scan; at m = 3 and below the scan is faster.  The
-step charges the budget in the scan's unit, one per gauge-fixed cover
-decided.
+A join is robustly critical when the level below is (the join rule of
+:func:`robust_criticality_verdict`), decided with no scan.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import permutations, product, repeat
+from math import factorial
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
-from .apex import apex_step
 from .base import NONCANONICAL_BAD_COVER_FOUND, NOT_CRITICAL, ROBUSTLY_CRITICAL, UNKNOWN, Record
 from .coloring import (
     ColoringVerdict,
@@ -342,9 +338,8 @@ def enumerate_full_covers(
     """All gauge-fixed full k-fold covers, in lexicographic permutation order
     over the sorted non-tree edges (last edge varies fastest).  Every full
     k-fold cover of a connected g is relabel-equivalent to an emitted cover,
-    and two emitted covers are equivalent iff relabeling every vertex by one
-    sigma in Sym(k) maps one onto the other, so for k >= 3 most equivalence
-    classes are emitted several times.  Raises :class:`BudgetExceeded` as an
+    and for k >= 3 most equivalence classes are emitted several times (see
+    the module docstring).  Raises :class:`BudgetExceeded` as an
     explicit truncation signal."""
     if k < 1:
         raise CoverError(f"enumerate_full_covers needs k >= 1, got {k}")
@@ -747,8 +742,8 @@ class RobustVerdict(Record):
     ``witness`` is a deletion witness (edge/vertex) for ``not_critical`` or a
     verified bad non-canonical full cover for
     ``noncanonical_bad_cover_found``.  ``covers_scanned`` counts gauge-fixed
-    covers decided (all of them on a completed scan), by the graph's own
-    apex step or scan only (see :func:`robust_criticality_verdict`).
+    covers decided (all of them on a completed scan), at the graph's own
+    level only (see :func:`robust_criticality_verdict`).
     """
 
     __slots__ = ("decision", "k", "witness", "covers_scanned")
@@ -766,32 +761,34 @@ class RobustVerdict(Record):
         object.__setattr__(self, "covers_scanned", covers_scanned)
 
 
-_APEX_MIN_FOLD = 4  # below it the scan decides joins faster than the apex step
-
-
 def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> RobustVerdict:
     """Decide robust criticality by deciding all gauge-fixed full covers at
     m, one below the chromatic number.
 
     Completing a partial cover only removes transversals, so a bad cover of a
     critical graph always has a bad full extension and scanning full covers
-    is enough; gauge fixing makes "canonical" synonymous with "all non-tree
-    permutations are the identity".
+    is enough.
 
-    While m >= 4 and the graph has a dominating vertex, the vertex is peeled
-    (the least one, in a loop): each level is critical with the fold one
-    less, as g's one classification implies.  The bottom level, and any
-    level with m < 4, is scanned by :class:`_GaugeScan` in decision order.
-    Going back up, a level whose level below is robustly critical is decided
-    by :func:`~critickit.apex.apex_step`; the step declines, and the level
-    is scanned, where the level below is not robustly critical or a bad
-    sigma other than the identity turns up.  A bad cover found out of
-    canonical order is found again in it, so the witness is the scan's
-    lexicographically first.  The chain runs on one budget from ``limits``
-    and stops at the first trip with ``unknown``; a decided step charges
-    m!^|E(g - a)|, the scan's count.  ``covers_scanned`` counts g's own
-    level only: the step's charges, or the last walk's of g's scan, and 0
-    when a lower level trips.
+    While m >= 2 and the graph has a dominating vertex, the least one is
+    peeled: each level is critical with the fold one less, as g's one
+    classification implies.  From the bottom up, levels are scanned until
+    one is robustly critical; each level above it is then robustly critical
+    by the join rule, charged m!^|E(h)|, the scan's count.
+
+    The join rule: g = h + a critical, a dominating, chi(g) = m + 1, and h
+    robustly critical make g robustly critical.  In the star gauge at a, a
+    full m-fold cover sigma of g is one permutation p_e per edge e of h.
+    sigma is bad only if each restriction R_c (color c at a, the other
+    indices at h) is a bad partial (m-1)-fold cover of h.  Completing R_c
+    gives a bad, hence canonical, full cover; if R_c lacked its pair (l, l)
+    on an edge uv, an (m-1)-coloring of h - uv (u, v one color, as chi(h) =
+    m) renamed to l would be a transversal.  So each R_c is full: each p_e
+    fixes every c, and sigma is the identity.
+
+    The chain runs on one budget from ``limits``; a trip gives ``unknown``.
+    ``covers_scanned`` counts g's own level only: the charge, or the last
+    walk of g's scan (:func:`_scan_verdict`), and 0 when a lower level or
+    the charge trips.
     """
     return _robust_verdict(g, limits, None)
 
@@ -810,35 +807,44 @@ def _robust_verdict(
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0)
     budget = (limits or SearchLimits()).start()
-    # levels: g, then each level less a dominating vertex while the fold
-    # (k - 1 at g, one less per level) is at least _APEX_MIN_FOLD
-    levels = [g]
-    while k - len(levels) >= _APEX_MIN_FOLD:
+    levels = [g]  # fold k - 1 at g, one less per level
+    while k - len(levels) >= 2:
         h = levels[-1]
         a = next((v for v in range(h.n) if len(h.adj[v]) == h.n - 1), None)
         if a is None:
             break
         levels.append(induced_subgraph(h, [v for v in range(h.n) if v != a]))
-    start = None  # the budget spent before g's own step or scan
+    robust = False  # the verdict of the level below, none at the bottom
     try:
-        robust = False  # the verdict of the level below, none at the bottom
         for i in range(len(levels) - 1, -1, -1):
             fold = k - 1 - i
-            if i == 0:
-                start = budget.spent
-            if robust and apex_step(levels[i + 1], _leader_tables(fold), budget)[0]:
-                continue
-            if i == 0:  # a declined step: the scan counts its own covers
-                start = budget.spent
-            scan = _GaugeScan(levels[i], fold, budget)
-            combo = scan.find_bad(True, scan.order)
-            robust = combo is None
-        if not robust and scan.order != sorted(scan.order):
+            if robust:
+                charge = factorial(fold) ** levels[i + 1].m
+                budget.spend(charge)
+            elif i:
+                scan = _GaugeScan(levels[i], fold, budget)
+                robust = scan.find_bad(True, scan.order) is None
+    except BudgetExceeded:
+        return RobustVerdict(UNKNOWN, k, None, 0)
+    if robust:
+        return RobustVerdict(ROBUSTLY_CRITICAL, k, None, charge)
+    return _scan_verdict(g, k, budget)
+
+
+def _scan_verdict(g: Graph, k: int, budget: Budget) -> RobustVerdict:
+    """Critical g's verdict at chromatic number k by its own scan.  A bad
+    cover found out of canonical order is found again in it, so the witness
+    is the scan's lexicographically first; it is re-verified."""
+    start = budget.spent
+    try:
+        scan = _GaugeScan(g, k - 1, budget)
+        combo = scan.find_bad(True, scan.order)
+        if combo is not None and scan.order != sorted(scan.order):
             start = budget.spent  # the witness's walk counts its own covers
             combo = scan.find_bad(True)
     except BudgetExceeded as exc:
-        return RobustVerdict(UNKNOWN, k, None, 0 if start is None else exc.spent - start)
-    if robust:
+        return RobustVerdict(UNKNOWN, k, None, exc.spent - start)
+    if combo is None:
         return RobustVerdict(ROBUSTLY_CRITICAL, k, None, budget.spent - start)
     witness = scan.cover_at(combo)
     if find_transversal(witness) is not None or canonical_labeling(witness) is not None:

@@ -35,7 +35,7 @@ from operator import getitem, or_
 from .base import (
     ALL_PASS,
     COUNTEREXAMPLE,
-    NO,
+    NOT_CRITICAL,
     ROBUSTLY_CRITICAL,
     SKIPPED_PRECONDITION,
     TRUNCATED,
@@ -49,6 +49,7 @@ from .covers import (
     _kill_masks,
     _product_blocks,
     _robust_verdict,
+    _scan_verdict,
     _survivor_walk,
     canonical_labeling,
     find_transversal,
@@ -57,7 +58,7 @@ from .covers import (
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
 from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
-from .jsonio import SCHEMA_LEMMA, assignment_to_doc, cover_to_doc
+from .jsonio import SCHEMA_LEMMA, cover_to_doc
 from .limits import SearchLimits
 
 EXHAUSTIVE = "exhaustive"
@@ -475,7 +476,17 @@ def check_join_preserves(
     g: Graph, t: int, limits: SearchLimits | None = None
 ) -> LemmaReport:
     """Joining a robustly critical graph with a clique preserves robust
-    criticality (and strong criticality)."""
+    criticality, checked by the join's own scan at its fold (never by the
+    join rule of :func:`robust_criticality_verdict`, the lemma itself).
+
+    Strong criticality follows.  Let G be robustly critical with chi(G) = k
+    and L a bad (k-1)-assignment.  Its cover H_L
+    (:func:`~critickit.covers.cover_from_assignment`) is bad, so every full
+    completion of H_L is bad, hence canonical: after one relabeling, H_L is
+    the canonical cover less some pairs.  If it lacked (i, i) on an edge uv,
+    a (k-1)-coloring of G - uv, which gives u and v one color since
+    chi(G) = k, renamed to i would be a transversal of H_L.  So H_L is full,
+    L agrees along every edge, and L is constant on connected G."""
     limits = limits or SearchLimits()
     if t < 1:
         raise GraphError(f"join size must be positive, got {t}")
@@ -492,7 +503,14 @@ def check_join_preserves(
             "join", word, 0, SKIPPED_PRECONDITION, "-",
             detail=f"base graph not verified robustly critical (got {rv_g.decision})",
         )
-    rv = robust_criticality_verdict(joined, limits)
+    cv = classify_criticality(joined)
+    if not cv.is_critical:
+        return LemmaReport(
+            "join", word, 0, COUNTEREXAMPLE, EXHAUSTIVE,
+            counterexample={"witness": str(cv.witness)},
+            detail=f"join verdict: {NOT_CRITICAL}",
+        )
+    rv = _scan_verdict(joined, cv.chromatic_number, limits.start())
     if rv.decision == UNKNOWN:
         return LemmaReport(
             "join", word, rv.covers_scanned, TRUNCATED, EXHAUSTIVE,
@@ -501,25 +519,7 @@ def check_join_preserves(
     if rv.decision != ROBUSTLY_CRITICAL:
         return LemmaReport(
             "join", word, rv.covers_scanned, COUNTEREXAMPLE, EXHAUSTIVE,
-            counterexample={"cover": cover_to_doc(rv.witness)}
-            if isinstance(rv.witness, Cover)
-            else {"witness": str(rv.witness)},
+            counterexample={"cover": cover_to_doc(rv.witness)},
             detail=f"join verdict: {rv.decision}",
-        )
-    # a robustly critical join is critical, so only the list part is left
-    from .listcoloring import find_bad_nonconstant_assignment
-
-    try:
-        bad = find_bad_nonconstant_assignment(joined, rv.k - 1, limits)
-    except BudgetExceeded:
-        return LemmaReport(
-            "join", word, rv.covers_scanned, TRUNCATED, EXHAUSTIVE,
-            detail="budget exhausted during the strong-criticality search",
-        )
-    if bad is not None:
-        return LemmaReport(
-            "join", word, rv.covers_scanned, COUNTEREXAMPLE, EXHAUSTIVE,
-            counterexample={"assignment": assignment_to_doc(bad)},
-            detail=f"strong criticality verdict: {NO}",
         )
     return LemmaReport("join", word, rv.covers_scanned, ALL_PASS, EXHAUSTIVE)

@@ -8,11 +8,10 @@ one unit per cover decided, a sampled cover included (covers dismissed in
 bulk by the survivor bound or by symmetry, as not the lex-leader of their
 relabeling orbit, are still charged), assignment searches charge one unit
 per enumeration node, and the coloring and transversal counts one unit per
-backtrack, 4096 at a time.  The robust verdict's apex step, which decides a
-join g = h + a at fold m >= 4 through its dominating vertex a, charges in
-the scan's unit: each option it does not try is charged its whole subtree,
-each leaf one unit, so a completed step charges every gauge-fixed cover,
-and the scans and steps of the levels below charge the same budget first.
+backtrack, 4096 at a time.  The robust verdict decides a join g = h + a, a
+dominating vertex, from a robustly critical h with one charge of every
+gauge-fixed cover of g, after the levels below have charged the same
+budget.
 Work that is not metered checks the deadline with zero-unit charges:
 building a cover scan's kill masks and the bad-assignment search's deferral
 certificate (which also decides every complete block system).

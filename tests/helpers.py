@@ -711,42 +711,3 @@ def random_uniform_cover(rng: random.Random, g: Graph, k: int) -> Cover:
         count = k if kind == 1 else rng.randint(0, k)
         matchings[(u, v)] = dict(zip(rng.sample(range(k), count), rng.sample(range(k), count)))
     return make_cover(g, [k] * g.n, matchings)
-
-
-def oracle_apex_orbits(g: Graph, a: int, m: int) -> int:
-    """The conjugation orbits of non-identity sigma, one permutation of
-    ``range(m)`` per edge (u, v), u < v, of h = g - a (relabeled as by
-    ``induced_subgraph``), whose every splice has a canonical labeling.  The
-    splice at c drops index c everywhere and, on each edge, pairs
-    p^-1(c) with p(c); its indices are then renamed to ``0..m-2``.  A
-    completed apex step decides one leaf per such orbit."""
-    h = induced_subgraph(g, [v for v in range(g.n) if v != a])
-    perms = list(permutations(range(m)))
-    identity = tuple(range(m))
-    orbits = set()
-    for sigma in product(perms, repeat=h.m):
-        if any(p != identity for p in sigma) and oracle_splices_canonical(h, sigma, m):
-            orbits.add(min(
-                tuple(tuple(t[p[t.index(i)]] for i in range(m)) for p in sigma)
-                for t in perms
-            ))
-    return len(orbits)
-
-
-def oracle_splices_canonical(h: Graph, sigma, m: int) -> bool:
-    """Whether every splice of sigma, one permutation of ``range(m)`` per
-    edge of ``h.edges()``, has a canonical labeling (see
-    :func:`oracle_apex_orbits`)."""
-    for c in range(m):
-        rename = {i: i - (i > c) for i in range(m) if i != c}
-        matchings = []
-        for (u, v), p in zip(h.edges(), sigma):
-            pairs = {i: p[i] for i in range(m) if i != c and p[i] != c}
-            if p[c] != c:
-                pairs[p.index(c)] = p[c]
-            matchings.append(
-                (u, v, tuple(sorted((rename[i], rename[j]) for i, j in pairs.items())))
-            )
-        if oracle_canonical_labeling(Cover(h, (m - 1,) * h.n, tuple(matchings))) is None:
-            return False
-    return True

@@ -329,8 +329,8 @@ def test_json_pdp_stops_at_a_cover_without_transversals():
 # 2 s without it; where the default node budget would stop it sooner, a
 # larger one is given, so that only the deadline can.
 HUGE = ["--node-budget", str(10**15)]
-# C5+K3 has about 1.8e33 gauge-fixed covers at fold 5, and its apex step
-# takes over 2 s to decide them
+# C5+K3 has about 1.8e33 gauge-fixed covers at fold 5; its join lemma scans
+# them, which only the deadline stops
 BEYOND_C5_K3 = ["--node-budget", str(10**40)]
 GRID_6X6 = (
     "chCKAC`CGO_`?_?O_CG?`?AC?CG?C??AC??`??CG??O_??`???_???O_??CG???`"
@@ -339,7 +339,8 @@ GRID_6X6 = (
 GRID_5X5 = "XhEAHCPAGG?P?P?G_AG?O?@C?AG?AG?@C??O??AG??G_??P???P"
 PATH_THEN_K4 = "YhCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???B???B_"
 TIME_CAPPED = {
-    "check robust": BEYOND_C5_K3 + ["check", "robust", "--cycle", "5", "--clique", "3", "--join"],
+    # the Groetzsch graph has no dominating vertex: its scan takes seconds
+    "check robust": HUGE + ["check", "robust", "--graph6", "JhdLA_gc?N_"],
     "check strong": ["check", "strong", "--graph6", "JhdLA_gc?N_"],  # Groetzsch
     "chi list": ["chi", "list", "--complete-bipartite", "5", "5"],
     # the 6x6 grid: the block walk's root has 2**36 - 1 children
@@ -387,9 +388,9 @@ def test_counts_charge_the_node_budget(what):
     assert json.loads(out)["status"] == "unknown"
 
 
-def test_apex_step_decides_joins():
-    # K5 through K4 and C5+K2 through C5+K1: covers_scanned counts the join's
-    # own gauge-fixed covers, (k-1)!^|E(H)|, not the level below
+def test_joins_decide_from_the_level_below():
+    # K5 from K4, C5+K2 from C5+K1 and C5+K3 from C5+K2: covers_scanned counts
+    # the join's own gauge-fixed covers, (k-1)!^|E(H)|, not the level below
     status, out = run("--json", "--node-budget", "200000000", "check", "robust", "--clique", "5")
     assert status == 0
     assert out == (
@@ -403,6 +404,13 @@ def test_apex_step_decides_joins():
     assert status == 0
     doc = json.loads(out)
     assert doc["decision"] == "robustly_critical" and doc["covers_scanned"] == 24**10
+    status, out = run("--json", *BEYOND_C5_K3, "check", "robust", "--cycle", "5", "--clique", "3",
+                      "--join")
+    assert status == 0
+    assert out == (
+        '{"covers_scanned":1848842588950364160000000000000000,"decision":"robustly_critical",'
+        '"k":6,"schema":"critickit/robust-verdict/1","witness":null}\n'
+    )
 
 
 def test_time_budget_holds_on_a_long_cycle_polynomial(tmp_path):

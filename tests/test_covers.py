@@ -45,21 +45,19 @@ from critickit import (
     validate_cover,
 )
 from critickit.coloring import ColoringVerdict
-from critickit.graphs import induced_subgraph, parse_graph6
+from critickit.graphs import parse_graph6
 from helpers import (
     RecordingBudget,
     brute_count_list_colorings,
     brute_count_transversals,
     brute_find_transversal,
     grid_graph,
-    oracle_apex_orbits,
     oracle_canonical_labeling,
     oracle_complete_to_full,
     oracle_find_bad,
     oracle_kill_masks,
     oracle_min_transversals,
     oracle_normalize_cover,
-    oracle_splices_canonical,
     oracle_tree_colorings,
     random_assignment,
     random_cover,
@@ -623,154 +621,114 @@ def test_k5_full_scan_decided():
     budget = SearchLimits(max_nodes=2 * 10**8).start()
     assert _GaugeScan(clique(5), 4, budget).find_bad(True) is None
     assert budget.spent == 191_102_976
-    # the verdict goes through the apex step and reports the same count
+    # the verdict decides K5 from K4 by the join rule and reports the same count
     verdict = robust_criticality_verdict(clique(5), SearchLimits(max_nodes=2 * 10**8))
     assert verdict.decision == "robustly_critical"
     assert verdict.covers_scanned == 191_102_976
 
 
 def test_robust_scan_keeps_the_time_budget():
-    # C5+K3 has about 1.8e33 gauge-fixed covers and its apex step takes
+    # the Groetzsch graph has no dominating vertex and its scan takes
     # seconds; the node budget is out of reach, so only the deadline can stop
     # the verdict
-    limits = SearchLimits(max_nodes=10**40, max_millis=200)
+    limits = SearchLimits(max_nodes=10**15, max_millis=200)
     start = time.monotonic()
-    verdict = robust_criticality_verdict(join(cycle(5), clique(3)), limits)
+    verdict = robust_criticality_verdict(parse_graph6("JhdLA_gc?N_"), limits)
     assert verdict.decision == "unknown"
     assert time.monotonic() - start < 10.0
 
 
-def _apex_hosts():
-    """(g, a, m): K4, K5, C5+K1 and C7+K1 at m = 3 (K5 at 4 too), K2,3+K1,
-    whose K2,3 has bad twisted 2-fold covers, at m = 3, and random connected
-    H joined to a vertex a at a random label, n <= 6, at m = 2 and 3 where
-    the direct scan of g has at most 6**6 covers."""
-    hosts = [(clique(4), 0, 3), (clique(5), 2, 3), (clique(5), 0, 4),
-             (join(cycle(5), clique(1)), 5, 3), (join(cycle(7), clique(1)), 7, 3),
-             (join(complete_bipartite(2, 3), clique(1)), 5, 3)]
-    rng = random.Random(1504)
-    while len(hosts) < 80:
-        h = random_graph(rng, rng.randint(1, 5), p=rng.uniform(0.3, 1), connected=True)
-        perm = list(range(h.n + 1))
-        rng.shuffle(perm)
-        g = build_graph(h.n + 1, [(perm[u], perm[v]) for u, v in join(h, clique(1)).edges()])
-        m = len(hosts) % 2 + 2
-        if math.factorial(m) ** h.m <= 6**6:
-            hosts.append((g, perm[h.n], m))
-    return hosts
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def test_apex_step_matches_the_scan():
-    # where the level below has no bad non-canonical cover, the step decides
-    # as the scan does and a completed step charges every gauge-fixed cover;
-    # a bad sigma that the step finds is always real.  Elsewhere the step
-    # may miss a bad cover, which is why the route declines there
-    from critickit.apex import apex_step
-    from critickit.covers import _GaugeScan, _leader_tables
-
-    seen = set()
-    for g, a, m in _apex_hosts():
-        h = induced_subgraph(g, [v for v in range(g.n) if v != a])
-        below = _GaugeScan(h, m - 1, SearchLimits().start()).find_bad(True) is None
-        budget = SearchLimits(max_nodes=10**12).start()
-        robust, _ = apex_step(h, _leader_tables(m), budget)
-        scanned = _GaugeScan(g, m, SearchLimits(max_nodes=10**9).start()).find_bad(True) is None
-        case = (g.edges(), a, m)
-        if robust:
-            assert budget.spent == math.factorial(m) ** h.m, case
-        else:
-            assert not scanned, case
-        if below:
-            assert robust == scanned, case
-        seen.add((below, robust, scanned))
-    assert seen >= {(True, True, True), (True, False, False), (False, True, False)}
-
-
-def test_apex_step_decides_one_leaf_per_orbit():
-    # leaves other than the identity are exactly the conjugation orbits of
-    # sigma whose splices all have trivial holonomy, one leader each
-    from critickit.apex import apex_step
-    from critickit.covers import _leader_tables
-
-    for g, a, m in _apex_hosts():
-        h = induced_subgraph(g, [v for v in range(g.n) if v != a])
-        if math.factorial(m) ** h.m > 6**5:
-            continue
-        budget = SearchLimits(max_nodes=10**12).start()
-        robust, leaves = apex_step(h, _leader_tables(m), budget)
-        if robust:
-            assert leaves == oracle_apex_orbits(g, a, m), (g.edges(), a, m)
-    budget = SearchLimits(max_nodes=10**12).start()
-    assert apex_step(clique(4), _leader_tables(4), budget) == (True, 55)
-    assert budget.spent == 24**6
-
-
-def test_apex_step_leaves_pass_every_splice_test(monkeypatch):
-    # every leaf the step decides has splices of trivial holonomy, and their
-    # orbits are the same under any relabeling of g; relabeled, C5+K2 at
-    # m = 4 has tree edges walked from a higher label to a lower one, where
-    # splices are no longer their own inverses
-    from critickit import apex
-    from critickit.covers import _leader_tables
-
-    decided = []
-
-    def recording(sizes, entries):
-        decided.append(entries)
-        return choices(sizes, entries)
-
-    choices = apex._choices
-    monkeypatch.setattr(apex, "_choices", recording)
-    g0 = join(cycle(5), clique(2))
-    rng = random.Random(15)
-    found = set()
-    for trial in range(4):
-        perm = list(range(g0.n))
-        rng.shuffle(perm)
-        g = build_graph(g0.n, [(perm[u], perm[v]) for u, v in g0.edges()])
-        a = perm[5 + trial % 2]
-        h = induced_subgraph(g, [v for v in range(g.n) if v != a])
-        decided.clear()
-        budget = SearchLimits(max_nodes=10**14).start()
-        verdict = apex.apex_step(h, _leader_tables(4), budget)
-        found.add(verdict + (len(decided), budget.spent))
-        for entries in decided:  # a is vertex 0 of each leaf's cover
-            sigma = {(u - 1, v - 1): tuple(j for _, j in pairs) for u, v, pairs in entries if u}
-            assert oracle_splices_canonical(h, [sigma[e] for e in h.edges()], 4)
-    assert found == {(True, 1064, 1064, 24**10)}
-
-
-def test_routed_verdict_matches_the_scan(monkeypatch):
-    # with the route open from fold m, every verdict, witness and count is
-    # the scan's: the step declines where the level below is not robust or a
-    # bad sigma turns up, and g is then scanned
+def _scan_matches(verdict, g, k):
+    """Whether ``verdict(g, limits)`` equals g's own scan's at 2e8 covers, and
+    at 50 wherever it decides: the levels below charge the same budget first,
+    so the route may stop where the scan decides, never the other way round."""
     from critickit import covers
 
-    def verdict(g, m, limits):
-        return covers._robust_verdict(g, limits, ColoringVerdict(m + 1, True, True, None))
-
-    cases = [(g, m) for g, _, m in _apex_hosts()]
-    cases += [(generate_ekab(4, 2, 2), 3)]
-    decided = set()
     for max_nodes in (2 * 10**8, 50):
         limits = SearchLimits(max_nodes=max_nodes)
-        scanned = [verdict(g, m, limits) for g, m in cases]
-        for (g, m), want in zip(cases, scanned):
-            with monkeypatch.context() as patch:
-                # only g's own level is peeled: its fold is m
-                patch.setattr(covers, "_APEX_MIN_FOLD", m)
-                got = verdict(g, m, limits)
-                # the level below charges the same budget first, so the
-                # route may stop where the scan alone decides, never the
-                # other way round
-                if got.decision != "unknown" or max_nodes > 50:
-                    assert got == want, (g.edges(), m, max_nodes)
-                    decided.add(got.decision)
+        got = verdict(g, limits)
+        if max_nodes == 50 and got.decision == "unknown":
+            continue
+        if got != covers._scan_verdict(g, k, limits.start()):
+            return False
+    return True
+
+
+def test_join_verdicts_match_the_scan():
+    # K3, K4, K5, C5+K1, C7+K1, every critical graph with a dominating vertex
+    # on <= 6 vertices (networkx's atlas) whose scan fits 6**6 covers, and
+    # seeded relabelings: verdict and count are the whole-graph scan's
+    from networkx.generators.atlas import graph_atlas_g
+
+    hosts = [clique(3), clique(4), clique(5), join(cycle(5), clique(1)), join(cycle(7), clique(1))]
+    for a in graph_atlas_g():
+        g = build_graph(a.number_of_nodes(), list(a.edges()))
+        if 0 < g.n <= 6 and any(len(g.adj[v]) == g.n - 1 for v in range(g.n)):
+            cv = classify_criticality(g)
+            if cv.is_critical and math.factorial(cv.chromatic_number - 1) ** (g.m - g.n + 1) <= 6**6:
+                hosts.append(g)
+    rng = random.Random(17)
+    hosts += [_relabeled(g, rng) for g in hosts]
+    ks = set()
+    for g in hosts:
+        k = chromatic_number(g)
+        ks.add(k)
+        assert _scan_matches(robust_criticality_verdict, g, k), g.edges()
+    assert ks == {1, 2, 3, 4, 5}
+
+
+def test_routed_verdict_matches_the_scan():
+    # where the level below is not robustly critical, g is scanned: with a
+    # forced classification, K2,3 + K1 and random H + K1 at fold 3, H with no
+    # dominating vertex and a bad twisted 2-fold cover, give the scan's
+    # verdict, witness and count
+    from critickit import covers
+    from critickit.covers import _GaugeScan
+
+    def forced(g, limits):
+        return covers._robust_verdict(g, limits, ColoringVerdict(4, True, True, None))
+
+    g = join(complete_bipartite(2, 3), clique(1))
+    verdict = forced(g, SearchLimits())
+    assert (verdict.decision, verdict.covers_scanned) == ("noncanonical_bad_cover_found", 4554)
+    rng = random.Random(1504)
+    hosts = [g]
+    while len(hosts) < 30:
+        h = random_graph(rng, rng.randint(3, 5), p=rng.uniform(0.3, 1), connected=True)
+        if (
+            any(len(h.adj[v]) == h.n - 1 for v in range(h.n))
+            or h.m > 6
+            or _GaugeScan(h, 2, SearchLimits().start()).find_bad(True) is None
+        ):
+            continue
+        hosts.append(_relabeled(join(h, clique(1)), rng))
+    decided = set()
+    for g in hosts:
+        assert _scan_matches(forced, g, 4), g.edges()
+        decided.add(forced(g, SearchLimits()).decision)
     assert decided == {"robustly_critical", "noncanonical_bad_cover_found"}
-    monkeypatch.setattr(covers, "_APEX_MIN_FOLD", 3)
-    for g in (clique(4), join(cycle(5), clique(1)), join(cycle(7), clique(1))):
-        got = robust_criticality_verdict(g)
-        assert (got.decision, got.covers_scanned) == ("robustly_critical", 6 ** (g.m - g.n + 1))
+
+
+def test_join_rule_charges_the_scans_count():
+    # the join rule decides C5+K2 and C5+K3 at once, charging m!^|E(h)|;
+    # a charge past the budget trips before anything is counted
+    for t, m, covers, budget in [(2, 4, 24**10, 10**14), (3, 5, 120**16, 10**40)]:
+        g = join(cycle(5), clique(t))
+        verdict = robust_criticality_verdict(g, SearchLimits(max_nodes=budget))
+        assert (verdict.decision, verdict.k, verdict.covers_scanned) == (
+            "robustly_critical", m + 1, covers,
+        )
+        assert covers == math.factorial(m) ** (g.m - g.n + 1)
+        verdict = robust_criticality_verdict(g, SearchLimits(max_nodes=covers - 1))
+        assert (verdict.decision, verdict.covers_scanned) == ("unknown", 0)
+    verdict = robust_criticality_verdict(join(cycle(7), clique(1)), SearchLimits(max_nodes=1000))
+    assert (verdict.decision, verdict.covers_scanned) == ("unknown", 0)
 
 
 def test_gauge_scan_setup_keeps_the_time_budget():

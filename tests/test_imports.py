@@ -19,7 +19,7 @@ import pytest
 import critickit
 
 SRC = str(Path(critickit.__file__).resolve().parents[1])
-SEARCH_MODULES = {"apex", "covers", "listcoloring", "lemmas"}
+SEARCH_MODULES = {"covers", "listcoloring", "lemmas"}
 
 PROBE = """
 import json, sys
@@ -64,8 +64,8 @@ COMMANDS = {
     "count transversals": (
         ["count", "transversals", "-k", "3", "--cycle", "5"], {"listcoloring", "lemmas"}
     ),
-    "check strong": (["check", "strong", "--cycle", "5"], {"apex", "covers", "lemmas"}),
-    "chi list": (["chi", "list", "--cycle", "5"], {"apex", "covers", "lemmas"}),
+    "check strong": (["check", "strong", "--cycle", "5"], {"covers", "lemmas"}),
+    "chi list": (["chi", "list", "--cycle", "5"], {"covers", "lemmas"}),
     "lemma excess": (
         ["lemma", "excess", "--cycle", "5", "--sizes", "2,2,2,2,3"], {"listcoloring"}
     ),
@@ -80,7 +80,7 @@ COMMANDS = {
         ],
         {"listcoloring"},
     ),
-    "lemma join": (["lemma", "join", "--cycle", "5", "-t", "1"], set()),
+    "lemma join": (["lemma", "join", "--cycle", "5", "-t", "1"], {"listcoloring"}),
 }
 
 
