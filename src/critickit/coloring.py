@@ -4,19 +4,23 @@ coloring counts and the chromatic polynomial.
 Everything here is exact and intended for small graphs (roughly up to 12
 vertices); counts are arbitrary-precision integers.
 
-:func:`_choices` is the package's one coloring walker.  Ordinary colorings,
-list colorings and the transversals of a cover are all choices of one index
-per vertex that select no matched pair, so colorability, the chromatic
-number, criticality, the coloring counts here, list coloring and the cover
-module's transversal searches all run on it.
+:func:`_walk` is the package's one coloring walker, and :func:`_choices`
+its entry for cover-style matchings.  Ordinary colorings, list colorings
+and the transversals of a cover are all choices of one index per vertex
+that select no matched pair, so colorability, the chromatic number,
+criticality, the coloring counts here, list coloring and the cover module's
+transversal searches all run on it.
 
-Every yes-or-no question shares one search set-up per graph and first
-peels, on an explicit stack, each vertex of remaining degree below k.
-Colored after the vertices still there when it goes, it always finds a free
-color, so only the k-core is searched.  In criticality, a vertex on an edge whose
-deletion drops the chromatic number needs no search (deleting it deletes
-the edge), so when every edge drops it only isolated vertices are asked
-about, and each is a witness iff n >= 2.
+Every yes-or-no question shares one search set-up per graph, with each
+vertex's neighbors as a bitmask, and first peels, with bit operations,
+each vertex of remaining degree below k.  Colored after the vertices still
+there when it goes, it always finds a free color, so only the k-core is
+searched, every walk sharing the graph's one identity map.  In
+criticality, a vertex on an edge whose deletion drops the chromatic number
+needs no search (deleting it deletes the edge), so when every edge drops
+it only isolated vertices are asked about, and each is a witness iff n >=
+2.  A join with a critical level below is critical with no question about
+the join itself (:func:`classify_criticality`).
 """
 
 from __future__ import annotations
@@ -27,15 +31,25 @@ from typing import Iterator
 
 from .base import Record
 from .errors import GraphError
-from .graphs import Graph
+from .graphs import Graph, build_graph, connected_components
 from .limits import SearchLimits
 
 
 def _choices(sizes, matchings, spend=None) -> Iterator[list[int]]:
+    """:func:`_walk` with constraints given as cover-style entries ``(u, v,
+    pairs)``, ``u < v``; ``(i, j)`` in pairs forbids index i at u together
+    with index j at v."""
+    incoming: list[list[tuple[int, dict[int, int]]]] = [[] for _ in sizes]
+    for u, v, pairs in matchings:
+        incoming[v].append((u, dict(pairs)))
+    return _walk(sizes, incoming, spend)
+
+
+def _walk(sizes, incoming, spend=None) -> Iterator[list[int]]:
     """Every choice of one index per vertex, ``0..sizes[v]-1`` at vertex v,
-    that selects no matched pair, in lexicographic order.  ``matchings``
-    holds cover-style entries ``(u, v, pairs)`` with ``u < v``; ``(i, j)``
-    in pairs forbids index i at u together with index j at v.
+    that selects no matched pair, in lexicographic order.  ``incoming[v]``
+    lists ``(u, mapping)`` for u < v: index i at u forbids index
+    ``mapping[i]`` at v.
 
     Yields one shared choice list that the caller must copy before
     advancing.  Vertices are assigned in order 0..n-1 on an explicit stack,
@@ -48,10 +62,6 @@ def _choices(sizes, matchings, spend=None) -> Iterator[list[int]]:
         return
     if 0 in sizes:
         return
-    # incoming[v]: (u, map from u-indices to forbidden v-indices) for u < v
-    incoming: list[list[tuple[int, dict[int, int]]]] = [[] for _ in range(n)]
-    for u, v, pairs in matchings:
-        incoming[v].append((u, dict(pairs)))
     choice = [-1] * n
     forbidden = [0] * n
     backtracks = 0
@@ -140,19 +150,26 @@ def _search_order(g: Graph, cliq: list[int]) -> list[int]:
 
 def _questions(g: Graph):
     """One search set-up for g (greedy clique, :func:`_search_order`,
-    neighbors by search position) for every colorability question about g
-    and its single deletions.  Returns the positions and ``first(k,
-    edge=None, vertex=None, peel=True)``: the first proper k-coloring, one
-    color per searched position, of g less that edge or vertex, or None.
-    Searched position p's colors are capped at ``min(k, p + 1)``, which is
-    exact: swapping color names shows that the first coloring never uses a
-    color above 1 + the largest one before it."""
+    neighbors by search position as bitmasks) for every colorability
+    question about g and its single deletions.  Returns the positions and
+    ``first(k, edge=None, vertex=None, peel=True)``: the first proper
+    k-coloring, one color per searched position, of g less that edge or
+    vertex, or None.  Searched position p's colors are capped at ``min(k, p
+    + 1)``, which is exact: swapping color names shows that the first
+    coloring never uses a color above 1 + the largest one before it."""
     cliq = _greedy_clique(g)
     order = _search_order(g, cliq)
     n, size = g.n, len(cliq)
     position = {v: p for p, v in enumerate(order)}
-    adj = [[position[u] for u in g.adj[v]] for v in order]
-    degree = [len(near) for near in adj]
+    near = [0] * n  # near[p]: the positions of p's neighbors, as bits
+    lower: list[list[int]] = [[] for _ in range(n)]  # lower[p]: those below p
+    for p, v in enumerate(order):
+        for u in g.adj[v]:
+            q = position[u]
+            near[p] |= 1 << q
+            if q < p:
+                lower[p].append(q)
+    same = {c: c for c in range(n)}  # the identity map, for every k
 
     def first(k: int, edge=None, vertex=None, peel=True) -> list[int] | None:
         if k < 0:
@@ -161,32 +178,33 @@ def _questions(g: Graph):
         x = n if vertex is None else position[vertex]
         if size > k and x >= size and max(a, b) >= size:
             return None  # what is left keeps the clique
-        gone, floor = {a: b, b: a}, k if peel else 0
-        deg = degree[:]
+        adj, kept = near, (1 << n) - 1 & ~(1 << x)
         if edge:
-            deg[a] -= 1
-            deg[b] -= 1
-        kept = [p != x and deg[p] >= floor for p in range(n)]
-        stack = [p for p in range(n) if not kept[p]]
-        while stack:
-            p = stack.pop()
-            skip = gone.get(p)
-            for q in adj[p]:
-                if kept[q] and q != skip:
-                    deg[q] -= 1
-                    if deg[q] < floor:
-                        kept[q] = False
-                        stack.append(q)
-        core = [p for p in range(n) if kept[p]]
-        index = {p: i for i, p in enumerate(core)}
-        identity = tuple((i, i) for i in range(k))
-        matchings = [
-            (index[q], i, identity)
-            for i, p in enumerate(core)
-            for q in adj[p]
-            if q < p and kept[q] and gone.get(p) != q
-        ]
-        for choice in _choices([min(k, i + 1) for i in range(len(core))], matchings):
+            adj = near[:]
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+        check = kept if peel else 0  # positions whose degree may be below k
+        while check:  # drop each position of remaining degree below k
+            drop = 0
+            while check:
+                bit = check & -check
+                check ^= bit
+                if (adj[bit.bit_length() - 1] & kept).bit_count() < k:
+                    drop |= bit
+            kept ^= drop
+            while drop:
+                bit = drop & -drop
+                drop ^= bit
+                check |= adj[bit.bit_length() - 1]
+            check &= kept
+        if not kept:
+            return []  # the empty coloring of an empty core
+        core = [p for p in range(n) if kept >> p & 1]
+        index = [0] * n
+        for i, p in enumerate(core):
+            index[p] = i
+        incoming = [[(index[q], same) for q in lower[p] if (adj[p] & kept) >> q & 1] for p in core]
+        for choice in _walk([min(k, i + 1) for i in range(len(core))], incoming):
             return choice[:]
         return None
 
@@ -238,7 +256,23 @@ class ColoringVerdict(Record):
         object.__setattr__(self, "witness", witness)
 
 
-def classify_criticality(g: Graph) -> ColoringVerdict:
+def _apex_levels(g: Graph) -> list[Graph]:
+    """g, then each level less its least dominating vertex (the vertices
+    above it shift down by one), while the level has one and at least two
+    vertices."""
+    levels = [g]
+    while g.n >= 2:
+        a = next((v for v in range(g.n) if len(g.adj[v]) == g.n - 1), None)
+        if a is None:
+            break
+        g = Graph(g.n - 1, tuple(
+            frozenset(w - (w > a) for w in near if w != a) for v, near in enumerate(g.adj) if v != a
+        ))
+        levels.append(g)
+    return levels
+
+
+def classify_criticality(g: Graph, levels: list[Graph] | None = None) -> ColoringVerdict:
     """Check chromatic-number drop under every single edge and vertex deletion.
 
     Both deletion kinds are checked: edge deletions alone miss graphs whose
@@ -246,9 +280,30 @@ def classify_criticality(g: Graph) -> ColoringVerdict:
     the chromatic number k iff what is left is not (k-1)-colorable, asked
     on its (k-1)-core; vertex answers are derived where possible (module
     docstring).
+
+    A join is classified by its level below.  Only the bottom of
+    :func:`_apex_levels` (``levels``, when the caller has them) is asked
+    about; if it is critical, so is g, with the peeled vertices added to its
+    chromatic number.  Otherwise g itself is asked about, so the witness is
+    g's first.  The lift: let g = H + a with a dominating and H k-critical,
+    so chi(g) = k + 1.  Deleting an edge av leaves g k-colorable: H - v is
+    (k-1)-colorable and a, v share a new color.  Deleting an edge or vertex
+    of H, or a itself, leaves a graph whose chromatic number is that of the
+    rest of H, at most k - 1, plus 1.
     """
     if g.n < 1:
         raise GraphError("criticality is defined for graphs with at least one vertex")
+    levels = levels or _apex_levels(g)
+    bottom = _deletion_verdict(levels[-1])
+    if len(levels) == 1:
+        return bottom
+    if bottom.is_critical:
+        return ColoringVerdict(bottom.chromatic_number + len(levels) - 1, True, True, None)
+    return _deletion_verdict(g)
+
+
+def _deletion_verdict(g: Graph) -> ColoringVerdict:
+    """g's verdict from the questions about each of its deletions."""
     first = _questions(g)[1]
     k = next(k for k in range(g.n + 1) if first(k) is not None)
     settled = [False] * g.n  # endpoints of edges whose deletion drops k
@@ -353,24 +408,39 @@ def _peel_leaves(g: Graph) -> tuple[int, frozenset[tuple[int, int]]]:
     return peeled, frozenset((u, v) for u, v in g.edges() if not gone[u] and not gone[v])
 
 
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
 def chromatic_polynomial(g: Graph, limits: SearchLimits | None = None) -> Polynomial:
     """Chromatic polynomial via deletion-contraction on the least edge, run
     on an explicit stack.
 
     Before branching, every vertex of degree 1 is peeled, repeatedly:
     P(G) = (x - 1) P(G - v), so a tree costs linear time and no branching.
-    Intermediate results are memoized by exact (n, edge set) key, which is
-    enough at these sizes.  Each memo miss charges one unit to a budget
-    started from ``limits``, which raises
-    :class:`~critickit.errors.BudgetExceeded` when it trips.
+    Each connected component left with an edge is solved apart and the
+    results multiplied, each isolated vertex left being a factor x: a
+    disjoint union is colored part by part.  Intermediate results are
+    memoized by exact (n, edge set) key, which is enough at these sizes.
+    Each memo miss charges one unit to a budget started from ``limits``,
+    which raises :class:`~critickit.errors.BudgetExceeded` when it trips.
     """
     budget = (limits or SearchLimits()).start()
     peeled, core = _peel_leaves(g)
+    parts = [part for part in connected_components(build_graph(g.n, core)) if len(part) > 1]
     memo: dict[tuple[int, frozenset[tuple[int, int]]], tuple[int, ...]] = {}
     results: list[tuple[int, ...]] = []  # solved subproblems not yet combined
     # frames (n, edges, stage): stage 0 is unsolved, 1 has the deletion on
     # ``results``, 2 has the deletion and then the contraction there
-    stack = [(g.n - peeled, core, 0)]
+    stack = []
+    for part in parts:
+        index = {v: i for i, v in enumerate(part)}
+        stack.append((len(part), frozenset((index[u], index[v]) for u, v in core if u in index), 0))
     while stack:
         n, edges, stage = stack.pop()
         if stage == 0:
@@ -391,13 +461,9 @@ def chromatic_polynomial(g: Graph, limits: SearchLimits | None = None) -> Polyno
             contracted = results.pop()
             result = memo[(n, edges)] = _poly_sub(results.pop(), contracted)
             results.append(result)
-    coefficients = results.pop()
-    if peeled:  # times (x - 1)^peeled
-        factor = [comb(peeled, i) * (-1) ** (peeled - i) for i in range(peeled + 1)]
-        out = [0] * (len(coefficients) + peeled)
-        for i, a in enumerate(coefficients):
-            if a:
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
-        coefficients = tuple(out)
+    # one result per part, times x per isolated vertex, times (x - 1)^peeled
+    coefficients = (0,) * (g.n - peeled - sum(map(len, parts))) + (1,)
+    results.append(tuple(comb(peeled, i) * (-1) ** (peeled - i) for i in range(peeled + 1)))
+    for result in results:
+        coefficients = _poly_mul(coefficients, result)
     return Polynomial(coefficients)

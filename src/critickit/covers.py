@@ -35,13 +35,14 @@ from typing import TYPE_CHECKING, Iterator
 from .base import NONCANONICAL_BAD_COVER_FOUND, NOT_CRITICAL, ROBUSTLY_CRITICAL, UNKNOWN, Record
 from .coloring import (
     ColoringVerdict,
+    _apex_levels,
     _choices,
     _color_matchings,
     chromatic_number,
     classify_criticality,
 )
 from .errors import BudgetExceeded, CoverError, GraphError
-from .graphs import Graph, degeneracy, induced_subgraph, spanning_forest, spanning_tree
+from .graphs import Graph, degeneracy, spanning_forest, spanning_tree
 from .limits import Budget, SearchLimits
 
 if TYPE_CHECKING:
@@ -374,13 +375,19 @@ def _product_blocks(sizes):
         yield tail, [bytes([d]) * tail for d in head] + columns
 
 
+@lru_cache(maxsize=None)
+def _lanes(k: int) -> bytes | None:
+    """:func:`_tree_colorings`' ``translate`` table, built once per k."""
+    return bytes(x // k + (x // k >= x % k) for x in range(256)) if k > 1 else None
+
+
 def _tree_colorings(k: int, n: int, tree):
     """The proper k-colorings of a tree, (parent, child) edges from root 0,
     in :func:`_product_blocks` of one column per vertex: the root's color,
     then per edge a digit d < k - 1, the child's color d + (d >= parent's),
     packed as d * k + parent's color in each byte by one big-int sum (k <=
     16) and mapped by one ``translate``."""
-    lanes = bytes(x // k + (x // k >= x % k) for x in range(256)) if k > 1 else None
+    lanes = _lanes(k)
     for rows, digits in _product_blocks((k,) + (k - 1,) * len(tree)):
         colors = [digits[0]] * n
         for (parent, child), column in zip(tree, digits[1:]):
@@ -396,7 +403,7 @@ def _kill_masks(blocks, sizes, edges, options, spend) -> tuple[int, list[list[in
     indices at ``edges[e]``'s ends form a pair of option ``options[e][o]``.
     ``translate`` turns a column, last row first, into binary digits for
     ``int(..., 2)``, which has no digit limit.  The deadline is checked at
-    every block and edge, charging nothing."""
+    every block and every 256 options of an edge, charging nothing."""
     parts = [[] for _ in sizes]
     count = 0
     for rows, columns in blocks:
@@ -413,9 +420,15 @@ def _kill_masks(blocks, sizes, edges, options, spend) -> tuple[int, list[list[in
         ])
     kill = []
     for (u, v), opts in zip(edges, options):
-        spend(0)
         both = [[a & b for b in at[v]] for a in at[u]]
-        kill.append([reduce(or_, [both[a][b] for a, b in pairs], 0) for pairs in opts])
+        masks = []
+        for start in range(0, len(opts), 256):
+            spend(0)
+            masks += [
+                reduce(or_, [both[a][b] for a, b in pairs], 0)
+                for pairs in opts[start : start + 256]
+            ]
+        kill.append(masks)
     return (1 << count) - 1, kill
 
 
@@ -471,7 +484,7 @@ def _survivor_walk(kill, keep, survivors, picks, spend, need=1, leader_step=None
             if sent is not None:
                 need = sent
         else:
-            step = leader_step(stab) if free is None else free[depth]
+            step = leader_step(stab, spend) if free is None else free[depth]
             heads = first = None
             if depth == last:
                 if need == 1:
@@ -565,13 +578,20 @@ class _LeaderTables:
             self._conj_rows[s] = row
         return row
 
-    def _full_group_step(self) -> list:
+    def _full_group_step(self, spend) -> list:
         """Children of a prefix fixed by all of Sym(k): p is a leader iff it
         is the first permutation of its conjugacy class (cycle type), and the
-        child's stabilizer is the centralizer of p."""
+        child's stabilizer is the centralizer of p.  Given ``spend``, the
+        deadline is checked with a zero-unit charge every 4096 permutations
+        examined, counting k! per centralizer."""
         seen = set()
         step: list = []
+        examined = 0
         for p in self.perms:
+            examined += 1
+            if examined >= 4096 and spend is not None:
+                examined = 0
+                spend(0)
             cycle_type = []
             done = [False] * self.k
             for start in range(self.k):
@@ -587,6 +607,7 @@ class _LeaderTables:
                 step.append(False)
                 continue
             seen.add(cycle_type)
+            examined += self.nperm
             centralizer = tuple(
                 s
                 for s, sigma in enumerate(self.perms)
@@ -595,16 +616,17 @@ class _LeaderTables:
             step.append(None if len(centralizer) == self.nperm - 1 else centralizer)
         return step
 
-    def leader_step(self, stab: tuple[int, ...] | None) -> list:
+    def leader_step(self, stab: tuple[int, ...] | None, spend=None) -> list:
         """Per child permutation p of a node whose prefix has stabilizer
         ``stab``: the child's stabilizer, or False when some sigma in
         ``stab`` conjugates p to an earlier permutation, so that no cover
-        below the child is its orbit's lex-leader."""
+        below the child is its orbit's lex-leader.  A step is cached once
+        built; a trip of ``spend`` while the root's is built caches none."""
         step = self._steps.get(stab)
         if step is not None:
             return step
         if stab is None:
-            step = self._full_group_step()
+            step = self._full_group_step(spend)
         else:
             rows = [(s, self._conj_row(s)) for s in stab]
             step = []
@@ -770,10 +792,11 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     is enough.
 
     While m >= 2 and the graph has a dominating vertex, the least one is
-    peeled: each level is critical with the fold one less, as g's one
-    classification implies.  From the bottom up, levels are scanned until
-    one is robustly critical; each level above it is then robustly critical
-    by the join rule, charged m!^|E(h)|, the scan's count.
+    peeled, in the peel g's classification runs on
+    (:func:`~critickit.coloring.classify_criticality`): each level is
+    critical with the fold one less.  From the bottom up, levels are
+    scanned until one is robustly critical; each level above it is then
+    robustly critical by the join rule, charged m!^|E(h)|, the scan's count.
 
     The join rule: g = h + a critical, a dominating, chi(g) = m + 1, and h
     robustly critical make g robustly critical.  In the star gauge at a, a
@@ -801,19 +824,14 @@ def _robust_verdict(
     if g.n < 1:
         raise GraphError("robust criticality needs at least one vertex")
     spanning_tree(g)  # connectivity precondition
+    levels = _apex_levels(g)
     if verdict is None:
-        verdict = classify_criticality(g)
+        verdict = classify_criticality(g, levels)
     k = verdict.chromatic_number
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0)
     budget = (limits or SearchLimits()).start()
-    levels = [g]  # fold k - 1 at g, one less per level
-    while k - len(levels) >= 2:
-        h = levels[-1]
-        a = next((v for v in range(h.n) if len(h.adj[v]) == h.n - 1), None)
-        if a is None:
-            break
-        levels.append(induced_subgraph(h, [v for v in range(h.n) if v != a]))
+    levels = levels[: k - 1]  # fold k - 1 at g, one less per level, down to 1
     robust = False  # the verdict of the level below, none at the bottom
     try:
         for i in range(len(levels) - 1, -1, -1):

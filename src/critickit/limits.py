@@ -13,8 +13,9 @@ dominating vertex, from a robustly critical h with one charge of every
 gauge-fixed cover of g, after the levels below have charged the same
 budget.
 Work that is not metered checks the deadline with zero-unit charges:
-building a cover scan's kill masks and the bad-assignment search's deferral
-certificate (which also decides every complete block system).
+building a cover scan's kill masks and the root step of its leader tables,
+and the bad-assignment search's deferral certificate (which also decides
+every complete block system).
 """
 
 from __future__ import annotations

@@ -711,3 +711,83 @@ def random_uniform_cover(rng: random.Random, g: Graph, k: int) -> Cover:
         count = k if kind == 1 else rng.randint(0, k)
         matchings[(u, v)] = dict(zip(rng.sample(range(k), count), rng.sample(range(k), count)))
     return make_cover(g, [k] * g.n, matchings)
+
+
+def oracle_questions(g: Graph):
+    """``coloring._questions`` as it was before its questions ran on
+    neighbor bitmasks: the same greedy clique and search order, the k-core
+    peeled on a stack of degree counts, and one ``_choices`` walk over
+    identity matchings of the core.  Returns ``first(k, edge=None,
+    vertex=None, peel=True)``."""
+    from critickit.coloring import _choices, _greedy_clique, _search_order
+
+    cliq = _greedy_clique(g)
+    order = _search_order(g, cliq)
+    n, size = g.n, len(cliq)
+    position = {v: p for p, v in enumerate(order)}
+    adj = [[position[u] for u in g.adj[v]] for v in order]
+    degree = [len(near) for near in adj]
+
+    def first(k: int, edge=None, vertex=None, peel=True):
+        a, b = (position[edge[0]], position[edge[1]]) if edge else (n, n)
+        x = n if vertex is None else position[vertex]
+        if size > k and x >= size and max(a, b) >= size:
+            return None
+        gone, floor = {a: b, b: a}, k if peel else 0
+        deg = degree[:]
+        if edge:
+            deg[a] -= 1
+            deg[b] -= 1
+        kept = [p != x and deg[p] >= floor for p in range(n)]
+        stack = [p for p in range(n) if not kept[p]]
+        while stack:
+            p = stack.pop()
+            skip = gone.get(p)
+            for q in adj[p]:
+                if kept[q] and q != skip:
+                    deg[q] -= 1
+                    if deg[q] < floor:
+                        kept[q] = False
+                        stack.append(q)
+        core = [p for p in range(n) if kept[p]]
+        index = {p: i for i, p in enumerate(core)}
+        identity = tuple((i, i) for i in range(k))
+        matchings = [
+            (index[q], i, identity)
+            for i, p in enumerate(core)
+            for q in adj[p]
+            if q < p and kept[q] and gone.get(p) != q
+        ]
+        for choice in _choices([min(k, i + 1) for i in range(len(core))], matchings):
+            return choice[:]
+        return None
+
+    return first
+
+
+def single_pass_chromatic_polynomial(g: Graph) -> tuple[int, ...]:
+    """Coefficients of g's chromatic polynomial, ascending, by plain
+    memoized deletion-contraction of the whole graph at once: no peeling and
+    no split into components."""
+    memo = {}
+
+    def solve(n, edges):
+        if not edges:
+            return (0,) * n + (1,)
+        if (n, edges) not in memo:
+            u, v = min(edges)
+            merged = frozenset(
+                (min(a, b), max(a, b))
+                for a, b in (
+                    (a - (a > v) if a != v else u, b - (b > v) if b != v else u) for a, b in edges
+                )
+                if a != b
+            )
+            deleted, contracted = solve(n, edges - {(u, v)}), solve(n - 1, merged)
+            out = list(deleted)
+            for i, c in enumerate(contracted):
+                out[i] -= c
+            memo[(n, edges)] = tuple(out)
+        return memo[(n, edges)]
+
+    return solve(g.n, frozenset(g.edges()))

@@ -23,15 +23,17 @@ from critickit import (
     is_k_colorable,
     join,
 )
-from critickit.coloring import _greedy_clique, _search_order
+from critickit.coloring import _greedy_clique, _questions, _search_order
 from critickit.graphs import connected_components
 from helpers import (
     brute_count_colorings,
     brute_criticality,
     brute_first_coloring,
     brute_is_k_colorable,
+    oracle_questions,
     per_deletion_criticality,
     random_graph,
+    single_pass_chromatic_polynomial,
 )
 
 K3_PLUS_PENDANT = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
@@ -192,6 +194,50 @@ def test_criticality_matches_per_deletion_reference():
         assert is_k_colorable(g, k) and not is_k_colorable(g, k - 1)
 
 
+def _relabeled(g, rng):
+    """g under a seeded relabeling that moves its last vertex (n >= 2)."""
+    perm = list(range(g.n))
+    while perm[-1:] == [g.n - 1] and g.n > 1:
+        rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_join_lift_matches_per_deletion_reference():
+    # H + K1 and H + K2 for every labelled H on <= 5 vertices, relabeled so
+    # the apices move: a join classified from its level below must give the
+    # verdict and the first witness that asking every deletion of the join
+    # gives
+    rng = random.Random(2408)
+    lifted = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            h = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for t in (1, 2):
+                g = _relabeled(join(h, clique(t)), rng)
+                verdict = classify_criticality(g)
+                assert verdict == per_deletion_criticality(g), (h.edges(), t)
+                lifted += verdict.is_critical
+    assert lifted == 2 * 18  # H empty, K1 to K5 and the 12 labelled C5s
+
+
+def test_questions_match_the_stack_peel_reference():
+    # every (k, edge, vertex, peel) question on random graphs with n <= 8:
+    # the bitmask k-core and the shared identity map give the first coloring
+    # that the stack peel and a matchings walk give
+    rng = random.Random(20261019)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.uniform(0.2, 0.9))
+        first, reference = _questions(g)[1], oracle_questions(g)
+        for k in range(g.n + 2):
+            for edge in [None] + g.edges():
+                for vertex in [None] + list(range(g.n)):
+                    for peel in (True, False):
+                        got = first(k, edge=edge, vertex=vertex, peel=peel)
+                        want = reference(k, edge=edge, vertex=vertex, peel=peel)
+                        assert got == want, (g.edges(), k, edge, vertex, peel)
+
+
 TWO_K3 = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
@@ -269,6 +315,26 @@ def test_polynomial_charges_one_unit_per_memo_miss():
     assert poly.coefficients == (0, 4, -10, 10, -5, 1)
     with pytest.raises(BudgetExceeded):
         chromatic_polynomial(cycle(5), SearchLimits(max_nodes=12))
+
+
+def test_polynomial_multiplies_over_components():
+    # seeded disjoint unions of random parts, isolated vertices and pendant
+    # paths: the product over components is the single-pass polynomial, and
+    # two C5s charge the 13 memo misses of one, the second meeting the memo
+    rng = random.Random(5)
+    for _ in range(30):
+        parts = [random_graph(rng, rng.randint(1, 5), p=0.6) for _ in range(rng.randint(1, 3))]
+        parts.append(build_graph(rng.randint(1, 3), []))
+        n, edges = 0, []
+        for part in parts:
+            edges += [(u + n, v + n) for u, v in part.edges()]
+            n += part.n
+        edges += [(0, n), (n, n + 1)]
+        g = _relabeled(build_graph(n + 2, edges), rng)
+        assert chromatic_polynomial(g).coefficients == single_pass_chromatic_polynomial(g)
+    two_c5 = build_graph(10, cycle(5).edges() + [(u + 5, v + 5) for u, v in cycle(5).edges()])
+    poly = chromatic_polynomial(two_c5, SearchLimits(max_nodes=13))
+    assert poly(3) == 30 * 30
 
 
 def test_polynomial_peels_a_long_path():

@@ -615,6 +615,37 @@ def test_leader_steps_keep_exactly_orbit_leaders(k, length):
     assert leaders < len(perms) ** length or k <= 2
 
 
+def test_tripped_root_step_caches_nothing():
+    # the root leader step at k = 6 examines 720 permutations and 11
+    # centralizers of 720 each, so its build checks the deadline twice; a
+    # trip there leaves no step cached, and the next scan at k = 6 builds
+    # the whole step and decides
+    from critickit import covers
+    from critickit.limits import Budget
+
+    class TripAtZeroCharges(Budget):
+        armed = False
+
+        def spend(self, units=1):
+            if units == 0 and self.armed:
+                raise BudgetExceeded("time budget exhausted", spent=self.spent)
+            super().spend(units)
+
+    covers._leader_tables.cache_clear()
+    budget = TripAtZeroCharges(SearchLimits())
+    scan = covers._GaugeScan(clique(3), 6, budget)
+    budget.armed = True
+    with pytest.raises(BudgetExceeded):
+        scan.find_bad(False)
+    assert budget.spent == 0
+    tables = covers._leader_tables(6)
+    assert tables is scan._leader_step.__self__ and None not in tables._steps
+    budget = SearchLimits().start()
+    assert covers._GaugeScan(clique(3), 6, budget).find_bad(False) is None
+    assert tables._steps[None] == covers._LeaderTables(6).leader_step(None)
+    assert budget.spent == 720
+
+
 def test_k5_full_scan_decided():
     from critickit.covers import _GaugeScan
 

@@ -279,9 +279,9 @@ def test_pair_classifies_each_graph_once(monkeypatch):
 
     sizes = []
 
-    def counting(g):
+    def counting(g, *levels):
         sizes.append(g.n)
-        return coloring.classify_criticality(g)
+        return coloring.classify_criticality(g, *levels)
 
     monkeypatch.setattr(lemmas, "classify_criticality", counting)
     monkeypatch.setattr(covers, "classify_criticality", counting)
