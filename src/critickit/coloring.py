@@ -12,10 +12,10 @@ criticality, the coloring counts here, list coloring and the cover module's
 transversal searches all run on it.
 
 Every yes-or-no question shares one search set-up per graph, with each
-vertex's neighbors as a bitmask, and first peels, with bit operations,
-each vertex of remaining degree below k.  Colored after the vertices still
-there when it goes, it always finds a free color, so only the k-core is
-searched, every walk sharing the graph's one identity map.  In
+vertex's neighbors and degree, and first peels, on a stack of degree
+counts, each vertex of remaining degree below k.  Colored after the
+vertices still there when it goes, it always finds a free color, so only
+the k-core is searched, every walk sharing the graph's one identity map.  In
 criticality, a vertex on an edge whose deletion drops the chromatic number
 needs no search (deleting it deletes the edge), so when every edge drops
 it only isolated vertices are asked about, and each is a witness iff n >=
@@ -150,7 +150,7 @@ def _search_order(g: Graph, cliq: list[int]) -> list[int]:
 
 def _questions(g: Graph):
     """One search set-up for g (greedy clique, :func:`_search_order`,
-    neighbors by search position as bitmasks) for every colorability
+    neighbors and degrees by search position) for every colorability
     question about g and its single deletions.  Returns the positions and
     ``first(k, edge=None, vertex=None, peel=True)``: the first proper
     k-coloring, one color per searched position, of g less that edge or
@@ -161,14 +161,15 @@ def _questions(g: Graph):
     order = _search_order(g, cliq)
     n, size = g.n, len(cliq)
     position = {v: p for p, v in enumerate(order)}
-    near = [0] * n  # near[p]: the positions of p's neighbors, as bits
+    near: list[list[int]] = [[] for _ in range(n)]  # near[p]: p's neighbors
     lower: list[list[int]] = [[] for _ in range(n)]  # lower[p]: those below p
     for p, v in enumerate(order):
         for u in g.adj[v]:
             q = position[u]
-            near[p] |= 1 << q
+            near[p].append(q)
             if q < p:
                 lower[p].append(q)
+    degree = list(map(len, near))
     same = {c: c for c in range(n)}  # the identity map, for every k
 
     def first(k: int, edge=None, vertex=None, peel=True) -> list[int] | None:
@@ -178,32 +179,36 @@ def _questions(g: Graph):
         x = n if vertex is None else position[vertex]
         if size > k and x >= size and max(a, b) >= size:
             return None  # what is left keeps the clique
-        adj, kept = near, (1 << n) - 1 & ~(1 << x)
+        # a position is kept while its remaining degree is at least floor;
+        # each one dropped is on the stack once, when it falls below
+        deg, floor = degree[:], k if peel else 0
         if edge:
-            adj = near[:]
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-        check = kept if peel else 0  # positions whose degree may be below k
-        while check:  # drop each position of remaining degree below k
-            drop = 0
-            while check:
-                bit = check & -check
-                check ^= bit
-                if (adj[bit.bit_length() - 1] & kept).bit_count() < k:
-                    drop |= bit
-            kept ^= drop
-            while drop:
-                bit = drop & -drop
-                drop ^= bit
-                check |= adj[bit.bit_length() - 1]
-            check &= kept
-        if not kept:
+            deg[a] -= 1
+            deg[b] -= 1
+        if x < n:
+            deg[x] = -1
+        drop = [p for p in range(n) if deg[p] < floor]
+        if n - len(drop) <= floor:
+            return []  # a core needs floor + 1 positions
+        while drop:
+            p = drop.pop()
+            cut = b if p == a else a if p == b else n
+            for q in near[p]:
+                d = deg[q]
+                if d >= floor and q != cut:
+                    deg[q] = d - 1
+                    if d == floor:
+                        drop.append(q)
+        core = [p for p in range(n) if deg[p] >= floor]
+        if not core:
             return []  # the empty coloring of an empty core
-        core = [p for p in range(n) if kept >> p & 1]
         index = [0] * n
         for i, p in enumerate(core):
             index[p] = i
-        incoming = [[(index[q], same) for q in lower[p] if (adj[p] & kept) >> q & 1] for p in core]
+        incoming = [[(index[q], same) for q in lower[p] if deg[q] >= floor] for p in core]
+        if edge and deg[a] >= floor and deg[b] >= floor:
+            hi, lo = index[max(a, b)], index[min(a, b)]
+            incoming[hi] = [pair for pair in incoming[hi] if pair[0] != lo]
         for choice in _walk([min(k, i + 1) for i in range(len(core))], incoming):
             return choice[:]
         return None

@@ -27,7 +27,7 @@ A join is robustly critical when the level below is (the join rule of
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import permutations, product, repeat
+from itertools import islice, permutations, product, repeat
 from math import factorial
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
@@ -555,12 +555,20 @@ class _LeaderTables:
     rows and the leader steps, each built on first use.  They depend only on
     k, so every scan at k shares one set (:func:`_leader_tables`)."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, spend=None):
+        """Lists the permutations, their pairs and index; given ``spend``,
+        the deadline is checked with a zero-unit charge after every 4096."""
         self.k = k
-        self.perms = list(permutations(range(k)))
+        self.perms, self.pairs, self._index = [], [], {}
+        source = permutations(range(k))
+        while chunk := list(islice(source, 4096)):
+            start = len(self.perms)
+            self._index.update(zip(chunk, range(start, start + len(chunk))))
+            self.perms += chunk
+            self.pairs += map(tuple, map(enumerate, chunk))
+            if len(chunk) == 4096 and spend is not None:
+                spend(0)
         self.nperm = len(self.perms)
-        self.pairs = [tuple(enumerate(p)) for p in self.perms]
-        self._index = {p: i for i, p in enumerate(self.perms)}
         self._conj_rows: dict[int, list[int]] = {}
         self._steps: dict[tuple[int, ...] | None, list] = {(): [()] * self.nperm}
 
@@ -643,9 +651,16 @@ class _LeaderTables:
         return step
 
 
-@lru_cache(maxsize=None)
-def _leader_tables(k: int) -> _LeaderTables:
-    return _LeaderTables(k)
+_LEADER_TABLES: dict[int, _LeaderTables] = {}
+
+
+def _leader_tables(k: int, spend=None) -> _LeaderTables:
+    """The tables at k, built on first use with ``spend``; a trip while
+    they are built leaves none cached."""
+    tables = _LEADER_TABLES.get(k)
+    if tables is None:
+        tables = _LEADER_TABLES[k] = _LeaderTables(k, spend)
+    return tables
 
 
 def _decision_order(kill) -> list[int]:
@@ -684,7 +699,7 @@ class _GaugeScan:
         self.k = k
         self.budget = budget
         self.tree, self.nontree = _gauge_edges(g)
-        tables = _leader_tables(k)
+        tables = _leader_tables(k, budget.spend)
         self.perms = tables.perms
         self.nperm = tables.nperm
         self._leader_step = tables.leader_step

@@ -4,8 +4,12 @@ exhaustively (or by seeded sampling when too large) on concrete small graphs.
 Adding matched pairs to a cover only removes transversals, so every partial
 cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
 bad whenever it is.  The excess check therefore decides profiles with a list
-larger than k-1 over maximal covers only; the all-(k-1) profile, where the
-lemmas quantify over non-full covers, keeps every partial cover.
+larger than k-1 over maximal covers only.  Where the lemmas quantify over
+non-full covers, on the all-(k-1) profile, the same fact settles all but a
+few: a cover that is not maximal extends to a *near-full* one (one edge one
+pair short, every other edge maximal), bad whenever it is.  So when no
+near-full cover is bad, every bad partial cover is maximal, and only the
+maximal covers are walked; otherwise every partial cover is.
 
 Covers are decided by survivor bitsets rather than by one transversal search
 per cover: every candidate transversal is one bit, each edge option has a
@@ -17,7 +21,8 @@ All three find their bad covers with :func:`_bad_picks`, which runs the
 gauge-fixed scan's survivor walk without symmetry, so that every bad cover
 is visited in ``product`` order.  Only bad covers are materialized as
 :class:`Cover` objects.  Every cover decided is charged one unit to a budget
-started from the check's limits; when it trips, the check is ``truncated``.
+started from the check's limits (covers settled by the near-full argument
+are not decided); when it trips, the check is ``truncated``.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
@@ -30,7 +35,7 @@ import zlib
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import prod
-from operator import getitem, or_
+from operator import getitem, mul, or_
 
 from .base import (
     ALL_PASS,
@@ -169,9 +174,32 @@ class _ProfileCovers:
             _product_blocks(self.sizes), self.sizes, self.edges, self.options, spend
         )
 
+    def _sized(self, short: int) -> list[list[int]]:
+        """Per edge uv, the indices of its options with min(a, b) - ``short``
+        pairs."""
+        out = []
+        for (u, v), opts in zip(self.edges, self.options):
+            size = min(self.sizes[u], self.sizes[v]) - short
+            out.append([o for o, pairs in enumerate(opts) if len(pairs) == size])
+        return out
+
+    def _near_full_bad(self, full: int, kill, tops, spend) -> bool:
+        """Whether a near-full cover is bad: one edge one pair short of
+        maximal, every other edge maximal (``tops``, the maximal options'
+        masks).  One :func:`_bad_picks` walk per edge over slices of
+        ``kill``, each stopped at its first bad cover.  If none is, every
+        bad cover is maximal (module docstring)."""
+        for e, short in enumerate(self._sized(1)):
+            if short:
+                sliced = tops[:]
+                sliced[e] = [kill[e][o] for o in short]
+                if next(_bad_picks(full, sliced, spend), None) is not None:
+                    return True
+        return False
+
     def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
-        """(mode, covers to decide in all, iterator of (covers decided so
-        far, picks) over the bad covers).  The covers are those of
+        """(mode, covers to decide in all, iterator over the bad covers of
+        (covers up to and including it, picks)).  The covers are those of
         ``options``: every partial cover of the profile, or only the maximal
         ones.  The iterator charges one unit per cover decided to a budget
         started from ``limits`` now, and raises :class:`BudgetExceeded` when
@@ -179,6 +207,12 @@ class _ProfileCovers:
         only the time cap can trip it.  The kill table is built on the
         iterator's first step, so a cap that trips while the table is read
         is raised there too.
+
+        An exhaustive walk over the table first asks whether a near-full
+        cover is bad (:meth:`_near_full_bad`); if not, it walks only the
+        maximal covers.  Either way it reports each bad cover at its
+        position in ``product`` order over every cover of ``options``, and
+        its charges include the near-full covers decided.
 
         The mode rule: exhaustive when the estimated search nodes, covers
         times (n+1), fit the node budget; otherwise a seeded sample, drawn
@@ -204,8 +238,14 @@ class _ProfileCovers:
             if table:
                 full, kill = self._kill_table(budget.spend)
                 if draws is None:
-                    for picks in _bad_picks(full, kill, budget.spend):
-                        yield budget.spent, picks
+                    top = self._sized(0)
+                    tops = [[kill[e][o] for o in opts] for e, opts in enumerate(top)]
+                    if self._near_full_bad(full, kill, tops, budget.spend):
+                        top, tops = [range(len(masks)) for masks in kill], kill
+                    strides = [prod(map(len, kill[e + 1 :])) for e in range(len(kill))]
+                    for picks in _bad_picks(full, tops, budget.spend):
+                        picks = tuple(map(getitem, top, picks))
+                        yield 1 + sum(map(mul, picks, strides)), picks
                     return
 
                 def is_bad(picks) -> bool:
@@ -234,7 +274,9 @@ def check_excess_lemma(
     Such an oversized profile is decided over its maximal covers, and
     ``checked`` counts those: a bad cover extends to a bad maximal cover, and
     any bad cover of it is a counterexample.  The all-(k-1) profile is
-    decided over every partial cover."""
+    decided over every partial cover, and ``checked`` counts those; when no
+    near-full cover is bad, only the full covers are walked, a bad one
+    reported at its position among all of them."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     sizes = tuple(sizes)
@@ -281,7 +323,12 @@ def check_full_extension_lemma(
     g: Graph, limits: SearchLimits | None = None
 ) -> LemmaReport:
     """On a critical graph, a bad non-full (k-1)-fold cover has no canonical
-    full extension."""
+    full extension.
+
+    ``checked`` counts every partial (k-1)-fold cover and the full
+    extensions looked at.  A bad non-full cover exists only if a near-full
+    one is bad (module docstring); when none is, the check passes after
+    deciding the near-full and full covers alone."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     cv = classify_criticality(g)

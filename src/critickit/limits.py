@@ -6,16 +6,18 @@ silently truncating.  Work units are search-specific and documented on the
 operations: cover scans, the lemma checks' profile scans among them, charge
 one unit per cover decided, a sampled cover included (covers dismissed in
 bulk by the survivor bound or by symmetry, as not the lex-leader of their
-relabeling orbit, are still charged), assignment searches charge one unit
-per enumeration node, and the coloring and transversal counts one unit per
-backtrack, 4096 at a time.  The robust verdict decides a join g = h + a, a
-dominating vertex, from a robustly critical h with one charge of every
-gauge-fixed cover of g, after the levels below have charged the same
-budget.
+relabeling orbit, are still charged).  An exhaustive scan of a profile's
+partial covers decides its near-full covers first; when none is bad it
+decides the maximal ones alone, and the covers settled by that argument are
+not charged.  Assignment searches charge one unit per enumeration node, and
+the coloring and transversal counts one unit per backtrack, 4096 at a time.
+The robust verdict decides a join g = h + a, a dominating vertex, from a
+robustly critical h with one charge of every gauge-fixed cover of g, after
+the levels below have charged the same budget.
 Work that is not metered checks the deadline with zero-unit charges:
-building a cover scan's kill masks and the root step of its leader tables,
-and the bad-assignment search's deferral certificate (which also decides
-every complete block system).
+building a cover scan's kill masks, its leader tables (every 4096
+permutations listed) and their root step, and the bad-assignment search's
+deferral certificate (which also decides every complete block system).
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ from itertools import combinations, permutations, product
 
 from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
 from critickit.coloring import ColoringVerdict, find_coloring
-from critickit.graphs import induced_subgraph
+from critickit.covers import full_extensions
+from critickit.graphs import encode_graph6, induced_subgraph
+from critickit.jsonio import cover_to_doc
+from critickit.lemmas import LemmaReport
 from critickit.limits import Budget
 
 
@@ -273,8 +276,8 @@ def oracle_profile_bad_picks(
     g: Graph, sizes, max_nodes: int, seed_parts, first: int, maximal: bool = False
 ):
     """Per-cover reference for the lemma checks' profile scans: (mode,
-    covers decided in all, the first ``first`` bad covers as (covers decided
-    so far, picks)).  Same mode rule and seeded draws as the library, but
+    covers decided in all, the first ``first`` bad covers, or all of them if
+    ``first`` is None, as (covers decided so far, picks)).  Same mode rule and seeded draws as the library, but
     every cover is built as one dict per edge and decided by its own
     transversal search.  With ``maximal``, each edge's options are only its
     injections of size min(a, b)."""
@@ -310,6 +313,45 @@ def oracle_profile_bad_picks(
             if len(bad) == first:
                 break
     return mode, count, bad
+
+
+def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int):
+    """Per-cover reference for the two checks over every partial ``fold``-fold
+    cover, ``check_excess_lemma`` on the all-``fold`` profile (``lemma``
+    "excess") and ``check_full_extension_lemma`` ("full-extension"), their
+    preconditions granted at k = fold + 1: the bad covers in ``product``
+    order from :func:`oracle_profile_bad_picks`, each counterexample looked
+    for as the check does, on every bad cover, full or not.  Full
+    extensions come from the library's enumerator."""
+    sizes, word, edges = (fold,) * g.n, encode_graph6(g), g.edges()
+    seed_parts = (lemma, word, sizes, fold + 1) if lemma == "excess" else (lemma, word, fold + 1)
+    mode, total, bad = oracle_profile_bad_picks(g, sizes, max_nodes, seed_parts, None)
+    options = _partial_injections(fold, fold)
+    extensions = 0
+    for decided, picks in bad:
+        cover = Cover(g, sizes, tuple((u, v, options[p]) for (u, v), p in zip(edges, picks)))
+        if lemma == "excess":
+            if oracle_canonical_labeling(cover) is None:
+                return LemmaReport(
+                    lemma, word, decided, "counterexample", mode,
+                    counterexample={"cover": cover_to_doc(cover)},
+                    detail="bad cover that is not a canonical (k-1)-fold cover",
+                )
+            continue
+        if all(len(options[p]) == fold for p in picks):
+            continue
+        for extension in full_extensions(cover):
+            extensions += 1
+            if oracle_canonical_labeling(extension) is not None:
+                return LemmaReport(
+                    lemma, word, decided + extensions, "counterexample", mode,
+                    counterexample={
+                        "cover": cover_to_doc(cover),
+                        "canonical_extension": cover_to_doc(extension),
+                    },
+                    detail="bad non-full cover with a canonical full extension",
+                )
+    return LemmaReport(lemma, word, total + extensions, "all_pass", mode)
 
 
 class RecordingBudget(Budget):
@@ -714,8 +756,8 @@ def random_uniform_cover(rng: random.Random, g: Graph, k: int) -> Cover:
 
 
 def oracle_questions(g: Graph):
-    """``coloring._questions`` as it was before its questions ran on
-    neighbor bitmasks: the same greedy clique and search order, the k-core
+    """``coloring._questions`` as it was before its walks shared one
+    identity map: the same greedy clique and search order, the k-core
     peeled on a stack of degree counts, and one ``_choices`` walk over
     identity matchings of the core.  Returns ``first(k, edge=None,
     vertex=None, peel=True)``."""

@@ -223,8 +223,8 @@ def test_join_lift_matches_per_deletion_reference():
 
 def test_questions_match_the_stack_peel_reference():
     # every (k, edge, vertex, peel) question on random graphs with n <= 8:
-    # the bitmask k-core and the shared identity map give the first coloring
-    # that the stack peel and a matchings walk give
+    # the prebuilt core walk and the shared identity map give the first
+    # coloring that a matchings walk gives
     rng = random.Random(20261019)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), p=rng.uniform(0.2, 0.9))

@@ -631,7 +631,7 @@ def test_tripped_root_step_caches_nothing():
                 raise BudgetExceeded("time budget exhausted", spent=self.spent)
             super().spend(units)
 
-    covers._leader_tables.cache_clear()
+    covers._LEADER_TABLES.clear()
     budget = TripAtZeroCharges(SearchLimits())
     scan = covers._GaugeScan(clique(3), 6, budget)
     budget.armed = True
@@ -644,6 +644,36 @@ def test_tripped_root_step_caches_nothing():
     assert covers._GaugeScan(clique(3), 6, budget).find_bad(False) is None
     assert tables._steps[None] == covers._LeaderTables(6).leader_step(None)
     assert budget.spent == 720
+
+
+def test_leader_tables_check_the_deadline_while_listed():
+    # the tables list k! permutations, with a zero-unit charge after every
+    # 4096: none at k = 6, one at k = 7; a scan at 7 tripped there caches
+    # no tables, and the next scan at 7 builds and keeps them
+    from itertools import permutations
+
+    from critickit import covers
+    from critickit.limits import Budget
+
+    for k, want in ((6, []), (7, [0])):
+        calls = []
+        tables = covers._LeaderTables(k, calls.append)
+        assert calls == want
+        assert tables.perms == list(permutations(range(k)))
+        assert tables.pairs == [tuple(enumerate(p)) for p in tables.perms]
+        assert all(tables._index[p] == i for i, p in enumerate(tables.perms))
+
+    class TripAtFirstCharge(Budget):
+        def spend(self, units=1):
+            raise BudgetExceeded("time budget exhausted", spent=self.spent)
+
+    covers._LEADER_TABLES.pop(7, None)
+    with pytest.raises(BudgetExceeded):
+        covers._GaugeScan(clique(2), 7, TripAtFirstCharge(SearchLimits()))
+    assert 7 not in covers._LEADER_TABLES
+    budget = RecordingBudget(SearchLimits())
+    assert covers._GaugeScan(clique(2), 7, budget).find_bad(True) is None
+    assert budget.calls[0] == 0 and 7 in covers._LEADER_TABLES
 
 
 def test_k5_full_scan_decided():
@@ -849,7 +879,7 @@ def test_scans_share_leader_tables_per_k(monkeypatch):
         recorded = _recorded(g, k, limits.max_nodes, lambda s: s.find_bad(True))
         return robust_criticality_verdict(g, limits), recorded
 
-    covers._leader_tables.cache_clear()
+    covers._LEADER_TABLES.clear()
     shared = [run(g, k) for g, k in cases]
     monkeypatch.setattr(covers, "_leader_tables", covers._LeaderTables)
     private = [run(g, k) for g, k in cases]

@@ -28,7 +28,12 @@ from critickit.lemmas import (
     _ProfileCovers,
     partial_injections,
 )
-from helpers import oracle_induction_report, oracle_profile_bad_picks, random_graph
+from helpers import (
+    oracle_induction_report,
+    oracle_partial_cover_report,
+    oracle_profile_bad_picks,
+    random_graph,
+)
 
 
 def test_partial_injection_counts():
@@ -191,6 +196,61 @@ def test_profile_scan_matches_per_cover_oracle():
     assert {path[1:] for path in paths if not path[0]} >= table_paths | {
         ("sampled", False, False)
     }
+
+
+def test_partial_cover_checks_match_per_cover_reference(monkeypatch):
+    # the preconditions are faked, so that hosts with bad non-full covers are
+    # checked as well as hosts whose bad covers are all full; both checks
+    # must report what a walk over every partial cover reports, whether or
+    # not a near-full cover is bad
+    rng = random.Random(19)
+    near_full_bad = lemmas._ProfileCovers._near_full_bad
+    taken, seen = [], set()
+
+    def recording(self, *args):
+        taken.append(near_full_bad(self, *args))
+        return taken[-1]
+
+    monkeypatch.setattr(lemmas._ProfileCovers, "_near_full_bad", recording)
+    # a triangle with a pendant edge, first or last in edge order: at fold 2
+    # only the pendant edge one pair short makes a near-full cover bad
+    pendants = [
+        build_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+        build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    ]
+    hosts = [clique(1), clique(2)] + NON_ROBUST_HOSTS + pendants + [
+        random_graph(rng, rng.randint(1, 6), p=rng.uniform(0.2, 0.8)) for _ in range(60)
+    ]
+    limits = SearchLimits(max_nodes=10**9)
+    for g in hosts:
+        for fold in (1, 2, 3):
+            if len(partial_injections(fold, fold)) ** g.m > 3000:
+                continue
+            monkeypatch.setattr(
+                lemmas, "robust_criticality_verdict",
+                lambda h, limits: SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=fold + 1),
+            )
+            monkeypatch.setattr(
+                lemmas, "classify_criticality",
+                lambda h: SimpleNamespace(is_critical=True, chromatic_number=fold + 1),
+            )
+            for lemma, check in (
+                ("excess", lambda: check_excess_lemma(g, (fold,) * g.n, limits)),
+                ("full-extension", lambda: check_full_extension_lemma(g, limits)),
+            ):
+                taken.clear()
+                want = oracle_partial_cover_report(lemma, g, fold, limits.max_nodes)
+                assert check() == want, (lemma, g.edges(), fold)
+                seen.add((lemma, want.outcome, tuple(taken)))
+    # counterexamples with and without a bad near-full cover; without one,
+    # the excess check's come from a walk over the maximal covers alone
+    assert {
+        ("excess", "all_pass", (False,)),
+        ("excess", "counterexample", (False,)),
+        ("excess", "counterexample", (True,)),
+        ("full-extension", "all_pass", (False,)),
+        ("full-extension", "counterexample", (True,)),
+    } <= seen
 
 
 def test_profile_kill_table_matches_pair_construction():
