@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from math import comb
+from operator import index
 from typing import Iterator
 
 from .base import Record
@@ -54,8 +55,8 @@ def _walk(sizes, incoming, spend=None) -> Iterator[list[int]]:
     Yields one shared choice list that the caller must copy before
     advancing.  Vertices are assigned in order 0..n-1 on an explicit stack,
     so input size is not limited by the interpreter's recursion limit.
-    Given ``spend``, the walk charges one unit per backtrack, 4096 at a
-    time, which also checks the deadline."""
+    Given ``spend``, the walk charges one unit per backtrack and one per
+    choice yielded, 4096 at a time, which also checks the deadline."""
     n = len(sizes)
     if n == 0:
         yield []
@@ -64,8 +65,8 @@ def _walk(sizes, incoming, spend=None) -> Iterator[list[int]]:
         return
     choice = [-1] * n
     forbidden = [0] * n
-    backtracks = 0
-    v = 0
+    last = n - 1
+    steps = v = 0
     while v >= 0:
         size, blocked = sizes[v], forbidden[v]
         i = choice[v] + 1
@@ -74,22 +75,23 @@ def _walk(sizes, incoming, spend=None) -> Iterator[list[int]]:
         if i == size:
             choice[v] = -1
             v -= 1
-            if spend is not None:
-                backtracks += 1
-                if not backtracks & 4095:
-                    spend(4096)
+        elif v < last:
+            choice[v] = i
+            v += 1
+            blocked = 0
+            for u, mapping in incoming[v]:
+                j = mapping.get(choice[u])
+                if j is not None:
+                    blocked |= 1 << j
+            forbidden[v] = blocked
             continue
-        choice[v] = i
-        if v == n - 1:
+        else:
+            choice[v] = i
             yield choice
-            continue
-        v += 1
-        blocked = 0
-        for u, mapping in incoming[v]:
-            j = mapping.get(choice[u])
-            if j is not None:
-                blocked |= 1 << j
-        forbidden[v] = blocked
+        if spend is not None:
+            steps += 1
+            if not steps & 4095:
+                spend(4096)
 
 
 def _color_matchings(g: Graph, ordered: list[list[int]]) -> list[tuple]:
@@ -327,21 +329,32 @@ def _deletion_verdict(g: Graph) -> ColoringVerdict:
     return ColoringVerdict(k, is_critical, is_vertex_critical, witness)
 
 
+class _Same:
+    """The identity map on every color, never listed: ``get`` is
+    :func:`operator.index`, which returns a color as it is."""
+
+    __slots__ = ()
+    get = index
+
+
 def count_proper_colorings(g: Graph, k: int, limits: SearchLimits | None = None) -> int:
     """Exact number of proper colorings with color set ``0..k-1``.
 
-    Counts the choices of :func:`_choices` under identity matchings, one by
-    one, independently of the chromatic polynomial so the two can be
-    cross-checked.  The walk charges its backtracks to a budget started from
-    ``limits`` (see :func:`_choices`), which raises
-    :class:`~critickit.errors.BudgetExceeded` when it trips.
+    Counts the choices of :func:`_walk` under the identity map on every
+    edge, one by one, independently of the chromatic polynomial so the two
+    can be cross-checked.  The walk charges its backtracks and colorings to
+    a budget started from ``limits``, which raises
+    :class:`~critickit.errors.BudgetExceeded` when it trips; nothing of
+    size k is listed before it starts.
     """
     if k < 0:
         raise GraphError(f"k must be non-negative, got {k}")
     spend = (limits or SearchLimits()).start().spend
-    identity = tuple((i, i) for i in range(k))
-    matchings = [(u, v, identity) for u, v in g.edges()]
-    return sum(1 for _ in _choices((k,) * g.n, matchings, spend))
+    same = _Same()
+    incoming: list[list[tuple[int, _Same]]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        incoming[v].append((u, same))
+    return sum(1 for _ in _walk((k,) * g.n, incoming, spend))
 
 
 class Polynomial(Record):

@@ -99,15 +99,13 @@ def make_cover(graph: Graph, sizes, matchings) -> Cover:
 
 
 def make_canonical_cover(graph: Graph, k: int) -> Cover:
-    """The cover encoding ordinary k-coloring: identity matching everywhere."""
+    """The cover encoding ordinary k-coloring: identity matching everywhere
+    (listed only if there is an edge to carry it)."""
     if k < 0:
         raise CoverError(f"k must be non-negative, got {k}")
-    identity = tuple((i, i) for i in range(k))
-    return Cover(
-        graph,
-        (k,) * graph.n,
-        tuple((u, v, identity) for u, v in graph.edges()),
-    )
+    edges = graph.edges()
+    identity = tuple((i, i) for i in range(k)) if edges else ()
+    return Cover(graph, (k,) * graph.n, tuple((u, v, identity) for u, v in edges))
 
 
 def make_near_canonical(graph: Graph, k: int, edge: tuple[int, int]) -> Cover:
@@ -222,8 +220,8 @@ def find_transversal(cover: Cover) -> tuple[int, ...] | None:
 
 def count_transversals(cover: Cover, limits: SearchLimits | None = None) -> int:
     """Exact number of transversals (no early exit).  The walk charges its
-    backtracks to a budget started from ``limits`` (see
-    :func:`coloring._choices`), which raises
+    backtracks and transversals to a budget started from ``limits`` (see
+    :func:`coloring._walk`), which raises
     :class:`~critickit.errors.BudgetExceeded` when it trips."""
     spend = (limits or SearchLimits()).start().spend
     return sum(1 for _ in _choices(cover.sizes, cover.matchings, spend))

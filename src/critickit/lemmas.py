@@ -1,5 +1,5 @@
 """Executable checks of the structural facts behind robust criticality, run
-exhaustively (or by seeded sampling when too large) on concrete small graphs.
+exhaustively on concrete small graphs.
 
 Adding matched pairs to a cover only removes transversals, so every partial
 cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
@@ -22,7 +22,9 @@ gauge-fixed scan's survivor walk without symmetry, so that every bad cover
 is visited in ``product`` order.  Only bad covers are materialized as
 :class:`Cover` objects.  Every cover decided is charged one unit to a budget
 started from the check's limits (covers settled by the near-full argument
-are not decided); when it trips, the check is ``truncated``.
+are not decided); when it trips, the check is ``truncated``.  So is a check
+whose profile's kill table would take more bits than the node budget,
+before the table or any option is built.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
@@ -30,12 +32,10 @@ enough data to replay the violation through the cover and list modules.
 
 from __future__ import annotations
 
-import random
-import zlib
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from math import prod
-from operator import getitem, mul, or_
+from math import comb, perm, prod
+from operator import getitem, mul
 
 from .base import (
     ALL_PASS,
@@ -57,7 +57,6 @@ from .covers import (
     _scan_verdict,
     _survivor_walk,
     canonical_labeling,
-    find_transversal,
     full_extensions,
     robust_criticality_verdict,
 )
@@ -67,7 +66,6 @@ from .jsonio import SCHEMA_LEMMA, cover_to_doc
 from .limits import SearchLimits
 
 EXHAUSTIVE = "exhaustive"
-SAMPLED = "sampled"
 
 
 class LemmaReport(Record):
@@ -104,27 +102,29 @@ class LemmaReport(Record):
         }
 
 
+def _injections(a: int, b: int, matched) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The injections of each size in ``matched`` from indices 0..a-1 into
+    0..b-1, as sorted pair tuples, ordered ascending by their pair set."""
+    return tuple(sorted(
+        tuple(zip(sources, targets))
+        for size in matched
+        for sources in combinations(range(a), size)
+        for targets in permutations(range(b), size)
+    ))
+
+
 @lru_cache(maxsize=None)
 def partial_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All partial injections from indices 0..a-1 into 0..b-1, as sorted pair
     tuples, ordered ascending by their pair set."""
-    out = []
-    for size in range(min(a, b) + 1):
-        for sources in combinations(range(a), size):
-            for targets in permutations(range(b), size):
-                out.append(tuple(zip(sources, targets)))
-    return tuple(sorted(out))
+    return _injections(a, b, range(min(a, b) + 1))
 
 
 @lru_cache(maxsize=None)
 def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The partial injections of size min(a, b), in
-    :func:`partial_injections` order."""
-    return tuple(p for p in partial_injections(a, b) if len(p) == min(a, b))
-
-
-def _seed(*parts) -> int:
-    return zlib.crc32(":".join(str(p) for p in parts).encode())
+    :func:`partial_injections` order, listed without the smaller ones."""
+    return _injections(a, b, (min(a, b),))
 
 
 def _bad_picks(full: int, kill: list[list[int]], spend):
@@ -147,17 +147,28 @@ def _bad_picks(full: int, kill: list[list[int]], spend):
 class _ProfileCovers:
     """Covers with a fixed size profile, as one partial-injection pick per
     edge; ``options[e]`` lists edge e's injections in
-    :func:`partial_injections` order, only the maximal ones if ``maximal``."""
+    :func:`partial_injections` order, only the maximal ones if ``maximal``.
+    ``total``, the number of covers, and ``bits``, the size of the kill
+    table, are counted before any option is listed."""
 
     def __init__(self, g: Graph, sizes, maximal: bool = False):
         self.g = g
         self.sizes = tuple(sizes)
         self.edges = g.edges()
-        injections = maximal_injections if maximal else partial_injections
-        self.options = [
-            injections(self.sizes[u], self.sizes[v]) for u, v in self.edges
-        ]
-        self.total = prod(map(len, self.options))
+        self.maximal = maximal
+        counts = []
+        for u, v in self.edges:
+            a, b = self.sizes[u], self.sizes[v]
+            low = min(a, b)
+            matched = range(low if maximal else 0, low + 1)
+            counts.append(sum(comb(a, pairs) * perm(b, pairs) for pairs in matched))
+        self.total = prod(counts)
+        self.bits = prod(self.sizes) * sum(counts)
+
+    @cached_property
+    def options(self) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+        injections = maximal_injections if self.maximal else partial_injections
+        return [injections(self.sizes[u], self.sizes[v]) for u, v in self.edges]
 
     def cover_at(self, picks) -> Cover:
         entries = tuple(
@@ -197,71 +208,36 @@ class _ProfileCovers:
                     return True
         return False
 
-    def iter_bad(self, limits: SearchLimits, seed_parts) -> tuple[str, int, object]:
-        """(mode, covers to decide in all, iterator over the bad covers of
-        (covers up to and including it, picks)).  The covers are those of
-        ``options``: every partial cover of the profile, or only the maximal
-        ones.  The iterator charges one unit per cover decided to a budget
-        started from ``limits`` now, and raises :class:`BudgetExceeded` when
-        it trips; the mode rule keeps the covers within the node budget, so
-        only the time cap can trip it.  The kill table is built on the
-        iterator's first step, so a cap that trips while the table is read
-        is raised there too.
+    def iter_bad(self, limits: SearchLimits):
+        """The bad covers of ``options`` (every partial cover of the profile,
+        or only the maximal ones), each as (covers up to and including it,
+        picks).  Charges one unit per cover decided to a budget started from
+        ``limits`` on the first step, and raises :class:`BudgetExceeded`
+        when it trips.
 
-        An exhaustive walk over the table first asks whether a near-full
-        cover is bad (:meth:`_near_full_bad`); if not, it walks only the
-        maximal covers.  Either way it reports each bad cover at its
-        position in ``product`` order over every cover of ``options``, and
-        its charges include the near-full covers decided.
-
-        The mode rule: exhaustive when the estimated search nodes, covers
-        times (n+1), fit the node budget; otherwise a seeded sample, drawn
-        with replacement, of budget/(n+1) covers.  Covers are decided by the
-        profile's kill table when its size in bits, tuples times options,
-        fits the node budget, and otherwise one at a time by
-        :func:`find_transversal`."""
+        The covers are decided on the profile's kill table.  When its size
+        in bits, tuples times options, exceeds the node budget, the first
+        step raises :class:`BudgetExceeded` with nothing spent and no option
+        listed; otherwise it builds the table, so a cap that trips while the
+        table is read is raised there too.  The walk first asks whether a
+        near-full cover is bad (:meth:`_near_full_bad`); if not, it walks
+        only the maximal covers.  Either way it reports each bad cover at
+        its position in ``product`` order over every cover of ``options``,
+        and its charges include the near-full covers decided."""
         budget = limits.start()
-        table = prod(self.sizes) * sum(map(len, self.options)) <= limits.max_nodes
-        draws = None
-        if self.total * (self.g.n + 1) <= limits.max_nodes:
-            mode, count = EXHAUSTIVE, self.total
-            if not table:
-                draws = product(*(range(len(opts)) for opts in self.options))
-        else:
-            count = max(1, limits.max_nodes // (self.g.n + 1))
-            mode = f"{SAMPLED}:{count}"
-            randrange = random.Random(_seed(*seed_parts)).randrange
-            lengths = [len(opts) for opts in self.options]
-            draws = (tuple(map(randrange, lengths)) for _ in range(count))
-
-        def decide():
-            if table:
-                full, kill = self._kill_table(budget.spend)
-                if draws is None:
-                    top = self._sized(0)
-                    tops = [[kill[e][o] for o in opts] for e, opts in enumerate(top)]
-                    if self._near_full_bad(full, kill, tops, budget.spend):
-                        top, tops = [range(len(masks)) for masks in kill], kill
-                    strides = [prod(map(len, kill[e + 1 :])) for e in range(len(kill))]
-                    for picks in _bad_picks(full, tops, budget.spend):
-                        picks = tuple(map(getitem, top, picks))
-                        yield 1 + sum(map(mul, picks, strides)), picks
-                    return
-
-                def is_bad(picks) -> bool:
-                    return reduce(or_, map(getitem, kill, picks), 0) == full
-
-            else:
-
-                def is_bad(picks) -> bool:
-                    return find_transversal(self.cover_at(picks)) is None
-
-            for picks in draws:
-                budget.spend()
-                if is_bad(picks):
-                    yield budget.spent, picks
-
-        return mode, count, decide()
+        if self.bits > budget.max_nodes:
+            raise BudgetExceeded(
+                f"kill table of {self.bits} bits exceeds the node budget", spent=0
+            )
+        full, kill = self._kill_table(budget.spend)
+        top = self._sized(0)
+        tops = [[kill[e][o] for o in opts] for e, opts in enumerate(top)]
+        if self._near_full_bad(full, kill, tops, budget.spend):
+            top, tops = [range(len(masks)) for masks in kill], kill
+        strides = [prod(map(len, kill[e + 1 :])) for e in range(len(kill))]
+        for picks in _bad_picks(full, tops, budget.spend):
+            picks = tuple(map(getitem, top, picks))
+            yield 1 + sum(map(mul, picks, strides)), picks
 
 
 def check_excess_lemma(
@@ -301,22 +277,21 @@ def check_excess_lemma(
         )
     oversized = any(s != k - 1 for s in sizes)
     profile = _ProfileCovers(g, sizes, maximal=oversized)
-    mode, total, bad = profile.iter_bad(limits, ("excess", word, sizes, k))
     try:
-        for checked, picks in bad:
+        for checked, picks in profile.iter_bad(limits):
             cover = profile.cover_at(picks)
             if oversized or canonical_labeling(cover) is None:
                 return LemmaReport(
-                    "excess", word, checked, COUNTEREXAMPLE, mode,
+                    "excess", word, checked, COUNTEREXAMPLE, EXHAUSTIVE,
                     counterexample={"cover": cover_to_doc(cover)},
                     detail="bad cover that is not a canonical (k-1)-fold cover",
                 )
     except BudgetExceeded as exc:
         return LemmaReport(
-            "excess", word, exc.spent, TRUNCATED, mode,
+            "excess", word, exc.spent, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the cover scan",
         )
-    return LemmaReport("excess", word, total, ALL_PASS, mode)
+    return LemmaReport("excess", word, profile.total, ALL_PASS, EXHAUSTIVE)
 
 
 def check_full_extension_lemma(
@@ -341,10 +316,9 @@ def check_full_extension_lemma(
     fold = k - 1
     sizes = (fold,) * g.n
     profile = _ProfileCovers(g, sizes)
-    mode, total, bad = profile.iter_bad(limits, ("full-extension", word, k))
     extensions = 0
     try:
-        for decided, picks in bad:
+        for decided, picks in profile.iter_bad(limits):
             if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
                 continue  # full covers are outside the lemma's hypothesis
             cover = profile.cover_at(picks)
@@ -353,7 +327,7 @@ def check_full_extension_lemma(
                 if canonical_labeling(extension) is not None:
                     return LemmaReport(
                         "full-extension", word, decided + extensions, COUNTEREXAMPLE,
-                        mode,
+                        EXHAUSTIVE,
                         counterexample={
                             "cover": cover_to_doc(cover),
                             "canonical_extension": cover_to_doc(extension),
@@ -362,10 +336,12 @@ def check_full_extension_lemma(
                     )
     except BudgetExceeded as exc:
         return LemmaReport(
-            "full-extension", word, exc.spent + extensions, TRUNCATED, mode,
+            "full-extension", word, exc.spent + extensions, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the cover scan",
         )
-    return LemmaReport("full-extension", word, total + extensions, ALL_PASS, mode)
+    return LemmaReport(
+        "full-extension", word, profile.total + extensions, ALL_PASS, EXHAUSTIVE
+    )
 
 
 def check_pair_reduction(

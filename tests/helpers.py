@@ -18,7 +18,6 @@ before they shared one spanning-forest walk and one extension enumerator.
 from __future__ import annotations
 
 import random
-import zlib
 from itertools import combinations, permutations, product
 
 from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
@@ -272,15 +271,15 @@ def _transversal_exists(n: int, sizes, incoming) -> bool:
     return rec(0)
 
 
-def oracle_profile_bad_picks(
-    g: Graph, sizes, max_nodes: int, seed_parts, first: int, maximal: bool = False
-):
-    """Per-cover reference for the lemma checks' profile scans: (mode,
-    covers decided in all, the first ``first`` bad covers, or all of them if
-    ``first`` is None, as (covers decided so far, picks)).  Same mode rule and seeded draws as the library, but
-    every cover is built as one dict per edge and decided by its own
-    transversal search.  With ``maximal``, each edge's options are only its
-    injections of size min(a, b)."""
+def oracle_profile_bad_picks(g: Graph, sizes, max_nodes: int, first, maximal: bool = False):
+    """Per-cover reference for the lemma checks' profile scans: (covers in
+    all, the first ``first`` bad covers, or all of them if ``first`` is
+    None, as (covers up to and including it, picks)), or (covers in all,
+    None) when the kill table, index tuples times options, would take more
+    bits than ``max_nodes``.  Every cover is built as one dict per edge and
+    decided by its own transversal search, in ``product`` order.  With
+    ``maximal``, each edge's options are only its injections of size
+    min(a, b)."""
     n, edges = g.n, g.edges()
     options = [
         [
@@ -290,21 +289,15 @@ def oracle_profile_bad_picks(
         ]
         for u, v in edges
     ]
-    total = 1
+    total = tuples = 1
     for opts in options:
         total *= len(opts)
-    if total * (n + 1) <= max_nodes:
-        mode, count = "exhaustive", total
-        draws = product(*(range(len(opts)) for opts in options))
-    else:
-        count = max(1, max_nodes // (n + 1))
-        mode = f"sampled:{count}"
-        rng = random.Random(zlib.crc32(":".join(map(str, seed_parts)).encode()))
-        draws = (
-            tuple(rng.randrange(len(opts)) for opts in options) for _ in range(count)
-        )
+    for size in sizes:
+        tuples *= size
+    if tuples * sum(map(len, options)) > max_nodes:
+        return total, None
     bad = []
-    for decided, picks in enumerate(draws, 1):
+    for decided, picks in enumerate(product(*(range(len(opts)) for opts in options)), 1):
         incoming = [[] for _ in range(n)]
         for (u, v), opts, pick in zip(edges, options, picks):
             incoming[v].append((u, opts[pick]))
@@ -312,7 +305,7 @@ def oracle_profile_bad_picks(
             bad.append((decided, picks))
             if len(bad) == first:
                 break
-    return mode, count, bad
+    return total, bad
 
 
 def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int):
@@ -324,8 +317,12 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
     for as the check does, on every bad cover, full or not.  Full
     extensions come from the library's enumerator."""
     sizes, word, edges = (fold,) * g.n, encode_graph6(g), g.edges()
-    seed_parts = (lemma, word, sizes, fold + 1) if lemma == "excess" else (lemma, word, fold + 1)
-    mode, total, bad = oracle_profile_bad_picks(g, sizes, max_nodes, seed_parts, None)
+    total, bad = oracle_profile_bad_picks(g, sizes, max_nodes, None)
+    if bad is None:
+        return LemmaReport(
+            lemma, word, 0, "truncated", "exhaustive",
+            detail="budget exhausted during the cover scan",
+        )
     options = _partial_injections(fold, fold)
     extensions = 0
     for decided, picks in bad:
@@ -333,7 +330,7 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
         if lemma == "excess":
             if oracle_canonical_labeling(cover) is None:
                 return LemmaReport(
-                    lemma, word, decided, "counterexample", mode,
+                    lemma, word, decided, "counterexample", "exhaustive",
                     counterexample={"cover": cover_to_doc(cover)},
                     detail="bad cover that is not a canonical (k-1)-fold cover",
                 )
@@ -344,14 +341,14 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
             extensions += 1
             if oracle_canonical_labeling(extension) is not None:
                 return LemmaReport(
-                    lemma, word, decided + extensions, "counterexample", mode,
+                    lemma, word, decided + extensions, "counterexample", "exhaustive",
                     counterexample={
                         "cover": cover_to_doc(cover),
                         "canonical_extension": cover_to_doc(extension),
                     },
                     detail="bad non-full cover with a canonical full extension",
                 )
-    return LemmaReport(lemma, word, total + extensions, "all_pass", mode)
+    return LemmaReport(lemma, word, total + extensions, "all_pass", "exhaustive")
 
 
 class RecordingBudget(Budget):

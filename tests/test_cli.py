@@ -347,8 +347,11 @@ TIME_CAPPED = {
     "chi list grid": ["chi", "list", "--graph6", GRID_6X6],
     "chi dp": HUGE + ["chi", "dp", "--complete-bipartite", "4", "4"],
     "count pdp": HUGE + ["count", "pdp", "-k", "5", "--clique", "5"],
-    "lemma excess": ["lemma", "excess", "--clique", "4", "--sizes", "3,3,3,4"],
-    "lemma full-extension": ["lemma", "full-extension", "--clique", "4"],
+    # 2,592,000 maximal covers, walked in over 2 s
+    "lemma excess": HUGE + ["lemma", "excess", "--cycle", "5", "--sizes", "6,6,2,2,2"],
+    # W5: its walk over the near-full and full covers runs past 60 s
+    "lemma full-extension": HUGE + ["lemma", "full-extension", "--cycle", "5", "--clique", "1",
+                                    "--join"],
     "lemma pair": HUGE + ["lemma", "pair", "--ekab", "5", "2", "3", "-x", "0", "-y", "4"],
     "lemma induction": HUGE + [
         "lemma", "induction", "--cycle", "5", "--clique", "2", "--join",
@@ -379,13 +382,26 @@ def test_time_budget_holds(argv):
 
 @pytest.mark.parametrize("what", ["colorings", "transversals"])
 def test_counts_charge_the_node_budget(what):
-    # the count charges its backtracks, so the node budget alone stops it
-    start = time.monotonic()
-    status, out = run("--json", "--node-budget", "1000", "count", what, "-k", "3",
-                      "--graph6", PATH_THEN_K4)
-    assert time.monotonic() - start < 2.0
-    assert status == 2
-    assert json.loads(out)["status"] == "unknown"
+    # the count charges its backtracks and what it counts, so the node
+    # budget alone stops it: on the path every coloring dies at the K4, and
+    # K1 has one coloring per color and no backtrack
+    for source in (["-k", "3", "--graph6", PATH_THEN_K4], ["-k", "30000000", "--clique", "1"]):
+        start = time.monotonic()
+        status, out = run("--json", "--node-budget", "1000", "count", what, *source)
+        assert time.monotonic() - start < 2.0
+        assert status == 2
+        assert json.loads(out)["status"] == "unknown"
+
+
+def test_lemma_sizes_the_kill_table_before_listing_options():
+    # K2 at (8, 8): 64 index tuples times 8! maximal options fit the default
+    # budget; at (9, 9), 81 times 9! do not, and no option is listed
+    for sizes, status, checked in (("8,8", 0, 40320), ("9,9", 2, 0)):
+        start = time.monotonic()
+        got, out = run("--json", "lemma", "excess", "--clique", "2", "--sizes", sizes)
+        assert time.monotonic() - start < 5.0
+        doc = json.loads(out)
+        assert (got, doc["mode"], doc["checked"]) == (status, "exhaustive", checked), doc
 
 
 def test_joins_decide_from_the_level_below():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import factorial, prod
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -22,10 +22,12 @@ from critickit import (
 )
 from critickit import lemmas
 from critickit.covers import ROBUSTLY_CRITICAL, find_transversal
+from critickit.errors import BudgetExceeded
 from critickit.jsonio import cover_from_doc
 from critickit.lemmas import (
     LemmaReport,
     _ProfileCovers,
+    maximal_injections,
     partial_injections,
 )
 from helpers import (
@@ -34,6 +36,8 @@ from helpers import (
     oracle_profile_bad_picks,
     random_graph,
 )
+
+HUGE = 10**15
 
 
 def test_partial_injection_counts():
@@ -76,24 +80,30 @@ def test_excess_skips_undersized_profile():
     assert report.outcome == "skipped_precondition"
 
 
-def test_excess_sampling_mode_is_deterministic():
-    # 6**5 maximal covers times 6 search nodes each exceeds 20k
-    limits = SearchLimits(max_nodes=20_000)
-    first = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), limits)
-    second = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), limits)
-    assert first.mode.startswith("sampled:")
-    assert first == second
-    assert first == LemmaReport("excess", "Dhc", 3333, "all_pass", "sampled:3333")
+def test_excess_c5_at_fold_3_is_exhaustive_or_truncated():
+    # 243 index tuples times 30 maximal options make a 7290-bit kill table;
+    # the walk decides all 6**5 maximal covers
+    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=20_000))
+    assert report == LemmaReport("excess", "Dhc", 7776, "all_pass", "exhaustive")
+    # a budget of exactly the table's size fits it but not the covers: the
+    # walk trips after deciding some of them
+    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=7290))
+    assert (report.outcome, report.mode) == ("truncated", "exhaustive")
+    assert 0 < report.checked <= 7290
 
 
-def test_excess_without_kill_table_decides_each_cover(monkeypatch):
-    # 243 index tuples times 30 maximal options exceeds the 6000-node budget
-    def no_table(self):
-        raise AssertionError("kill table built over budget")
+def test_excess_stops_before_a_kill_table_over_budget(monkeypatch):
+    # the 7290-bit table exceeds 6000: neither it nor any option is built
+    def unreachable(*args):
+        raise AssertionError("built over budget")
 
-    monkeypatch.setattr(_ProfileCovers, "_kill_table", no_table)
+    monkeypatch.setattr(_ProfileCovers, "_kill_table", unreachable)
+    monkeypatch.setattr(lemmas, "maximal_injections", unreachable)
     report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=6000))
-    assert report == LemmaReport("excess", "Dhc", 1000, "all_pass", "sampled:1000")
+    assert report == LemmaReport(
+        "excess", "Dhc", 0, "truncated", "exhaustive",
+        detail="budget exhausted during the cover scan",
+    )
 
 
 def test_excess_counterexample_is_a_bad_maximal_cover(monkeypatch):
@@ -110,10 +120,12 @@ def test_excess_counterexample_is_a_bad_maximal_cover(monkeypatch):
 
 
 def test_excess_keeps_the_time_budget():
-    # about 3*10**6 maximal covers, so the default node budget samples 2*10**6
-    # of them, which takes over 10 s: only the deadline can stop it early
+    # 2,592,000 maximal covers, which take the walk over 2 s: at an
+    # unbounded node budget only the deadline can stop it early
     start = time.monotonic()
-    report = check_excess_lemma(clique(4), (3, 3, 3, 4), SearchLimits(max_millis=100))
+    report = check_excess_lemma(
+        cycle(5), (6, 6, 2, 2, 2), SearchLimits(max_nodes=HUGE, max_millis=100)
+    )
     assert report.outcome == "truncated"
     assert time.monotonic() - start < 5.0
 
@@ -122,8 +134,6 @@ def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
     # 3**9 index tuples take far longer than 1 ms to read into the kill
     # table, whose deadline check must end in a truncated report, not an
     # exception out of the lemma check
-    from critickit.errors import BudgetExceeded
-
     tripped = []
     build = _ProfileCovers._kill_table
 
@@ -164,38 +174,52 @@ NON_ROBUST_HOSTS = [
 
 def test_profile_scan_matches_per_cover_oracle():
     # bad covers exist on these hosts, so the first bad picks and their
-    # positions are compared, not only the outcome of a lemma check
+    # positions are compared, not only the outcome of a lemma check; a walk
+    # that trips on the node budget must have reported a prefix of them
     rng = random.Random(6)
     paths = set()
-    for max_nodes in (600, 6000, 60000):
+    for max_nodes in (600, 1000, 6000, HUGE):
         hosts = NON_ROBUST_HOSTS + [
             random_graph(rng, rng.randint(1, 5), connected=True) for _ in range(16)
         ]
         for g in hosts:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
-            seed_parts = ("differential", max_nodes, sizes)
             for maximal in (False, True):
                 profile = _ProfileCovers(g, sizes, maximal)
-                mode, total, bad = profile.iter_bad(
-                    SearchLimits(max_nodes=max_nodes), seed_parts
-                )
-                first = [found for _, found in zip(range(4), bad)]
-                assert (mode, total, first) == oracle_profile_bad_picks(
-                    g, sizes, max_nodes, seed_parts, 4, maximal
-                ), (g.edges(), sizes, max_nodes, maximal)
-                table = prod(sizes) * sum(map(len, profile.options)) <= max_nodes
-                paths.add((maximal, mode.split(":")[0], table, bool(first)))
-    # exhaustive walks and sampled draws, with and without a bad cover, on the
-    # kill table; sampled draws decided one cover at a time (on maximal lists
-    # only with a bad cover: the fallback does not look at the options)
-    table_paths = {
-        ("exhaustive", True, True), ("exhaustive", True, False),
-        ("sampled", True, True), ("sampled", True, False), ("sampled", False, True),
+                if profile.total > 20_000 and profile.bits <= max_nodes:
+                    continue  # too many covers for the oracle
+                total, want = oracle_profile_bad_picks(g, sizes, max_nodes, 4, maximal)
+                case = (g.edges(), sizes, max_nodes, maximal)
+                assert profile.total == total, case
+                got = []
+                try:
+                    for found in profile.iter_bad(SearchLimits(max_nodes=max_nodes)):
+                        got.append(found)
+                        if len(got) == 4:
+                            break
+                except BudgetExceeded as exc:
+                    if want is None:
+                        assert (got, exc.spent) == ([], 0), case
+                        paths.add((maximal, "table"))
+                        continue
+                    assert got == want[: len(got)] and exc.spent <= max_nodes, case
+                    paths.add((maximal, "walk"))
+                    continue
+                assert got == want, case
+                paths.add((maximal, bool(got)))
+    # exhaustive walks with and without a bad cover, and truncations before
+    # the kill table and in the walk, on partial and on maximal options
+    assert paths == {
+        (maximal, path) for maximal in (False, True) for path in (True, False, "table", "walk")
     }
-    assert {path[1:] for path in paths if path[0]} >= table_paths
-    assert {path[1:] for path in paths if not path[0]} >= table_paths | {
-        ("sampled", False, False)
-    }
+
+
+def test_maximal_injections_are_the_maximal_partial_ones():
+    for a in range(5):
+        for b in range(5):
+            assert maximal_injections(a, b) == tuple(
+                p for p in partial_injections(a, b) if len(p) == min(a, b)
+            ), (a, b)
 
 
 def test_partial_cover_checks_match_per_cover_reference(monkeypatch):
@@ -291,9 +315,7 @@ def test_bad_cover_exists_iff_bad_maximal_cover_exists():
             if partial.total > 20_000:
                 continue
             exists = {
-                maximal: bool(
-                    oracle_profile_bad_picks(g, sizes, 10**9, (), 1, maximal)[2]
-                )
+                maximal: bool(oracle_profile_bad_picks(g, sizes, HUGE, 1, maximal)[1])
                 for maximal in (False, True)
             }
             assert exists[False] == exists[True], (g.edges(), sizes)
