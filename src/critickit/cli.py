@@ -301,15 +301,11 @@ def _cmd_count(args, limits) -> tuple[int, dict, str]:
         return EXIT_YES, doc, " ".join(str(c) for c in poly.coefficients)
     if args.k is None:
         raise UsageError(f"count {what} requires -k")
-    if what == "colorings":
+    if what in ("colorings", "transversals"):
+        # the canonical k-fold cover's transversals are the proper k-colorings
         from .coloring import count_proper_colorings
 
         return _count(lambda: count_proper_colorings(g, args.k, limits), {"what": what, "k": args.k})
-    if what == "transversals":
-        from .covers import count_transversals, make_canonical_cover
-
-        cover = make_canonical_cover(g, args.k)
-        return _count(lambda: count_transversals(cover, limits), {"what": what, "k": args.k})
     from .covers import pdp_value
 
     try:

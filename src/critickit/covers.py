@@ -6,9 +6,10 @@ Colors of a cover are (vertex, index) pairs; the auxiliary color graph is
 never materialized.  Each host edge carries a partial injection between the
 two index ranges, stored once per edge with ``u < v``.
 
-Full covers of a connected host are scanned up to per-vertex index
-relabeling by gauge fixing on a spanning tree: tree matchings are forced to
-the identity, non-tree matchings range over all permutations.  Every full
+Full covers are scanned up to per-vertex index relabeling by gauge fixing
+on a spanning forest: tree matchings are forced to the identity, non-tree
+matchings range over all permutations (near-full covers likewise, with one
+edge off the forest one pair short).  Every full
 cover is relabel-equivalent to a gauge-fixed cover, unique only up to the
 relabelings that keep the tree matchings at the identity: the same sigma in
 Sym(k) at every vertex, which conjugates each non-tree permutation.  The
@@ -42,8 +43,8 @@ from .coloring import (
     classify_criticality,
 )
 from .errors import BudgetExceeded, CoverError, GraphError
-from .graphs import Graph, degeneracy, spanning_forest, spanning_tree
-from .limits import Budget, SearchLimits
+from .graphs import Graph, build_graph, degeneracy, spanning_forest, spanning_tree
+from .limits import DEFAULT_NODE_BUDGET, Budget, SearchLimits
 
 if TYPE_CHECKING:
     from .listcoloring import ListAssignment
@@ -303,32 +304,21 @@ def normalize_cover(cover: Cover, tree: list[tuple[int, int]] | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _gauge_edges(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    tree = spanning_tree(g)
-    in_tree = {frozenset(e) for e in tree}
-    nontree = [e for e in g.edges() if frozenset(e) not in in_tree]
-    return tree, nontree
+def _gauge_edges(g: Graph, short=None) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(the spanning forest of g less ``short``, the other edges)."""
+    forest = spanning_forest(g if short is None else build_graph(g.n, set(g.edges()) - {short}))
+    in_forest = {frozenset(e) for e in forest}
+    return forest, [e for e in g.edges() if frozenset(e) not in in_forest]
 
 
-def _gauge_cover(
-    g: Graph,
-    k: int,
-    tree: list[tuple[int, int]],
-    nontree: list[tuple[int, int]],
-    perms: list[tuple[int, ...]],
-    combo: tuple[int, ...],
-) -> Cover:
+def _gauge_cover(g: Graph, k: int, tree, edges, options, combo) -> Cover:
+    """The cover with the identity on ``tree`` and option ``combo[e]`` of
+    ``options[e]`` on ``edges[e]``."""
     identity = tuple((i, i) for i in range(k))
-    entries = {}
-    for u, v in tree:
-        entries[(min(u, v), max(u, v))] = identity
-    for (u, v), p in zip(nontree, combo):
-        entries[(u, v)] = tuple((i, perms[p][i]) for i in range(k))
-    return Cover(
-        g,
-        (k,) * g.n,
-        tuple((u, v, tuple(sorted(entries[(u, v)]))) for u, v in g.edges()),
-    )
+    entries = {(min(u, v), max(u, v)): identity for u, v in tree}
+    for e, (u, v) in enumerate(edges):
+        entries[(u, v)] = options[e][combo[e]]
+    return Cover(g, (k,) * g.n, tuple((u, v, entries[(u, v)]) for u, v in g.edges()))
 
 
 def enumerate_full_covers(
@@ -342,12 +332,13 @@ def enumerate_full_covers(
     explicit truncation signal."""
     if k < 1:
         raise CoverError(f"enumerate_full_covers needs k >= 1, got {k}")
+    spanning_tree(g)  # connectivity precondition
     tree, nontree = _gauge_edges(g)
-    perms = list(permutations(range(k)))
+    pairs = [tuple(enumerate(p)) for p in permutations(range(k))]
     budget = (limits or SearchLimits()).start()
-    for combo in product(range(len(perms)), repeat=len(nontree)):
+    for combo in product(range(len(pairs)), repeat=len(nontree)):
         budget.spend()
-        yield _gauge_cover(g, k, tree, nontree, perms, combo)
+        yield _gauge_cover(g, k, tree, nontree, [pairs] * len(nontree), combo)
 
 
 _ZEROS = b"0" * 256
@@ -379,19 +370,34 @@ def _lanes(k: int) -> bytes | None:
     return bytes(x // k + (x // k >= x % k) for x in range(256)) if k > 1 else None
 
 
-def _tree_colorings(k: int, n: int, tree):
-    """The proper k-colorings of a tree, (parent, child) edges from root 0,
-    in :func:`_product_blocks` of one column per vertex: the root's color,
-    then per edge a digit d < k - 1, the child's color d + (d >= parent's),
-    packed as d * k + parent's color in each byte by one big-int sum (k <=
-    16) and mapped by one ``translate``."""
+def _tree_colorings(k: int, n: int, forest):
+    """The proper k-colorings of a forest, (parent, child) edges with every
+    parent before its children, in :func:`_product_blocks` of one column per
+    vertex: each root's color, then per edge a digit d < k - 1, the child's
+    color d + (d >= parent's), packed as d * k + parent's color in each byte
+    by one big-int sum (k <= 16) and mapped by one ``translate``."""
     lanes = _lanes(k)
-    for rows, digits in _product_blocks((k,) + (k - 1,) * len(tree)):
-        colors = [digits[0]] * n
-        for (parent, child), column in zip(tree, digits[1:]):
+    children = {child for _, child in forest}
+    roots = [v for v in range(n) if v not in children]
+    for rows, digits in _product_blocks((k,) * len(roots) + (k - 1,) * len(forest)):
+        colors = [b""] * n
+        for root, column in zip(roots, digits):
+            colors[root] = column
+        for (parent, child), column in zip(forest, digits[len(roots) :]):
             packed = int.from_bytes(column, "big") * k + int.from_bytes(colors[parent], "big")
             colors[child] = packed.to_bytes(rows, "big").translate(lanes)
         yield rows, colors
+
+
+def _table_bits(rows: int, counts) -> int:
+    """The bits of a kill table over ``rows`` rows with ``counts[e]``
+    options at edge e (the rows alone with none), every scan's size rule."""
+    return rows * max(sum(counts), 1)
+
+
+def _check_table(bits: int, cap: int, budget: Budget) -> None:
+    if bits > cap:
+        raise BudgetExceeded(f"kill table of {bits} bits exceeds the node budget", spent=budget.spent)
 
 
 def _kill_masks(blocks, sizes, edges, options, spend) -> tuple[int, list[list[int]]]:
@@ -668,49 +674,61 @@ def _decision_order(kill) -> list[int]:
 
 
 class _GaugeScan:
-    """Gauge-fixed full k-fold covers, walked by :func:`_survivor_walk`.
+    """Gauge-fixed k-fold covers, walked by :func:`_survivor_walk`.
 
-    Each non-tree edge's options are the k! permutations.  A survivor is a
-    transversal of the tree-only cover, a proper coloring of the tree, one
-    bit of a bitset (:func:`_tree_colorings`); permutation p on a non-tree
-    edge kills the transversals it matches (``kill``) and keeps the rest
-    (``keep``), both in canonical edge order.  A cover is bad iff its
-    permutations keep no survivor; its transversal count is how many they
-    keep.  ``order`` is the decision order.
+    The spanning forest of g less ``short`` (if given) carries the identity,
+    and each other edge (``nontree``, canonical order) the k! permutations,
+    or on ``short`` the k * k! near-full injections; every full cover, and
+    every near-full one short on ``short``, relabels to one of these.  A
+    survivor is a proper coloring of the forest, one bit of a bitset
+    (:func:`_tree_colorings`); an option kills the colorings it matches
+    (``kill``) and keeps the rest (``keep``).  A cover is bad iff its
+    options keep no survivor; its transversal count is how many they keep.
+    ``order`` is the decision order.
 
-    Relabeling every vertex by the same sigma keeps the tree matchings at the
-    identity and conjugates each non-tree permutation, every coordinate
-    alike, so the walks, in any edge order, visit only prefixes that are the
-    lexicographic leader of their conjugation orbit
-    (:meth:`_LeaderTables.leader_step`).  A node carries the stabilizer of
-    its prefix: None for all of Sym(k), else a tuple of the non-identity
-    elements.  Badness, canonicity and transversal counts are invariant
-    under the relabeling, so the first bad cover or minimizer is always a
-    leader.  Scans at one k share its leader tables.
+    Relabeling every vertex by the same sigma keeps the forest at the
+    identity and conjugates each permutation, so without ``short`` the
+    walks, in any edge order, visit only prefixes that are the lexicographic
+    leader of their conjugation orbit (:meth:`_LeaderTables.leader_step`).
+    A node carries the stabilizer of its prefix: None for all of Sym(k),
+    else a tuple of the non-identity elements.  Badness, canonicity and
+    transversal counts are invariant under the relabeling, so the first bad
+    cover or minimizer is always a leader.  Scans at one k with a non-tree
+    edge share its leader tables.
 
+    A table over :func:`_table_bits`' cap, the node budget or the default
+    one if larger, raises :class:`BudgetExceeded` before anything is built.
     Work is accounted per cover decided; subtrees dismissed by the survivor
     bound or by symmetry are charged in full.
     """
 
-    def __init__(self, g: Graph, k: int, budget: Budget):
+    def __init__(self, g: Graph, k: int, budget: Budget, short=None):
         self.g = g
         self.k = k
         self.budget = budget
-        self.tree, self.nontree = _gauge_edges(g)
-        tables = _leader_tables(k, budget.spend)
-        self.perms = tables.perms
-        self.nperm = tables.nperm
-        self._leader_step = tables.leader_step
+        self.tree, self.nontree = _gauge_edges(g, short)
+        self.nperm = factorial(k)
         self.depth_total = len(self.nontree)
+        rows = k ** (g.n - len(self.tree)) * (k - 1) ** len(self.tree)
+        counts = [self.nperm * (k if e == short else 1) for e in self.nontree]
+        _check_table(_table_bits(rows, counts), max(budget.max_nodes, DEFAULT_NODE_BUDGET), budget)
+        pairs, self._leader_step = (), None
+        if self.nontree:
+            tables = _leader_tables(k, budget.spend)
+            pairs = tables.pairs
+            if short is None:
+                self._leader_step = tables.leader_step
+        near = [p[:i] + p[i + 1 :] for p in pairs for i in range(k)] if short else None
+        self.options = [near if e == short else pairs for e in self.nontree]
         self.full_mask, self.kill = _kill_masks(
-            _tree_colorings(k, g.n, self.tree), (k,) * g.n, self.nontree,
-            [tables.pairs] * self.depth_total, budget.spend,
+            _tree_colorings(k, g.n, self.tree), (k,) * g.n, self.nontree, self.options,
+            budget.spend,
         )
         self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
         self.order = _decision_order(self.kill)
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
-        return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.perms, combo)
+        return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.options, combo)
 
     def find_bad(self, skip_canonical: bool, order=None):
         """The first bad gauge-fixed cover (not the all-identity one if

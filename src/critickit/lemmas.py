@@ -4,27 +4,31 @@ exhaustively on concrete small graphs.
 Adding matched pairs to a cover only removes transversals, so every partial
 cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
 bad whenever it is.  The excess check therefore decides profiles with a list
-larger than k-1 over maximal covers only.  Where the lemmas quantify over
-non-full covers, on the all-(k-1) profile, the same fact settles all but a
-few: a cover that is not maximal extends to a *near-full* one (one edge one
-pair short, every other edge maximal), bad whenever it is.  So when no
-near-full cover is bad, every bad partial cover is maximal, and only the
-maximal covers are walked; otherwise every partial cover is.
+larger than k-1 over their maximal covers, on a kill table over the
+profile's index tuples (:class:`_ProfileCovers`).
+
+On the all-(k-1) profile the checks decide *near-full* covers instead: one
+edge one pair short of a permutation, every other edge a permutation.  A bad
+non-full cover C with a full extension F gives one: F less any pair not in C
+is a bad near-full cover N containing C, and F is N's only full extension.
+So the full-extension check decides the near-full covers alone, and the
+excess check the near-full covers and then the full ones.  Both run on the
+gauge-fixed scan (:class:`~critickit.covers._GaugeScan`): per short edge,
+the matchings on a spanning forest of the graph less that edge are relabeled
+to the identity, and the short edge takes every near-full injection.
 
 Covers are decided by survivor bitsets rather than by one transversal search
 per cover: every candidate transversal is one bit, each edge option has a
 kill mask of the candidates it rules out, and a cover is bad iff its masks
-cover every bit.  The excess and full-extension checks build such a table
-over the index tuples of a size profile (:class:`_ProfileCovers`); the
-induction check reuses the kill masks of the gauge-fixed full-cover scan.
-All three find their bad covers with :func:`_bad_picks`, which runs the
-gauge-fixed scan's survivor walk without symmetry, so that every bad cover
-is visited in ``product`` order.  Only bad covers are materialized as
-:class:`Cover` objects.  Every cover decided is charged one unit to a budget
-started from the check's limits (covers settled by the near-full argument
-are not decided); when it trips, the check is ``truncated``.  So is a check
-whose profile's kill table would take more bits than the node budget,
-before the table or any option is built.
+cover every bit.  The checks find their bad covers with :func:`_bad_picks`,
+the survivor walk without symmetry, or with the full-cover scan's own walk.
+Only bad covers are materialized as :class:`Cover` objects.  Every cover
+decided is charged one unit to a budget started from the check's limits:
+one per index tuple pick on a profile table, one per gauge-fixed cover on
+the scans.  When it trips, the check is ``truncated``, and so is a check
+whose table is over the size rule of :func:`~critickit.covers._table_bits`,
+before the table or any option is built.  A pass reports every cover of the
+profile checked, counted by formula.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
@@ -35,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import comb, perm, prod
-from operator import getitem, mul
+from operator import mul
 
 from .base import (
     ALL_PASS,
@@ -50,18 +54,20 @@ from .base import (
 from .coloring import classify_criticality
 from .covers import (
     Cover,
+    _check_table,
     _GaugeScan,
     _kill_masks,
     _product_blocks,
     _robust_verdict,
     _scan_verdict,
     _survivor_walk,
+    _table_bits,
     canonical_labeling,
-    full_extensions,
+    complete_to_full,
     robust_criticality_verdict,
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
-from .graphs import Graph, clique, encode_graph6, induced_subgraph, join
+from .graphs import Graph, clique, encode_graph6, induced_subgraph, join, spanning_tree
 from .jsonio import SCHEMA_LEMMA, cover_to_doc
 from .limits import SearchLimits
 
@@ -102,29 +108,22 @@ class LemmaReport(Record):
         }
 
 
-def _injections(a: int, b: int, matched) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The injections of each size in ``matched`` from indices 0..a-1 into
-    0..b-1, as sorted pair tuples, ordered ascending by their pair set."""
+@lru_cache(maxsize=None)
+def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The injections of size min(a, b) from indices 0..a-1 into 0..b-1, as
+    sorted pair tuples, ordered ascending by their pair set."""
+    low = min(a, b)
     return tuple(sorted(
         tuple(zip(sources, targets))
-        for size in matched
-        for sources in combinations(range(a), size)
-        for targets in permutations(range(b), size)
+        for sources in combinations(range(a), low)
+        for targets in permutations(range(b), low)
     ))
 
 
-@lru_cache(maxsize=None)
-def partial_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All partial injections from indices 0..a-1 into 0..b-1, as sorted pair
-    tuples, ordered ascending by their pair set."""
-    return _injections(a, b, range(min(a, b) + 1))
-
-
-@lru_cache(maxsize=None)
-def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The partial injections of size min(a, b), in
-    :func:`partial_injections` order, listed without the smaller ones."""
-    return _injections(a, b, (min(a, b),))
+def _partial_covers(g: Graph, fold: int) -> int:
+    """The number of partial ``fold``-fold covers of g: per edge, the
+    injections of every size from one list into the other."""
+    return sum(comb(fold, pairs) * perm(fold, pairs) for pairs in range(fold + 1)) ** g.m
 
 
 def _bad_picks(full: int, kill: list[list[int]], spend):
@@ -144,31 +143,51 @@ def _bad_picks(full: int, kill: list[list[int]], spend):
             yield head + rest
 
 
-class _ProfileCovers:
-    """Covers with a fixed size profile, as one partial-injection pick per
-    edge; ``options[e]`` lists edge e's injections in
-    :func:`partial_injections` order, only the maximal ones if ``maximal``.
-    ``total``, the number of covers, and ``bits``, the size of the kill
-    table, are counted before any option is listed."""
+def _bad_near_full(g: Graph, fold: int, budget):
+    """Every bad near-full ``fold``-fold cover of g up to relabeling, short
+    edge by short edge in canonical order, each the gauge-fixed scan's
+    (:class:`~critickit.covers._GaugeScan` given ``short``); every cover
+    decided is charged to ``budget``."""
+    for short in g.edges():
+        scan = _GaugeScan(g, fold, budget, short)
+        for picks in _bad_picks(scan.full_mask, scan.kill, budget.spend):
+            yield scan.cover_at(picks)
 
-    def __init__(self, g: Graph, sizes, maximal: bool = False):
+
+def _bad_noncanonical(g: Graph, fold: int, budget):
+    """The bad ``fold``-fold covers of g that are not canonical, as (covers
+    decided, cover): every bad near-full one, then the first bad full one
+    of the gauge-fixed scan but the canonical cover."""
+    for cover in _bad_near_full(g, fold, budget):
+        yield budget.spent, cover
+    scan = _GaugeScan(g, fold, budget)
+    combo = scan.find_bad(True, scan.order)
+    if combo is not None:
+        yield budget.spent, scan.cover_at(combo)
+
+
+class _ProfileCovers:
+    """The maximal covers of a size profile, as one pick per edge uv among
+    its injections of min(a, b) pairs, ``options[e]`` in
+    :func:`maximal_injections` order.  ``total``, the number of covers, and
+    ``bits``, the size of the kill table over the profile's index tuples
+    (:func:`~critickit.covers._table_bits`), are counted before any option
+    is listed."""
+
+    def __init__(self, g: Graph, sizes):
         self.g = g
         self.sizes = tuple(sizes)
         self.edges = g.edges()
-        self.maximal = maximal
         counts = []
         for u, v in self.edges:
             a, b = self.sizes[u], self.sizes[v]
-            low = min(a, b)
-            matched = range(low if maximal else 0, low + 1)
-            counts.append(sum(comb(a, pairs) * perm(b, pairs) for pairs in matched))
+            counts.append(comb(a, min(a, b)) * perm(b, min(a, b)))
         self.total = prod(counts)
-        self.bits = prod(self.sizes) * sum(counts)
+        self.bits = _table_bits(prod(self.sizes), counts)
 
     @cached_property
     def options(self) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-        injections = maximal_injections if self.maximal else partial_injections
-        return [injections(self.sizes[u], self.sizes[v]) for u, v in self.edges]
+        return [maximal_injections(self.sizes[u], self.sizes[v]) for u, v in self.edges]
 
     def cover_at(self, picks) -> Cover:
         entries = tuple(
@@ -185,58 +204,22 @@ class _ProfileCovers:
             _product_blocks(self.sizes), self.sizes, self.edges, self.options, spend
         )
 
-    def _sized(self, short: int) -> list[list[int]]:
-        """Per edge uv, the indices of its options with min(a, b) - ``short``
-        pairs."""
-        out = []
-        for (u, v), opts in zip(self.edges, self.options):
-            size = min(self.sizes[u], self.sizes[v]) - short
-            out.append([o for o, pairs in enumerate(opts) if len(pairs) == size])
-        return out
-
-    def _near_full_bad(self, full: int, kill, tops, spend) -> bool:
-        """Whether a near-full cover is bad: one edge one pair short of
-        maximal, every other edge maximal (``tops``, the maximal options'
-        masks).  One :func:`_bad_picks` walk per edge over slices of
-        ``kill``, each stopped at its first bad cover.  If none is, every
-        bad cover is maximal (module docstring)."""
-        for e, short in enumerate(self._sized(1)):
-            if short:
-                sliced = tops[:]
-                sliced[e] = [kill[e][o] for o in short]
-                if next(_bad_picks(full, sliced, spend), None) is not None:
-                    return True
-        return False
-
     def iter_bad(self, limits: SearchLimits):
-        """The bad covers of ``options`` (every partial cover of the profile,
-        or only the maximal ones), each as (covers up to and including it,
-        picks).  Charges one unit per cover decided to a budget started from
-        ``limits`` on the first step, and raises :class:`BudgetExceeded`
-        when it trips.
+        """The bad covers, each as (covers up to and including it in
+        ``product`` order, picks).  Charges one unit per cover decided to a
+        budget started from ``limits`` on the first step, and raises
+        :class:`BudgetExceeded` when it trips.
 
         The covers are decided on the profile's kill table.  When its size
-        in bits, tuples times options, exceeds the node budget, the first
-        step raises :class:`BudgetExceeded` with nothing spent and no option
-        listed; otherwise it builds the table, so a cap that trips while the
-        table is read is raised there too.  The walk first asks whether a
-        near-full cover is bad (:meth:`_near_full_bad`); if not, it walks
-        only the maximal covers.  Either way it reports each bad cover at
-        its position in ``product`` order over every cover of ``options``,
-        and its charges include the near-full covers decided."""
+        in bits exceeds the node budget, the first step raises
+        :class:`BudgetExceeded` with nothing spent and no option listed;
+        otherwise it builds the table, so a cap that trips while the table
+        is read is raised there too."""
         budget = limits.start()
-        if self.bits > budget.max_nodes:
-            raise BudgetExceeded(
-                f"kill table of {self.bits} bits exceeds the node budget", spent=0
-            )
+        _check_table(self.bits, budget.max_nodes, budget)
         full, kill = self._kill_table(budget.spend)
-        top = self._sized(0)
-        tops = [[kill[e][o] for o in opts] for e, opts in enumerate(top)]
-        if self._near_full_bad(full, kill, tops, budget.spend):
-            top, tops = [range(len(masks)) for masks in kill], kill
         strides = [prod(map(len, kill[e + 1 :])) for e in range(len(kill))]
-        for picks in _bad_picks(full, tops, budget.spend):
-            picks = tuple(map(getitem, top, picks))
+        for picks in _bad_picks(full, kill, budget.spend):
             yield 1 + sum(map(mul, picks, strides)), picks
 
 
@@ -247,12 +230,14 @@ def check_excess_lemma(
     least k-1 must be a canonical (k-1)-fold cover; in particular no bad
     cover exists once some list is strictly larger.
 
-    Such an oversized profile is decided over its maximal covers, and
-    ``checked`` counts those: a bad cover extends to a bad maximal cover, and
-    any bad cover of it is a counterexample.  The all-(k-1) profile is
-    decided over every partial cover, and ``checked`` counts those; when no
-    near-full cover is bad, only the full covers are walked, a bad one
-    reported at its position among all of them."""
+    Such an oversized profile is decided over its maximal covers: a bad
+    cover extends to a bad maximal cover, and any bad cover of it is a
+    counterexample.  The all-(k-1) profile is decided over its near-full
+    covers, any bad one a counterexample, then its full covers by the
+    gauge-fixed scan, any bad one but the canonical a counterexample.  A
+    pass reports every cover of the profile (maximal or partial) checked; a
+    counterexample, its position among the maximal covers or the gauge-fixed
+    covers decided up to it."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     sizes = tuple(sizes)
@@ -269,29 +254,32 @@ def check_excess_lemma(
             "excess", word, 0, SKIPPED_PRECONDITION, "-",
             detail=f"graph not verified robustly critical (got {rv.decision})",
         )
-    k = rv.k
-    if any(s < k - 1 for s in sizes):
+    fold = rv.k - 1
+    if any(s < fold for s in sizes):
         return LemmaReport(
             "excess", word, 0, SKIPPED_PRECONDITION, "-",
-            detail=f"profile {sizes} has a list smaller than k-1={k - 1}",
+            detail=f"profile {sizes} has a list smaller than k-1={fold}",
         )
-    oversized = any(s != k - 1 for s in sizes)
-    profile = _ProfileCovers(g, sizes, maximal=oversized)
+    if any(s != fold for s in sizes):
+        profile = _ProfileCovers(g, sizes)
+        total = profile.total
+        bad = ((checked, profile.cover_at(picks)) for checked, picks in profile.iter_bad(limits))
+    else:
+        total, bad = _partial_covers(g, fold), _bad_noncanonical(g, fold, limits.start())
     try:
-        for checked, picks in profile.iter_bad(limits):
-            cover = profile.cover_at(picks)
-            if oversized or canonical_labeling(cover) is None:
-                return LemmaReport(
-                    "excess", word, checked, COUNTEREXAMPLE, EXHAUSTIVE,
-                    counterexample={"cover": cover_to_doc(cover)},
-                    detail="bad cover that is not a canonical (k-1)-fold cover",
-                )
+        found = next(bad, None)
     except BudgetExceeded as exc:
         return LemmaReport(
             "excess", word, exc.spent, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the cover scan",
         )
-    return LemmaReport("excess", word, profile.total, ALL_PASS, EXHAUSTIVE)
+    if found is None:
+        return LemmaReport("excess", word, total, ALL_PASS, EXHAUSTIVE)
+    return LemmaReport(
+        "excess", word, found[0], COUNTEREXAMPLE, EXHAUSTIVE,
+        counterexample={"cover": cover_to_doc(found[1])},
+        detail="bad cover that is not a canonical (k-1)-fold cover",
+    )
 
 
 def check_full_extension_lemma(
@@ -300,10 +288,11 @@ def check_full_extension_lemma(
     """On a critical graph, a bad non-full (k-1)-fold cover has no canonical
     full extension.
 
-    ``checked`` counts every partial (k-1)-fold cover and the full
-    extensions looked at.  A bad non-full cover exists only if a near-full
-    one is bad (module docstring); when none is, the check passes after
-    deciding the near-full and full covers alone."""
+    Only the near-full covers are decided.  A bad non-full cover C with a
+    full extension F gives one: F less any pair not in C is a bad near-full
+    cover, and F is its only full extension (:func:`complete_to_full`).  A
+    pass reports every partial (k-1)-fold cover checked; a counterexample,
+    the gauge-fixed covers decided up to it."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     cv = classify_criticality(g)
@@ -312,36 +301,26 @@ def check_full_extension_lemma(
             "full-extension", word, 0, SKIPPED_PRECONDITION, "-",
             detail="graph is not critical",
         )
-    k = cv.chromatic_number
-    fold = k - 1
-    sizes = (fold,) * g.n
-    profile = _ProfileCovers(g, sizes)
-    extensions = 0
+    fold = cv.chromatic_number - 1
+    budget = limits.start()
     try:
-        for decided, picks in profile.iter_bad(limits):
-            if all(len(profile.options[e][p]) == fold for e, p in enumerate(picks)):
-                continue  # full covers are outside the lemma's hypothesis
-            cover = profile.cover_at(picks)
-            for extension in full_extensions(cover):
-                extensions += 1
-                if canonical_labeling(extension) is not None:
-                    return LemmaReport(
-                        "full-extension", word, decided + extensions, COUNTEREXAMPLE,
-                        EXHAUSTIVE,
-                        counterexample={
-                            "cover": cover_to_doc(cover),
-                            "canonical_extension": cover_to_doc(extension),
-                        },
-                        detail="bad non-full cover with a canonical full extension",
-                    )
+        for cover in _bad_near_full(g, fold, budget):
+            extension = complete_to_full(cover)
+            if canonical_labeling(extension) is not None:
+                return LemmaReport(
+                    "full-extension", word, budget.spent, COUNTEREXAMPLE, EXHAUSTIVE,
+                    counterexample={
+                        "cover": cover_to_doc(cover),
+                        "canonical_extension": cover_to_doc(extension),
+                    },
+                    detail="bad non-full cover with a canonical full extension",
+                )
     except BudgetExceeded as exc:
         return LemmaReport(
-            "full-extension", word, exc.spent + extensions, TRUNCATED, EXHAUSTIVE,
+            "full-extension", word, exc.spent, TRUNCATED, EXHAUSTIVE,
             detail="budget exhausted during the cover scan",
         )
-    return LemmaReport(
-        "full-extension", word, profile.total + extensions, ALL_PASS, EXHAUSTIVE
-    )
+    return LemmaReport("full-extension", word, _partial_covers(g, fold), ALL_PASS, EXHAUSTIVE)
 
 
 def check_pair_reduction(
@@ -458,6 +437,7 @@ def check_induction_lemma(
     # the covers of enumerate_full_covers, in its order and with its
     # metering, walked without symmetry: a labeling is checked on every bad
     # cover, not only on its orbit's leader
+    spanning_tree(g)  # connectivity precondition
     budget = limits.start()
     labelings = 0
     label_perms = list(permutations(range(fold)))

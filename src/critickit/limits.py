@@ -3,16 +3,17 @@
 Every potentially explosive search in the package accounts its work against
 a budget and raises :class:`~critickit.errors.BudgetExceeded` instead of
 silently truncating.  Work units are search-specific and documented on the
-operations: cover scans, the lemma checks' profile scans among them, charge
-one unit per cover decided (covers dismissed in bulk by the survivor bound
-or by symmetry, as not the lex-leader of their relabeling orbit, are still
-charged).  A profile scan whose kill table would take more bits than the
-node budget stops before building it, having charged nothing.  A scan of a
-profile's partial covers decides its near-full covers first; when none is
-bad it decides the maximal ones alone, and the covers settled by that
-argument are not charged.  Assignment searches charge one unit per
-enumeration node, and the coloring and transversal counts one unit per
-backtrack and one per coloring or transversal counted, 4096 at a time.
+operations.  Cover scans charge one unit per cover decided (covers dismissed
+in bulk by the survivor bound or by symmetry, as not the lex-leader of their
+relabeling orbit, are still charged): one per gauge-fixed cover on the
+gauge-fixed scans, the lemma checks' near-full and full covers among them,
+and one per maximal cover on an oversized profile's table.  Every scan is
+sized by one rule before it builds anything: its kill table takes a bit per
+row and option (``covers._table_bits``).  A profile table over the node
+budget, or a gauge-fixed table over both the node budget and the default
+one, stops the scan having charged nothing.  Assignment searches charge one
+unit per enumeration node, and the coloring and transversal counts one unit
+per backtrack and one per coloring or transversal counted, 4096 at a time.
 The robust verdict decides a join g = h + a, a dominating vertex, from a
 robustly critical h with one charge of every gauge-fixed cover of g, after
 the levels below have charged the same budget.

@@ -314,8 +314,9 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
     "excess") and ``check_full_extension_lemma`` ("full-extension"), their
     preconditions granted at k = fold + 1: the bad covers in ``product``
     order from :func:`oracle_profile_bad_picks`, each counterexample looked
-    for as the check does, on every bad cover, full or not.  Full
-    extensions come from the library's enumerator."""
+    for on every bad cover, full or not, and every full extension from the
+    library's enumerator.  A pass reports every partial cover checked, a
+    counterexample its position among them."""
     sizes, word, edges = (fold,) * g.n, encode_graph6(g), g.edges()
     total, bad = oracle_profile_bad_picks(g, sizes, max_nodes, None)
     if bad is None:
@@ -324,7 +325,6 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
             detail="budget exhausted during the cover scan",
         )
     options = _partial_injections(fold, fold)
-    extensions = 0
     for decided, picks in bad:
         cover = Cover(g, sizes, tuple((u, v, options[p]) for (u, v), p in zip(edges, picks)))
         if lemma == "excess":
@@ -338,17 +338,16 @@ def oracle_partial_cover_report(lemma: str, g: Graph, fold: int, max_nodes: int)
         if all(len(options[p]) == fold for p in picks):
             continue
         for extension in full_extensions(cover):
-            extensions += 1
             if oracle_canonical_labeling(extension) is not None:
                 return LemmaReport(
-                    lemma, word, decided + extensions, "counterexample", "exhaustive",
+                    lemma, word, decided, "counterexample", "exhaustive",
                     counterexample={
                         "cover": cover_to_doc(cover),
                         "canonical_extension": cover_to_doc(extension),
                     },
                     detail="bad non-full cover with a canonical full extension",
                 )
-    return LemmaReport(lemma, word, total + extensions, "all_pass", "exhaustive")
+    return LemmaReport(lemma, word, total, "all_pass", "exhaustive")
 
 
 class RecordingBudget(Budget):
@@ -364,33 +363,35 @@ class RecordingBudget(Budget):
         super().spend(units)
 
 
-def oracle_tree_colorings(k: int, n: int, tree):
-    """The proper k-colorings of a tree on ``n`` vertices, (parent, child)
-    edges from the root at vertex 0, as the gauge-fixed scan numbers its
-    survivors: the root's color, then one digit d < k - 1 per tree edge, the
-    child taking the d-th color other than its parent's, in ``product``
-    order over the digits."""
+def oracle_tree_colorings(k: int, n: int, forest):
+    """The proper k-colorings of a forest on ``n`` vertices, (parent, child)
+    edges with each parent before its children, as the gauge-fixed scan
+    numbers its survivors: each root's color, roots ascending, then one
+    digit d < k - 1 per forest edge, the child taking the d-th color other
+    than its parent's, in ``product`` order over the digits."""
+    children = {child for _, child in forest}
+    roots = [v for v in range(n) if v not in children]
     out = []
-    for digits in product(range(k), *[range(k - 1)] * len(tree)):
-        colors = [digits[0]] * n
-        for (parent, child), d in zip(tree, digits[1:]):
+    for digits in product(*[range(k)] * len(roots), *[range(k - 1)] * len(forest)):
+        colors = [0] * n
+        for root, color in zip(roots, digits):
+            colors[root] = color
+        for (parent, child), d in zip(forest, digits[len(roots) :]):
             colors[child] = [c for c in range(k) if c != colors[parent]][d]
         out.append(tuple(colors))
     return out
 
 
-def oracle_kill_masks(transversals, nontree, perms):
-    """Per non-tree edge (u, v) and permutation p, the mask of transversals
-    t with p[t[u]] == t[v], built pair by pair."""
+def oracle_kill_masks(transversals, edges, options):
+    """Per edge (u, v) and option, the mask of transversals t with (t[u],
+    t[v]) among the option's pairs, built pair by pair."""
     kill = []
-    for u, v in nontree:
+    for (u, v), opts in zip(edges, options):
         by_pair: dict[tuple[int, int], int] = {}
         for idx, t in enumerate(transversals):
             key = (t[u], t[v])
             by_pair[key] = by_pair.get(key, 0) | (1 << idx)
-        kill.append(
-            [sum(by_pair.get((a, p[a]), 0) for a in range(len(p))) for p in perms]
-        )
+        kill.append([sum(by_pair.get(pair, 0) for pair in pairs) for pairs in opts])
     return kill
 
 

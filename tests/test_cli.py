@@ -349,9 +349,8 @@ TIME_CAPPED = {
     "count pdp": HUGE + ["count", "pdp", "-k", "5", "--clique", "5"],
     # 2,592,000 maximal covers, walked in over 2 s
     "lemma excess": HUGE + ["lemma", "excess", "--cycle", "5", "--sizes", "6,6,2,2,2"],
-    # W5: its walk over the near-full and full covers runs past 60 s
-    "lemma full-extension": HUGE + ["lemma", "full-extension", "--cycle", "5", "--clique", "1",
-                                    "--join"],
+    # Groetzsch: its near-full scans run for seconds
+    "lemma full-extension": HUGE + ["lemma", "full-extension", "--graph6", "JhdLA_gc?N_"],
     "lemma pair": HUGE + ["lemma", "pair", "--ekab", "5", "2", "3", "-x", "0", "-y", "4"],
     "lemma induction": HUGE + [
         "lemma", "induction", "--cycle", "5", "--clique", "2", "--join",
@@ -384,8 +383,13 @@ def test_time_budget_holds(argv):
 def test_counts_charge_the_node_budget(what):
     # the count charges its backtracks and what it counts, so the node
     # budget alone stops it: on the path every coloring dies at the K4, and
-    # K1 has one coloring per color and no backtrack
-    for source in (["-k", "3", "--graph6", PATH_THEN_K4], ["-k", "30000000", "--clique", "1"]):
+    # K1 has one coloring per color and no backtrack; K2's count lists
+    # nothing of size k before it starts
+    for source in (
+        ["-k", "3", "--graph6", PATH_THEN_K4],
+        ["-k", "30000000", "--clique", "1"],
+        ["-k", "30000000", "--clique", "2"],
+    ):
         start = time.monotonic()
         status, out = run("--json", "--node-budget", "1000", "count", what, *source)
         assert time.monotonic() - start < 2.0
@@ -402,6 +406,29 @@ def test_lemma_sizes_the_kill_table_before_listing_options():
         assert time.monotonic() - start < 5.0
         doc = json.loads(out)
         assert (got, doc["mode"], doc["checked"]) == (status, "exhaustive", checked), doc
+
+
+def test_scans_size_their_tables_before_building_them():
+    # C13(1,5)+K1 at k = 5: 5 * 4**13 forest colorings times 26 * 5! options
+    # are far over the default budget, so chi dp stops before building any;
+    # K2 at k = 10 has no non-tree edge, so no leader table over 10! is built
+    start = time.monotonic()
+    status, out = run("--json", "chi", "dp", "--graph6", "MhEIHEPQHGaPaP~~_")
+    assert time.monotonic() - start < 5.0
+    assert status == 2
+    assert json.loads(out) == {
+        "lower_bound": 5, "schema": "critickit/chi/1", "status": "unknown", "value": None,
+        "variant": "dp",
+    }
+    from critickit import covers
+
+    covers._LEADER_TABLES.pop(10, None)
+    start = time.monotonic()
+    status, out = run("--json", "count", "pdp", "-k", "10", "--clique", "2")
+    assert time.monotonic() - start < 1.0
+    assert status == 0
+    assert json.loads(out)["value"] == 90
+    assert 10 not in covers._LEADER_TABLES
 
 
 def test_joins_decide_from_the_level_below():

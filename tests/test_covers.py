@@ -48,6 +48,7 @@ from critickit.coloring import ColoringVerdict
 from critickit.graphs import parse_graph6
 from helpers import (
     RecordingBudget,
+    _partial_injections,
     brute_count_list_colorings,
     brute_count_transversals,
     brute_find_transversal,
@@ -590,10 +591,10 @@ def test_leader_steps_keep_exactly_orbit_leaders(k, length):
     # p -> sigma p sigma^-1 makes it lexicographically smaller
     from itertools import product
 
-    from critickit.covers import _GaugeScan
+    from critickit.covers import _leader_tables
 
-    scan = _GaugeScan(clique(2), k, SearchLimits().start())
-    perms = scan.perms
+    tables = _leader_tables(k)
+    perms = tables.perms
 
     def conj(sigma, p):
         inverse = [sigma.index(i) for i in range(k)]
@@ -603,7 +604,7 @@ def test_leader_steps_keep_exactly_orbit_leaders(k, length):
     for combo in product(range(len(perms)), repeat=length):
         stab, kept = None, True
         for p in combo:
-            stab = scan._leader_step(stab)[p]
+            stab = tables.leader_step(stab)[p]
             if stab is False:
                 kept = False
                 break
@@ -649,7 +650,8 @@ def test_tripped_root_step_caches_nothing():
 def test_leader_tables_check_the_deadline_while_listed():
     # the tables list k! permutations, with a zero-unit charge after every
     # 4096: none at k = 6, one at k = 7; a scan at 7 tripped there caches
-    # no tables, and the next scan at 7 builds and keeps them
+    # no tables, and the next scan at 7 builds and keeps them (K3: a scan
+    # with no non-tree edge builds none)
     from itertools import permutations
 
     from critickit import covers
@@ -669,10 +671,10 @@ def test_leader_tables_check_the_deadline_while_listed():
 
     covers._LEADER_TABLES.pop(7, None)
     with pytest.raises(BudgetExceeded):
-        covers._GaugeScan(clique(2), 7, TripAtFirstCharge(SearchLimits()))
+        covers._GaugeScan(clique(3), 7, TripAtFirstCharge(SearchLimits()))
     assert 7 not in covers._LEADER_TABLES
     budget = RecordingBudget(SearchLimits())
-    assert covers._GaugeScan(clique(2), 7, budget).find_bad(True) is None
+    assert covers._GaugeScan(clique(3), 7, budget).find_bad(True) is None
     assert budget.calls[0] == 0 and 7 in covers._LEADER_TABLES
 
 
@@ -922,28 +924,42 @@ def test_survivor_walk_matches_recursive_reference_on_dense_joins():
 
 def test_kill_masks_match_pair_construction(monkeypatch):
     # bit i of a mask stands for the i-th proper coloring of the spanning
-    # tree in digit order (helpers.oracle_tree_colorings), and those rows are
-    # every proper coloring of the tree once; blocks of 7 rows, where the
-    # columns are built in many pieces, give the same tables
-    from itertools import product
+    # forest in digit order (helpers.oracle_tree_colorings), and those rows
+    # are every proper coloring of the forest once; blocks of 7 rows, where
+    # the columns are built in many pieces, give the same tables.  The
+    # options are the permutations, and on a short edge, whose forest is
+    # that of the host less the edge, the permutations less one pair; hosts
+    # that fall apart, or do without the short edge, have several roots
+    from itertools import permutations, product
 
     from critickit import covers
 
+    rng = random.Random(2410)
+    hosts = [(g, k) for g, k, _ in _walk_cases()]
+    hosts += [(random_graph(rng, rng.randint(2, 6), p=0.4), rng.randint(1, 3)) for _ in range(12)]
     for rows in (1 << 16, 7):
         monkeypatch.setattr(covers, "_BLOCK_ROWS", rows)
-        for g, k, _ in _walk_cases():
-            scan = covers._GaugeScan(g, k, SearchLimits().start())
-            colorings = oracle_tree_colorings(k, g.n, scan.tree)
-            assert sorted(colorings) == [
-                t
-                for t in product(range(k), repeat=g.n)
-                if all(t[u] != t[v] for u, v in scan.tree)
-            ]
-            assert scan.full_mask == (1 << len(colorings)) - 1
-            assert scan.kill == oracle_kill_masks(colorings, scan.nontree, scan.perms)
-            assert scan.keep == [
-                [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
-            ]
+        for g, k in hosts:
+            full = [tuple(enumerate(p)) for p in permutations(range(k))]
+            near = sorted(p for p in _partial_injections(k, k) if len(p) == k - 1)
+            for short in [None] + g.edges()[:2]:
+                scan = covers._GaugeScan(g, k, SearchLimits().start(), short)
+                colorings = oracle_tree_colorings(k, g.n, scan.tree)
+                assert sorted(colorings) == [
+                    t
+                    for t in product(range(k), repeat=g.n)
+                    if all(t[u] != t[v] for u, v in scan.tree)
+                ]
+                assert len(scan.tree) + len(scan.nontree) == g.m
+                assert short is None or short in scan.nontree
+                assert [
+                    sorted(opts) if e == short else opts for e, opts in zip(scan.nontree, scan.options)
+                ] == [near if e == short else full for e in scan.nontree]
+                assert scan.full_mask == (1 << len(colorings)) - 1
+                assert scan.kill == oracle_kill_masks(colorings, scan.nontree, scan.options)
+                assert scan.keep == [
+                    [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
+                ]
 
 
 def test_product_blocks_list_the_product(monkeypatch):

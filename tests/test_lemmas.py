@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from math import factorial
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -21,16 +21,15 @@ from critickit import (
     join,
 )
 from critickit import lemmas
-from critickit.covers import ROBUSTLY_CRITICAL, find_transversal
+from critickit.covers import ROBUSTLY_CRITICAL, find_transversal, is_full
 from critickit.errors import BudgetExceeded
+from critickit.graphs import connected_components
 from critickit.jsonio import cover_from_doc
-from critickit.lemmas import (
-    LemmaReport,
-    _ProfileCovers,
-    maximal_injections,
-    partial_injections,
-)
+from critickit.lemmas import LemmaReport, _ProfileCovers, maximal_injections
 from helpers import (
+    _partial_injections,
+    brute_find_transversal,
+    oracle_canonical_labeling,
     oracle_induction_report,
     oracle_partial_cover_report,
     oracle_profile_bad_picks,
@@ -41,10 +40,13 @@ HUGE = 10**15
 
 
 def test_partial_injection_counts():
-    assert len(partial_injections(2, 2)) == 7
-    assert len(partial_injections(3, 2)) == 13
-    assert len(partial_injections(3, 3)) == 34
-    assert partial_injections(2, 2)[0] == ()
+    assert len(_partial_injections(2, 2)) == 7
+    assert len(_partial_injections(3, 2)) == 13
+    assert len(_partial_injections(3, 3)) == 34
+    assert _partial_injections(2, 2)[0] == ()
+    # a pass reports every partial cover checked, counted without listing one
+    for fold in range(5):
+        assert lemmas._partial_covers(clique(3), fold) == len(_partial_injections(fold, fold)) ** 3
 
 
 # ------------------------------------------------------------------- excess
@@ -131,37 +133,41 @@ def test_excess_keeps_the_time_budget():
 
 
 def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
-    # 3**9 index tuples take far longer than 1 ms to read into the kill
-    # table, whose deadline check must end in a truncated report, not an
-    # exception out of the lemma check
-    tripped = []
-    build = _ProfileCovers._kill_table
+    # the 3**9 index tuples of C9 at (3, ..., 3), over the fold of 2, and
+    # the 26,244 colorings of E(5,2,3)'s spanning forest at fold 4 take far
+    # longer than 1 ms to read into a kill table, whose deadline check must
+    # end in a truncated report, not an exception out of the lemma check
+    from critickit import covers
 
-    def recording_build(self, spend):
+    tripped = []
+    build = covers._kill_masks
+
+    def recording_build(blocks, sizes, *args):
         try:
-            return build(self, spend)
+            return build(blocks, sizes, *args)
         except BudgetExceeded:
-            tripped.append(self.sizes)
+            tripped.append(sizes)
             raise
 
-    monkeypatch.setattr(_ProfileCovers, "_kill_table", recording_build)
+    monkeypatch.setattr(lemmas, "_kill_masks", recording_build)
+    monkeypatch.setattr(covers, "_kill_masks", recording_build)
     monkeypatch.setattr(
         lemmas, "robust_criticality_verdict",
-        lambda g, limits: SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=4),
+        lambda g, limits: SimpleNamespace(decision=ROBUSTLY_CRITICAL, k=3),
     )
     monkeypatch.setattr(
         lemmas, "classify_criticality",
-        lambda g: SimpleNamespace(is_critical=True, chromatic_number=4),
+        lambda g: SimpleNamespace(is_critical=True, chromatic_number=5),
     )
     limits = SearchLimits(max_nodes=10**9, max_millis=1)
-    for check in (
-        lambda: check_excess_lemma(cycle(9), (3,) * 9, limits),
-        lambda: check_full_extension_lemma(cycle(9), limits),
+    for check, sizes in (
+        (lambda: check_excess_lemma(cycle(9), (3,) * 9, limits), (3,) * 9),
+        (lambda: check_full_extension_lemma(generate_ekab(5, 2, 3), limits), (4,) * 9),
     ):
         tripped.clear()
         report = check()
         assert (report.outcome, report.checked) == ("truncated", 0)
-        assert tripped == [(3,) * 9]
+        assert tripped == [sizes]
 
 
 NON_ROBUST_HOSTS = [
@@ -184,58 +190,54 @@ def test_profile_scan_matches_per_cover_oracle():
         ]
         for g in hosts:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
-            for maximal in (False, True):
-                profile = _ProfileCovers(g, sizes, maximal)
-                if profile.total > 20_000 and profile.bits <= max_nodes:
-                    continue  # too many covers for the oracle
-                total, want = oracle_profile_bad_picks(g, sizes, max_nodes, 4, maximal)
-                case = (g.edges(), sizes, max_nodes, maximal)
-                assert profile.total == total, case
-                got = []
-                try:
-                    for found in profile.iter_bad(SearchLimits(max_nodes=max_nodes)):
-                        got.append(found)
-                        if len(got) == 4:
-                            break
-                except BudgetExceeded as exc:
-                    if want is None:
-                        assert (got, exc.spent) == ([], 0), case
-                        paths.add((maximal, "table"))
-                        continue
-                    assert got == want[: len(got)] and exc.spent <= max_nodes, case
-                    paths.add((maximal, "walk"))
+            profile = _ProfileCovers(g, sizes)
+            if profile.total > 20_000 and profile.bits <= max_nodes:
+                continue  # too many covers for the oracle
+            total, want = oracle_profile_bad_picks(g, sizes, max_nodes, 4, True)
+            case = (g.edges(), sizes, max_nodes)
+            assert profile.total == total, case
+            got = []
+            try:
+                for found in profile.iter_bad(SearchLimits(max_nodes=max_nodes)):
+                    got.append(found)
+                    if len(got) == 4:
+                        break
+            except BudgetExceeded as exc:
+                if want is None:
+                    assert (got, exc.spent) == ([], 0), case
+                    paths.add("table")
                     continue
-                assert got == want, case
-                paths.add((maximal, bool(got)))
+                assert got == want[: len(got)] and exc.spent <= max_nodes, case
+                paths.add("walk")
+                continue
+            assert got == want, case
+            paths.add(bool(got))
     # exhaustive walks with and without a bad cover, and truncations before
-    # the kill table and in the walk, on partial and on maximal options
-    assert paths == {
-        (maximal, path) for maximal in (False, True) for path in (True, False, "table", "walk")
-    }
+    # the kill table and in the walk
+    assert paths == {True, False, "table", "walk"}
 
 
 def test_maximal_injections_are_the_maximal_partial_ones():
     for a in range(5):
         for b in range(5):
             assert maximal_injections(a, b) == tuple(
-                p for p in partial_injections(a, b) if len(p) == min(a, b)
+                p for p in _partial_injections(a, b) if len(p) == min(a, b)
             ), (a, b)
+
+
+def _near_full(cover, fold) -> bool:
+    """One edge matches fold - 1 pairs, every other edge fold."""
+    short = [len(pairs) for _, _, pairs in cover.matchings if len(pairs) != fold]
+    return short == [fold - 1]
 
 
 def test_partial_cover_checks_match_per_cover_reference(monkeypatch):
     # the preconditions are faked, so that hosts with bad non-full covers are
     # checked as well as hosts whose bad covers are all full; both checks
-    # must report what a walk over every partial cover reports, whether or
-    # not a near-full cover is bad
+    # must reach the outcome of a walk over every partial cover, count every
+    # partial cover on a pass, and give a counterexample that re-verifies
     rng = random.Random(19)
-    near_full_bad = lemmas._ProfileCovers._near_full_bad
-    taken, seen = [], set()
-
-    def recording(self, *args):
-        taken.append(near_full_bad(self, *args))
-        return taken[-1]
-
-    monkeypatch.setattr(lemmas._ProfileCovers, "_near_full_bad", recording)
+    seen = set()
     # a triangle with a pendant edge, first or last in edge order: at fold 2
     # only the pendant edge one pair short makes a near-full cover bad
     pendants = [
@@ -248,7 +250,7 @@ def test_partial_cover_checks_match_per_cover_reference(monkeypatch):
     limits = SearchLimits(max_nodes=10**9)
     for g in hosts:
         for fold in (1, 2, 3):
-            if len(partial_injections(fold, fold)) ** g.m > 3000:
+            if len(_partial_injections(fold, fold)) ** g.m > 3000:
                 continue
             monkeypatch.setattr(
                 lemmas, "robust_criticality_verdict",
@@ -262,19 +264,65 @@ def test_partial_cover_checks_match_per_cover_reference(monkeypatch):
                 ("excess", lambda: check_excess_lemma(g, (fold,) * g.n, limits)),
                 ("full-extension", lambda: check_full_extension_lemma(g, limits)),
             ):
-                taken.clear()
                 want = oracle_partial_cover_report(lemma, g, fold, limits.max_nodes)
-                assert check() == want, (lemma, g.edges(), fold)
-                seen.add((lemma, want.outcome, tuple(taken)))
-    # counterexamples with and without a bad near-full cover; without one,
-    # the excess check's come from a walk over the maximal covers alone
-    assert {
-        ("excess", "all_pass", (False,)),
-        ("excess", "counterexample", (False,)),
-        ("excess", "counterexample", (True,)),
-        ("full-extension", "all_pass", (False,)),
-        ("full-extension", "counterexample", (True,)),
-    } <= seen
+                got = check()
+                case = (lemma, g.edges(), fold)
+                assert got.outcome == want.outcome, case
+                if got.outcome == "all_pass":
+                    assert got == want, case
+                    seen.add((lemma, "all_pass"))
+                    continue
+                cover = cover_from_doc(got.counterexample["cover"])
+                assert brute_find_transversal(cover) is None, case
+                if lemma == "excess":
+                    assert oracle_canonical_labeling(cover) is None, case
+                    seen.add((lemma, "counterexample", is_full(cover)))
+                    continue
+                extension = cover_from_doc(got.counterexample["canonical_extension"])
+                assert not is_full(cover) and is_full(extension), case
+                assert oracle_canonical_labeling(extension) is not None, case
+                assert all(
+                    set(pairs) <= set(whole)
+                    for (_, _, pairs), (_, _, whole) in zip(cover.matchings, extension.matchings)
+                ), case
+                seen.add((lemma, "counterexample", False))
+    # excess counterexamples from a bad near-full cover and from the scan
+    # of the full covers
+    assert seen == {
+        ("excess", "all_pass"),
+        ("excess", "counterexample", False),
+        ("excess", "counterexample", True),
+        ("full-extension", "all_pass"),
+        ("full-extension", "counterexample", False),
+    }
+
+
+def test_near_full_scan_matches_per_cover_oracle():
+    # the per-edge scans find a bad near-full cover exactly where the walk
+    # over every partial cover does, on connected and disconnected hosts,
+    # and every cover they give is a bad near-full cover
+    rng = random.Random(21)
+    hosts = NON_ROBUST_HOSTS + [
+        random_graph(rng, rng.randint(1, 6), p=rng.uniform(0.2, 0.8)) for _ in range(80)
+    ]
+    outcomes = set()
+    for g in hosts:
+        for fold in (1, 2, 3):
+            options = _partial_injections(fold, fold)
+            if len(options) ** g.m > 3000:
+                continue
+            _, bad = oracle_profile_bad_picks(g, (fold,) * g.n, HUGE, None)
+            want = any(
+                sorted(len(options[p]) for p in picks) == [fold - 1] + [fold] * (g.m - 1)
+                for _, picks in bad
+            )
+            got = list(lemmas._bad_near_full(g, fold, SearchLimits(max_nodes=HUGE).start()))
+            case = (g.edges(), fold)
+            assert bool(got) == want, case
+            for cover in got:
+                assert _near_full(cover, fold) and brute_find_transversal(cover) is None, case
+            outcomes.add((want, len(connected_components(g)) > 1))
+    assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
 
 
 def test_profile_kill_table_matches_pair_construction():
@@ -287,17 +335,16 @@ def test_profile_kill_table_matches_pair_construction():
         g = random_graph(rng, rng.randint(1, 5), connected=True)
         sizes = tuple(rng.randint(1, 3) for _ in range(g.n))
         universe = list(product(*(range(s) for s in sizes)))
-        for maximal in (False, True):
-            profile = _ProfileCovers(g, sizes, maximal)
-            full, kill = profile._kill_table(lambda units: None)
-            assert full == (1 << len(universe)) - 1
-            assert kill == [
-                [
-                    sum(1 << i for i, t in enumerate(universe) if (t[u], t[v]) in pairs)
-                    for pairs in options
-                ]
-                for (u, v), options in zip(profile.edges, profile.options)
-            ], (g.edges(), sizes, maximal)
+        profile = _ProfileCovers(g, sizes)
+        full, kill = profile._kill_table(lambda units: None)
+        assert full == (1 << len(universe)) - 1
+        assert kill == [
+            [
+                sum(1 << i for i, t in enumerate(universe) if (t[u], t[v]) in pairs)
+                for pairs in options
+            ]
+            for (u, v), options in zip(profile.edges, profile.options)
+        ], (g.edges(), sizes)
 
 
 def test_bad_cover_exists_iff_bad_maximal_cover_exists():
@@ -311,9 +358,8 @@ def test_bad_cover_exists_iff_bad_maximal_cover_exists():
     for g in hosts:
         for _ in range(3):
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
-            partial = _ProfileCovers(g, sizes)
-            if partial.total > 20_000:
-                continue
+            if prod(len(_partial_injections(sizes[u], sizes[v])) for u, v in g.edges()) > 20_000:
+                continue  # too many covers for the oracle
             exists = {
                 maximal: bool(oracle_profile_bad_picks(g, sizes, HUGE, 1, maximal)[1])
                 for maximal in (False, True)
