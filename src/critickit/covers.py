@@ -27,7 +27,7 @@ A join is robustly critical when the level below is (the join rule of
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice, permutations, product, repeat
 from math import factorial
 from operator import and_, or_
@@ -364,28 +364,30 @@ def _product_blocks(sizes):
         yield tail, [bytes([d]) * tail for d in head] + columns
 
 
-@lru_cache(maxsize=None)
-def _lanes(k: int) -> bytes | None:
-    """:func:`_tree_colorings`' ``translate`` table, built once per k."""
-    return bytes(x // k + (x // k >= x % k) for x in range(256)) if k > 1 else None
-
-
-def _tree_colorings(k: int, n: int, forest):
-    """The proper k-colorings of a forest, (parent, child) edges with every
-    parent before its children, in :func:`_product_blocks` of one column per
-    vertex: each root's color, then per edge a digit d < k - 1, the child's
-    color d + (d >= parent's), packed as d * k + parent's color in each byte
-    by one big-int sum (k <= 16) and mapped by one ``translate``."""
-    lanes = _lanes(k)
+def _tree_colorings(sizes, forest):
+    """The index tuples of a forest's vertices, ``0..sizes[v]-1`` at v, with
+    no edge's ends equal, (parent, child) edges with every parent before its
+    children, in :func:`_product_blocks` of one column per vertex: each
+    root's index, then per edge a digit d < sizes[child] - 1, the child's
+    index d + (d >= parent's).  Every column is one big int of byte lanes:
+    the low seven bits of d and the parent's are compared with the borrow
+    kept in each lane's top bit, and the top bits decide where they differ.
+    Indices are bytes, so a list of more than 256 is refused."""
+    if max(sizes, default=0) > 256:
+        raise CoverError("lists of more than 256 indices are not supported")
     children = {child for _, child in forest}
-    roots = [v for v in range(n) if v not in children]
-    for rows, digits in _product_blocks((k,) * len(roots) + (k - 1,) * len(forest)):
-        colors = [b""] * n
-        for root, column in zip(roots, digits):
+    roots = [v for v in range(len(sizes)) if v not in children]
+    digits = [sizes[v] for v in roots] + [sizes[child] - 1 for _, child in forest]
+    for rows, columns in _product_blocks(digits):
+        colors = [b""] * len(sizes)
+        for root, column in zip(roots, columns):
             colors[root] = column
-        for (parent, child), column in zip(forest, digits[len(roots) :]):
-            packed = int.from_bytes(column, "big") * k + int.from_bytes(colors[parent], "big")
-            colors[child] = packed.to_bytes(rows, "big").translate(lanes)
+        top = int.from_bytes(b"\x80" * rows, "big")
+        low = top - (top >> 7)
+        for (parent, child), column in zip(forest, columns[len(roots) :]):
+            d, c = int.from_bytes(column, "big"), int.from_bytes(colors[parent], "big")
+            ge = (d & (c ^ top) | (d ^ c ^ top) & ((d & low | top) - (c & low))) & top
+            colors[child] = (d + (ge >> 7)).to_bytes(rows, "big")
         yield rows, colors
 
 
@@ -721,7 +723,7 @@ class _GaugeScan:
         near = [p[:i] + p[i + 1 :] for p in pairs for i in range(k)] if short else None
         self.options = [near if e == short else pairs for e in self.nontree]
         self.full_mask, self.kill = _kill_masks(
-            _tree_colorings(k, g.n, self.tree), (k,) * g.n, self.nontree, self.options,
+            _tree_colorings((k,) * g.n, self.tree), (k,) * g.n, self.nontree, self.options,
             budget.spend,
         )
         self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]

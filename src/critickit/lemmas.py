@@ -4,8 +4,11 @@ exhaustively on concrete small graphs.
 Adding matched pairs to a cover only removes transversals, so every partial
 cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
 bad whenever it is.  The excess check therefore decides profiles with a list
-larger than k-1 over their maximal covers, on a kill table over the
-profile's index tuples (:class:`_ProfileCovers`).
+larger than k-1 over their maximal covers, gauge-fixed along a spanning
+forest: a forest edge into a list at least as long as its parent's is
+relabeled to the identity, every other edge keeps its options, and a kill
+table over the index tuples that avoid the identity's pairs decides them
+(:class:`_ProfileCovers`).
 
 On the all-(k-1) profile the checks decide *near-full* covers instead: one
 edge one pair short of a permutation, every other edge a permutation.  A bad
@@ -21,13 +24,14 @@ Covers are decided by survivor bitsets rather than by one transversal search
 per cover: every candidate transversal is one bit, each edge option has a
 kill mask of the candidates it rules out, and a cover is bad iff its masks
 cover every bit.  The checks find their bad covers with :func:`_bad_picks`,
-the survivor walk without symmetry, or with the full-cover scan's own walk.
-Only bad covers are materialized as :class:`Cover` objects.  Every cover
-decided is charged one unit to a budget started from the check's limits:
-one per index tuple pick on a profile table, one per gauge-fixed cover on
-the scans.  When it trips, the check is ``truncated``, and so is a check
-whose table is over the size rule of :func:`~critickit.covers._table_bits`,
-before the table or any option is built.  A pass reports every cover of the
+the survivor walk (on lex-leaders alone for the induction check), or with
+the full-cover scan's own walk.  Only bad covers are materialized as
+:class:`Cover` objects.  Every cover decided is charged to a budget started
+from the check's limits: on a profile table each gauge-fixed cover charges
+the maximal covers it stands for, on the scans one unit per gauge-fixed
+cover.  When it trips, the check is ``truncated``, and so is a check whose
+table is over the size rule of :func:`~critickit.covers._table_bits`, before
+the table or any option is built.  A pass reports every cover of the
 profile checked, counted by formula.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
@@ -38,8 +42,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from math import comb, perm, prod
-from operator import mul
+from math import comb, factorial, perm, prod
 
 from .base import (
     ALL_PASS,
@@ -57,17 +60,17 @@ from .covers import (
     _check_table,
     _GaugeScan,
     _kill_masks,
-    _product_blocks,
     _robust_verdict,
     _scan_verdict,
     _survivor_walk,
     _table_bits,
+    _tree_colorings,
     canonical_labeling,
     complete_to_full,
     robust_criticality_verdict,
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
-from .graphs import Graph, clique, encode_graph6, induced_subgraph, join, spanning_tree
+from .graphs import Graph, clique, encode_graph6, induced_subgraph, join, spanning_forest, spanning_tree
 from .jsonio import SCHEMA_LEMMA, cover_to_doc
 from .limits import SearchLimits
 
@@ -126,21 +129,34 @@ def _partial_covers(g: Graph, fold: int) -> int:
     return sum(comb(fold, pairs) * perm(fold, pairs) for pairs in range(fold + 1)) ** g.m
 
 
-def _bad_picks(full: int, kill: list[list[int]], spend):
-    """Every bad pick tuple over a kill table, in ``product`` order, charging
-    ``spend`` one unit per cover.  The survivor walk charges the subtrees in
-    which every completion keeps a survivor; every completion of a prefix
-    with no survivor left is bad, and is enumerated here."""
-    keep = [[full ^ mask for mask in masks] for masks in kill]
+def _bad_picks(full: int, kill: list[list[int]], keep: list[list[int]], spend, leader_step=None):
+    """Every bad pick tuple over a kill table and its ``keep`` masks, in
+    ``product`` order, charging ``spend`` one unit per cover.  The survivor
+    walk charges the subtrees in which every completion keeps a survivor;
+    every completion of a prefix with no survivor left is bad, and is
+    enumerated here.  With ``leader_step``
+    (:meth:`~critickit.covers._LeaderTables.leader_step`), only the tuples
+    that are their conjugation orbit's lex-leader are given."""
     picks = [0] * len(kill)
-    for depth, survivors in _survivor_walk(kill, keep, full, picks, spend):
+    for depth, survivors in _survivor_walk(kill, keep, full, picks, spend, leader_step=leader_step):
         if survivors:
             spend(1)
             continue
         head = tuple(picks[:depth])
         for rest in product(*(range(len(masks)) for masks in kill[depth:])):
             spend(1)
-            yield head + rest
+            if leader_step is None or _is_leader(head + rest, leader_step, spend):
+                yield head + rest
+
+
+def _is_leader(picks, leader_step, spend) -> bool:
+    """No step of ``picks`` from the root is refused by ``leader_step``."""
+    stab = None
+    for p in picks:
+        stab = leader_step(stab, spend)[p]
+        if stab is False:
+            return False
+    return True
 
 
 def _bad_near_full(g: Graph, fold: int, budget):
@@ -150,7 +166,7 @@ def _bad_near_full(g: Graph, fold: int, budget):
     decided is charged to ``budget``."""
     for short in g.edges():
         scan = _GaugeScan(g, fold, budget, short)
-        for picks in _bad_picks(scan.full_mask, scan.kill, budget.spend):
+        for picks in _bad_picks(scan.full_mask, scan.kill, scan.keep, budget.spend):
             yield scan.cover_at(picks)
 
 
@@ -167,60 +183,94 @@ def _bad_noncanonical(g: Graph, fold: int, budget):
 
 
 class _ProfileCovers:
-    """The maximal covers of a size profile, as one pick per edge uv among
-    its injections of min(a, b) pairs, ``options[e]`` in
-    :func:`maximal_injections` order.  ``total``, the number of covers, and
-    ``bits``, the size of the kill table over the profile's index tuples
-    (:func:`~critickit.covers._table_bits`), are counted before any option
-    is listed."""
+    """The maximal covers of a size profile up to per-vertex relabeling,
+    gauge-fixed along :func:`~critickit.graphs.spanning_forest`.  A forest
+    edge (p, c) with ``sizes[p] <= sizes[c]`` is *fixed* to the identity on
+    p's indices, which relabeling c makes of any of its ``perm(sizes[c],
+    sizes[p])`` options.  Every other edge is *walked*, in canonical order:
+    a forest edge into a shorter list over its ``comb(sizes[p], sizes[c])``
+    order-preserving matchings, each standing for ``sizes[c]!`` options,
+    any other edge over its :func:`maximal_injections`.  So each gauge-fixed
+    cover stands for ``unit`` maximal covers, ``total`` in all.  ``unit``,
+    ``total`` and ``bits``, the size of the kill table over the index tuples
+    that avoid the fixed pairs (:func:`~critickit.covers._table_bits`), are
+    counted before any option is listed."""
 
     def __init__(self, g: Graph, sizes):
         self.g = g
-        self.sizes = tuple(sizes)
-        self.edges = g.edges()
-        counts = []
-        for u, v in self.edges:
-            a, b = self.sizes[u], self.sizes[v]
-            counts.append(comb(a, min(a, b)) * perm(b, min(a, b)))
-        self.total = prod(counts)
-        self.bits = _table_bits(prod(self.sizes), counts)
+        self.sizes = sizes = tuple(sizes)
+        self.fixed, self.loose = [], {}  # loose: edge (u, v) -> its parent
+        for p, c in spanning_forest(g):
+            if sizes[p] <= sizes[c]:
+                self.fixed.append((p, c))
+            else:
+                self.loose[(min(p, c), max(p, c))] = p
+        fixed = {(min(e), max(e)) for e in self.fixed}
+        self.walked = [e for e in g.edges() if e not in fixed]
+        counts, self.unit = [], prod(perm(sizes[c], sizes[p]) for p, c in self.fixed)
+        for u, v in self.walked:
+            low = min(sizes[u], sizes[v])
+            if (u, v) in self.loose:
+                counts.append(comb(max(sizes[u], sizes[v]), low))
+                self.unit *= factorial(low)
+            else:
+                counts.append(comb(sizes[u], low) * perm(sizes[v], low))
+        self.total = self.unit * prod(counts)
+        children = {c for _, c in self.fixed}
+        rows = prod(size - (v in children) for v, size in enumerate(sizes))
+        self.bits = _table_bits(rows, counts)
 
     @cached_property
     def options(self) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-        return [maximal_injections(self.sizes[u], self.sizes[v]) for u, v in self.edges]
+        options = []
+        for u, v in self.walked:
+            a, b = self.sizes[u], self.sizes[v]
+            if (u, v) not in self.loose:
+                options.append(maximal_injections(a, b))
+            elif self.loose[(u, v)] == u:
+                options.append(tuple(tuple(zip(s, range(b))) for s in combinations(range(a), b)))
+            else:
+                options.append(tuple(tuple(zip(range(a), s)) for s in combinations(range(b), a)))
+        return options
 
     def cover_at(self, picks) -> Cover:
-        entries = tuple(
-            (u, v, self.options[e][picks[e]]) for e, (u, v) in enumerate(self.edges)
-        )
-        return Cover(self.g, self.sizes, entries)
+        entries = {
+            (min(p, c), max(p, c)): tuple((i, i) for i in range(self.sizes[p])) for p, c in self.fixed
+        }
+        for e, edge in enumerate(self.walked):
+            entries[edge] = self.options[e][picks[e]]
+        return Cover(self.g, self.sizes, tuple((u, v, entries[(u, v)]) for u, v in self.g.edges()))
 
     def _kill_table(self, spend) -> tuple[int, list[list[int]]]:
-        """(mask of every index tuple of the profile, per edge and option the
-        tuples whose endpoint indices form one of the option's pairs), from
-        :func:`~critickit.covers._kill_masks`, which checks the deadline on
-        ``spend``."""
+        """(mask of every row, per walked edge and option the rows whose
+        endpoint indices form one of the option's pairs), from
+        :func:`~critickit.covers._kill_masks` over the rows of
+        :func:`~critickit.covers._tree_colorings` on the fixed edges, which
+        checks the deadline on ``spend``."""
         return _kill_masks(
-            _product_blocks(self.sizes), self.sizes, self.edges, self.options, spend
+            _tree_colorings(self.sizes, self.fixed), self.sizes, self.walked, self.options, spend
         )
 
     def iter_bad(self, limits: SearchLimits):
-        """The bad covers, each as (covers up to and including it in
-        ``product`` order, picks).  Charges one unit per cover decided to a
-        budget started from ``limits`` on the first step, and raises
-        :class:`BudgetExceeded` when it trips.
+        """The bad gauge-fixed covers in ``product`` order, each as (maximal
+        covers charged up to and including it, picks).  Charges ``unit``
+        per gauge-fixed cover decided to a budget started from ``limits``
+        on the first step, and raises :class:`BudgetExceeded` when it trips.
 
-        The covers are decided on the profile's kill table.  When its size
-        in bits exceeds the node budget, the first step raises
-        :class:`BudgetExceeded` with nothing spent and no option listed;
-        otherwise it builds the table, so a cap that trips while the table
-        is read is raised there too."""
+        When the kill table's size in bits exceeds the node budget, the
+        first step raises :class:`BudgetExceeded` with nothing spent and no
+        option listed; otherwise it builds the table, so a cap that trips
+        while the table is read is raised there too."""
         budget = limits.start()
         _check_table(self.bits, budget.max_nodes, budget)
-        full, kill = self._kill_table(budget.spend)
-        strides = [prod(map(len, kill[e + 1 :])) for e in range(len(kill))]
-        for picks in _bad_picks(full, kill, budget.spend):
-            yield 1 + sum(map(mul, picks, strides)), picks
+
+        def spend(units=1):
+            budget.spend(units * self.unit)
+
+        full, kill = self._kill_table(spend)
+        keep = [[full ^ mask for mask in masks] for masks in kill]
+        for picks in _bad_picks(full, kill, keep, spend):
+            yield budget.spent, picks
 
 
 def check_excess_lemma(
@@ -230,14 +280,15 @@ def check_excess_lemma(
     least k-1 must be a canonical (k-1)-fold cover; in particular no bad
     cover exists once some list is strictly larger.
 
-    Such an oversized profile is decided over its maximal covers: a bad
-    cover extends to a bad maximal cover, and any bad cover of it is a
-    counterexample.  The all-(k-1) profile is decided over its near-full
-    covers, any bad one a counterexample, then its full covers by the
-    gauge-fixed scan, any bad one but the canonical a counterexample.  A
-    pass reports every cover of the profile (maximal or partial) checked; a
-    counterexample, its position among the maximal covers or the gauge-fixed
-    covers decided up to it."""
+    Such an oversized profile is decided over its maximal covers up to
+    relabeling (:class:`_ProfileCovers`): a bad cover extends to a bad
+    maximal cover, and any bad cover of it is a counterexample.  The
+    all-(k-1) profile is decided over its near-full covers, any bad one a
+    counterexample, then its full covers by the gauge-fixed scan, any bad
+    one but the canonical a counterexample.  A pass reports every cover of
+    the profile (maximal or partial) checked; a counterexample, the maximal
+    covers charged up to it (each gauge-fixed cover charging its class) or
+    the gauge-fixed covers decided up to it."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
     sizes = tuple(sizes)
@@ -435,15 +486,20 @@ def check_induction_lemma(
     if fold < 1:
         return skipped("reduced graph has chromatic number 0")
     # the covers of enumerate_full_covers, in its order and with its
-    # metering, walked without symmetry: a labeling is checked on every bad
-    # cover, not only on its orbit's leader
+    # metering, each orbit of the relabelings that keep the tree at the
+    # identity looked at on its lex-leader alone: badness, canonicity and a
+    # compatible labeling's existence are invariant under them, and only
+    # the all-identity cover is canonical, so the first counterexample, and
+    # the labelings counted up to it, are those of a walk over every cover
     spanning_tree(g)  # connectivity precondition
     budget = limits.start()
     labelings = 0
     label_perms = list(permutations(range(fold)))
     try:
         scan = _GaugeScan(g, fold, budget)
-        for combo in _bad_picks(scan.full_mask, scan.kill, budget.spend):
+        for combo in _bad_picks(
+            scan.full_mask, scan.kill, scan.keep, budget.spend, scan._leader_step
+        ):
             cover = scan.cover_at(combo)
             constraints = _labeling_constraints(cover, members, fold)
             is_canonical = canonical_labeling(cover) is not None

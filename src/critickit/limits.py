@@ -7,9 +7,10 @@ operations.  Cover scans charge one unit per cover decided (covers dismissed
 in bulk by the survivor bound or by symmetry, as not the lex-leader of their
 relabeling orbit, are still charged): one per gauge-fixed cover on the
 gauge-fixed scans, the lemma checks' near-full and full covers among them,
-and one per maximal cover on an oversized profile's table.  Every scan is
-sized by one rule before it builds anything: its kill table takes a bit per
-row and option (``covers._table_bits``).  A profile table over the node
+and on an oversized profile's gauge-fixed table, per gauge-fixed cover the
+maximal covers it stands for.  Every scan is sized by one rule before it
+builds anything: its kill table takes a bit per row and option
+(``covers._table_bits``).  A profile table over the node
 budget, or a gauge-fixed table over both the node budget and the default
 one, stops the scan having charged nothing.  Assignment searches charge one
 unit per enumeration node, and the coloring and transversal counts one unit

@@ -363,21 +363,24 @@ class RecordingBudget(Budget):
         super().spend(units)
 
 
-def oracle_tree_colorings(k: int, n: int, forest):
-    """The proper k-colorings of a forest on ``n`` vertices, (parent, child)
-    edges with each parent before its children, as the gauge-fixed scan
-    numbers its survivors: each root's color, roots ascending, then one
-    digit d < k - 1 per forest edge, the child taking the d-th color other
+def oracle_tree_colorings(sizes, forest):
+    """The index tuples, ``0..sizes[v]-1`` at v, with no edge of a forest on
+    ``len(sizes)`` vertices matching equal indices, (parent, child) edges
+    with each parent before its children, as the scans number their
+    survivors: each root's index, roots ascending, then one digit d <
+    sizes[child] - 1 per forest edge, the child taking the d-th index other
     than its parent's, in ``product`` order over the digits."""
     children = {child for _, child in forest}
-    roots = [v for v in range(n) if v not in children]
+    roots = [v for v in range(len(sizes)) if v not in children]
     out = []
-    for digits in product(*[range(k)] * len(roots), *[range(k - 1)] * len(forest)):
-        colors = [0] * n
+    for digits in product(
+        *[range(sizes[v]) for v in roots], *[range(sizes[c] - 1) for _, c in forest]
+    ):
+        colors = [0] * len(sizes)
         for root, color in zip(roots, digits):
             colors[root] = color
         for (parent, child), d in zip(forest, digits[len(roots) :]):
-            colors[child] = [c for c in range(k) if c != colors[parent]][d]
+            colors[child] = [c for c in range(sizes[child]) if c != colors[parent]][d]
         out.append(tuple(colors))
     return out
 

@@ -299,6 +299,16 @@ def test_count_transversals_bad_cover_file(tmp_path, name):
     assert status == 64 and out.startswith("error: ")
 
 
+def test_lists_longer_than_a_byte_are_refused():
+    # list indices are bytes in the scans' tables: 256 colors fit, and 257
+    # is a documented error with one document, not a traceback
+    status, out = run("--json", "count", "pdp", "-k", "17", "--clique", "2")
+    assert (status, json.loads(out)["value"]) == (0, 17 * 16)
+    status, out = run("--json", "count", "pdp", "-k", "257", "--clique", "2")
+    assert status == 64 and out.count("\n") == 1
+    assert json.loads(out)["schema"] == "critickit/error/1"
+
+
 def test_json_flag_read_from_parsed_args(tmp_path):
     # argparse accepts the unambiguous prefix --js for --json
     missing = str(tmp_path / "missing.json")
@@ -347,8 +357,12 @@ TIME_CAPPED = {
     "chi list grid": ["chi", "list", "--graph6", GRID_6X6],
     "chi dp": HUGE + ["chi", "dp", "--complete-bipartite", "4", "4"],
     "count pdp": HUGE + ["count", "pdp", "-k", "5", "--clique", "5"],
-    # 2,592,000 maximal covers, walked in over 2 s
-    "lemma excess": HUGE + ["lemma", "excess", "--cycle", "5", "--sizes", "6,6,2,2,2"],
+    # C7+K1 with the hub's list one longer: 1.28e15 maximal covers, 10**9
+    # gauge-fixed ones walked for seconds; the budget is above the total
+    "lemma excess": ["--node-budget", str(10**16)] + [
+        "lemma", "excess", "--cycle", "7", "--clique", "1", "--join",
+        "--sizes", "3,3,3,3,3,3,3,4",
+    ],
     # Groetzsch: its near-full scans run for seconds
     "lemma full-extension": HUGE + ["lemma", "full-extension", "--graph6", "JhdLA_gc?N_"],
     "lemma pair": HUGE + ["lemma", "pair", "--ekab", "5", "2", "3", "-x", "0", "-y", "4"],
@@ -398,9 +412,12 @@ def test_counts_charge_the_node_budget(what):
 
 
 def test_lemma_sizes_the_kill_table_before_listing_options():
-    # K2 at (8, 8): 64 index tuples times 8! maximal options fit the default
-    # budget; at (9, 9), 81 times 9! do not, and no option is listed
-    for sizes, status, checked in (("8,8", 0, 40320), ("9,9", 2, 0)):
+    # K2 at (8, 8): its edge is fixed to the identity, so 56 index tuples
+    # and no option fit the default budget, and the one gauge-fixed cover
+    # stands for 8! maximal ones; at (30, 15), 450 index tuples times the
+    # edge's C(30, 15) order-preserving matchings do not, and none of them,
+    # which would take minutes, is listed
+    for sizes, status, checked in (("8,8", 0, 40320), ("30,15", 2, 0)):
         start = time.monotonic()
         got, out = run("--json", "lemma", "excess", "--clique", "2", "--sizes", sizes)
         assert time.monotonic() - start < 5.0

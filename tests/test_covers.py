@@ -944,7 +944,7 @@ def test_kill_masks_match_pair_construction(monkeypatch):
             near = sorted(p for p in _partial_injections(k, k) if len(p) == k - 1)
             for short in [None] + g.edges()[:2]:
                 scan = covers._GaugeScan(g, k, SearchLimits().start(), short)
-                colorings = oracle_tree_colorings(k, g.n, scan.tree)
+                colorings = oracle_tree_colorings((k,) * g.n, scan.tree)
                 assert sorted(colorings) == [
                     t
                     for t in product(range(k), repeat=g.n)
@@ -960,6 +960,36 @@ def test_kill_masks_match_pair_construction(monkeypatch):
                 assert scan.keep == [
                     [scan.full_mask & ~mask for mask in masks] for masks in scan.kill
                 ]
+
+
+def test_tree_colorings_hold_lists_of_any_length_a_byte_holds(monkeypatch):
+    # rows over per-vertex list lengths, each forest edge into a list at
+    # least as long as its parent's, as the profile tables take them: past
+    # 16 colors a child's index and its parent's do not fit one byte
+    # together, and past 127 the comparison needs the lanes' top bits
+    from critickit import covers
+
+    cases = [
+        ((17, 17), [(0, 1)]),
+        ((20, 20, 20), [(0, 1), (1, 2)]),
+        ((20, 17, 20), [(1, 0), (1, 2)]),
+        ((3, 17, 20, 2), [(0, 1), (1, 2)]),
+        ((129, 200), [(0, 1)]),
+    ]
+    for rows in (1 << 16, 7):
+        monkeypatch.setattr(covers, "_BLOCK_ROWS", rows)
+        for sizes, forest in cases if rows > 7 else cases[:4]:
+            got = []
+            for count, columns in covers._tree_colorings(sizes, forest):
+                got += zip(*columns)
+            want = oracle_tree_colorings(sizes, forest)
+            assert got == want, (sizes, forest, rows)
+            assert len(set(got)) == len(got) == math.prod(sizes) // math.prod(
+                sizes[c] for _, c in forest
+            ) * math.prod(sizes[c] - 1 for _, c in forest)
+            assert all(t[p] != t[c] for t in got for p, c in forest)
+    with pytest.raises(CoverError):
+        next(covers._tree_colorings((257, 257), [(0, 1)]))
 
 
 def test_product_blocks_list_the_product(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import permutations
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -21,9 +22,15 @@ from critickit import (
     join,
 )
 from critickit import lemmas
-from critickit.covers import ROBUSTLY_CRITICAL, find_transversal, is_full
+from critickit.covers import (
+    ROBUSTLY_CRITICAL,
+    cover_violation,
+    find_transversal,
+    is_full,
+    relabel_cover,
+)
 from critickit.errors import BudgetExceeded
-from critickit.graphs import connected_components
+from critickit.graphs import connected_components, spanning_forest
 from critickit.jsonio import cover_from_doc
 from critickit.lemmas import LemmaReport, _ProfileCovers, maximal_injections
 from helpers import (
@@ -31,8 +38,10 @@ from helpers import (
     brute_find_transversal,
     oracle_canonical_labeling,
     oracle_induction_report,
+    oracle_kill_masks,
     oracle_partial_cover_report,
     oracle_profile_bad_picks,
+    oracle_tree_colorings,
     random_graph,
 )
 
@@ -82,26 +91,31 @@ def test_excess_skips_undersized_profile():
     assert report.outcome == "skipped_precondition"
 
 
-def test_excess_c5_at_fold_3_is_exhaustive_or_truncated():
-    # 243 index tuples times 30 maximal options make a 7290-bit kill table;
-    # the walk decides all 6**5 maximal covers
+def test_excess_c5_at_fold_3_is_exhaustive_or_truncated(monkeypatch):
+    # every forest edge is fixed to the identity: 48 index tuples avoid its
+    # pairs, times 6 options on the one other edge make a 288-bit kill
+    # table; each of the 6 gauge-fixed covers stands for 6**4 maximal ones
     report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=20_000))
     assert report == LemmaReport("excess", "Dhc", 7776, "all_pass", "exhaustive")
     # a budget of exactly the table's size fits it but not the covers: the
-    # walk trips after deciding some of them
-    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=7290))
-    assert (report.outcome, report.mode) == ("truncated", "exhaustive")
-    assert 0 < report.checked <= 7290
+    # table is built, and the walk trips on the root's one charge of all
+    # 7776 covers
+    built = []
+    build = lemmas._kill_masks
+    monkeypatch.setattr(lemmas, "_kill_masks", lambda *args: built.append(1) or build(*args))
+    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=288))
+    assert (report.outcome, report.mode, report.checked) == ("truncated", "exhaustive", 0)
+    assert built == [1]
 
 
 def test_excess_stops_before_a_kill_table_over_budget(monkeypatch):
-    # the 7290-bit table exceeds 6000: neither it nor any option is built
+    # the 288-bit table exceeds 287: neither it nor any option is built
     def unreachable(*args):
         raise AssertionError("built over budget")
 
     monkeypatch.setattr(_ProfileCovers, "_kill_table", unreachable)
     monkeypatch.setattr(lemmas, "maximal_injections", unreachable)
-    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=6000))
+    report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=287))
     assert report == LemmaReport(
         "excess", "Dhc", 0, "truncated", "exhaustive",
         detail="budget exhausted during the cover scan",
@@ -122,21 +136,24 @@ def test_excess_counterexample_is_a_bad_maximal_cover(monkeypatch):
 
 
 def test_excess_keeps_the_time_budget():
-    # 2,592,000 maximal covers, which take the walk over 2 s: at an
-    # unbounded node budget only the deadline can stop it early
+    # C7+K1 with the hub's list one longer has 1.28e15 maximal covers and
+    # over 10**9 gauge-fixed ones, which take the walk seconds: at a node
+    # budget above the total only the deadline can stop it early
     start = time.monotonic()
     report = check_excess_lemma(
-        cycle(5), (6, 6, 2, 2, 2), SearchLimits(max_nodes=HUGE, max_millis=100)
+        join(cycle(7), clique(1)), (3,) * 7 + (4,),
+        SearchLimits(max_nodes=10 * HUGE, max_millis=100),
     )
     assert report.outcome == "truncated"
     assert time.monotonic() - start < 5.0
 
 
 def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
-    # the 3**9 index tuples of C9 at (3, ..., 3), over the fold of 2, and
-    # the 26,244 colorings of E(5,2,3)'s spanning forest at fold 4 take far
-    # longer than 1 ms to read into a kill table, whose deadline check must
-    # end in a truncated report, not an exception out of the lemma check
+    # the 5 * 4**8 index tuples of C9 at (5, ..., 5) that avoid its forest's
+    # pairs, over a faked fold of 2, and the 26,244 colorings of E(5,2,3)'s
+    # spanning forest at fold 4 take far longer than 1 ms to read into a
+    # kill table, whose deadline check must end in a truncated report, not
+    # an exception out of the lemma check
     from critickit import covers
 
     tripped = []
@@ -161,7 +178,7 @@ def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
     )
     limits = SearchLimits(max_nodes=10**9, max_millis=1)
     for check, sizes in (
-        (lambda: check_excess_lemma(cycle(9), (3,) * 9, limits), (3,) * 9),
+        (lambda: check_excess_lemma(cycle(9), (5,) * 9, limits), (5,) * 9),
         (lambda: check_full_extension_lemma(generate_ekab(5, 2, 3), limits), (4,) * 9),
     ):
         tripped.clear()
@@ -179,38 +196,46 @@ NON_ROBUST_HOSTS = [
 
 
 def test_profile_scan_matches_per_cover_oracle():
-    # bad covers exist on these hosts, so the first bad picks and their
-    # positions are compared, not only the outcome of a lemma check; a walk
-    # that trips on the node budget must have reported a prefix of them
+    # every maximal cover relabels to exactly one gauge-fixed cover, each
+    # standing for ``unit`` of them, and relabeling keeps badness: so the
+    # walk finds unit times fewer bad covers than the walk over every
+    # maximal cover, each a bad maximal cover, and a walk with none charges
+    # exactly every maximal cover; a walk that trips on the node budget has
+    # charged no more than the budget
     rng = random.Random(6)
     paths = set()
-    for max_nodes in (600, 1000, 6000, HUGE):
+    for max_nodes in (40, 300, HUGE):
         hosts = NON_ROBUST_HOSTS + [
             random_graph(rng, rng.randint(1, 5), connected=True) for _ in range(16)
         ]
         for g in hosts:
             sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
             profile = _ProfileCovers(g, sizes)
-            if profile.total > 20_000 and profile.bits <= max_nodes:
+            if profile.total > 20_000:
                 continue  # too many covers for the oracle
-            total, want = oracle_profile_bad_picks(g, sizes, max_nodes, 4, True)
+            total, want = oracle_profile_bad_picks(g, sizes, HUGE, None, True)
             case = (g.edges(), sizes, max_nodes)
             assert profile.total == total, case
-            got = []
             try:
-                for found in profile.iter_bad(SearchLimits(max_nodes=max_nodes)):
-                    got.append(found)
-                    if len(got) == 4:
-                        break
+                got = list(profile.iter_bad(SearchLimits(max_nodes=max_nodes)))
             except BudgetExceeded as exc:
-                if want is None:
-                    assert (got, exc.spent) == ([], 0), case
-                    paths.add("table")
-                    continue
-                assert got == want[: len(got)] and exc.spent <= max_nodes, case
-                paths.add("walk")
+                assert exc.spent <= max_nodes, case
+                paths.add("table" if profile.bits > max_nodes else "walk")
                 continue
-            assert got == want, case
+            assert len(want) == profile.unit * len(got), case
+            charged = 0
+            for checked, picks in got:
+                assert charged < checked <= total, case
+                charged = checked
+                cover = profile.cover_at(picks)
+                assert cover_violation(cover) is None, case
+                assert brute_find_transversal(cover) is None, case
+                assert all(
+                    len(pairs) == min(sizes[u], sizes[v]) for u, v, pairs in cover.matchings
+                ), case
+            if not got and total > 1:
+                with pytest.raises(BudgetExceeded):
+                    list(profile.iter_bad(SearchLimits(max_nodes=total - 1)))
             paths.add(bool(got))
     # exhaustive walks with and without a bad cover, and truncations before
     # the kill table and in the walk
@@ -326,25 +351,38 @@ def test_near_full_scan_matches_per_cover_oracle():
 
 
 def test_profile_kill_table_matches_pair_construction():
-    # bit i stands for the i-th index tuple of the profile in product order;
-    # an option kills the tuples whose endpoint indices form one of its pairs
-    from itertools import product
+    # a forest edge into a list at least as long as its parent's is fixed to
+    # the identity, and bit i stands for the i-th index tuple that avoids
+    # the fixed pairs in digit order (helpers.oracle_tree_colorings); every
+    # other edge is walked, a forest edge into a shorter list over its
+    # order-preserving matchings, and an option kills the tuples whose
+    # endpoint indices form one of its pairs
+    from itertools import combinations
 
     rng = random.Random(13)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 5), connected=True)
-        sizes = tuple(rng.randint(1, 3) for _ in range(g.n))
-        universe = list(product(*(range(s) for s in sizes)))
+        sizes = tuple(rng.randint(1, 4) for _ in range(g.n))
         profile = _ProfileCovers(g, sizes)
+        case = (g.edges(), sizes)
+        forest = spanning_forest(g)
+        assert profile.fixed == [(p, c) for p, c in forest if sizes[p] <= sizes[c]], case
+        loose = {tuple(sorted(e)): e for e in forest if sizes[e[0]] > sizes[e[1]]}
+        assert sorted(profile.walked + [tuple(sorted(e)) for e in profile.fixed]) == g.edges()
+        for (u, v), options in zip(profile.walked, profile.options):
+            if (u, v) not in loose:
+                assert options == maximal_injections(sizes[u], sizes[v]), case
+                continue
+            p, c = loose[(u, v)]
+            normal = [tuple(zip(s, range(sizes[c]))) for s in combinations(range(sizes[p]), sizes[c])]
+            assert options == tuple(
+                pairs if p == u else tuple((j, i) for i, j in pairs) for pairs in normal
+            ), case
+        rows = oracle_tree_colorings(sizes, profile.fixed)
         full, kill = profile._kill_table(lambda units: None)
-        assert full == (1 << len(universe)) - 1
-        assert kill == [
-            [
-                sum(1 << i for i, t in enumerate(universe) if (t[u], t[v]) in pairs)
-                for pairs in options
-            ]
-            for (u, v), options in zip(profile.edges, profile.options)
-        ], (g.edges(), sizes)
+        assert full == (1 << len(rows)) - 1, case
+        assert kill == oracle_kill_masks(rows, profile.walked, profile.options), case
+        assert profile.bits == len(rows) * max(sum(map(len, kill)), 1), case
 
 
 def test_bad_cover_exists_iff_bad_maximal_cover_exists():
@@ -464,11 +502,22 @@ def _random_independent_set(rng, g):
     return sorted(members)
 
 
+def _conjugation_leader(cover) -> bool:
+    """No relabeling of every vertex by one sigma, which keeps the tree at
+    the identity and conjugates every other matching, gives a cover whose
+    matchings come first in canonical edge order."""
+    return all(
+        relabel_cover(cover, [sigma] * cover.graph.n).matchings >= cover.matchings
+        for sigma in permutations(range(cover.fold))
+    )
+
+
 def test_induction_matches_per_cover_reference(monkeypatch):
     # the precondition is faked, so that hosts with bad non-canonical covers
     # are checked as well as hosts whose bad covers are all canonical; the
-    # labelings are looked for on every bad cover, in the reference's order,
-    # not only on the lex-leaders of their relabeling orbits
+    # labelings are looked for on the reference's bad covers that are the
+    # lex-leaders of their conjugation orbits, in the reference's order,
+    # and the reports are the reference's
     rng = random.Random(12)
     outcomes, truncations = set(), 0
     looked_at = []
@@ -491,7 +540,7 @@ def test_induction_matches_per_cover_reference(monkeypatch):
         unlimited = SearchLimits(max_nodes=10**9)
         looked_at.clear()
         report = oracle_induction_report(g, members, fold, unlimited)
-        want_covers = looked_at[:]
+        want_covers = [cover for cover in looked_at if _conjugation_leader(cover)]
         looked_at.clear()
         assert check_induction_lemma(g, members, unlimited) == report, case
         assert looked_at == want_covers, case
