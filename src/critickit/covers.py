@@ -6,16 +6,20 @@ Colors of a cover are (vertex, index) pairs; the auxiliary color graph is
 never materialized.  Each host edge carries a partial injection between the
 two index ranges, stored once per edge with ``u < v``.
 
-Full covers are scanned up to per-vertex index relabeling by gauge fixing
-on a spanning forest: tree matchings are forced to the identity, non-tree
-matchings range over all permutations (near-full covers likewise, with one
-edge off the forest one pair short).  Every full
-cover is relabel-equivalent to a gauge-fixed cover, unique only up to the
-relabelings that keep the tree matchings at the identity: the same sigma in
-Sym(k) at every vertex, which conjugates each non-tree permutation.  The
-scans further quotient by that conjugation (see :class:`_GaugeScan`).  In
-the gauge-fixed picture a cover is canonical iff every non-tree permutation
-is the identity.
+Covers with any list sizes are scanned up to per-vertex index relabeling by
+gauge fixing on a spanning forest (:class:`_GaugeScan`): a forest matching
+into a list at least as long as its parent's is forced to the identity, and
+every other edge ranges over its maximal injections (near-full covers
+likewise, with one edge off the forest one pair short).  On k-fold covers
+the tree matchings are the identity and the others range over all
+permutations.  Every full cover is relabel-equivalent to a gauge-fixed
+cover, unique only up to the relabelings that keep the tree matchings at
+the identity: the same sigma in Sym(k) at every vertex, which conjugates
+each non-tree permutation.  The full-cover scans further quotient by that
+conjugation.  In the gauge-fixed picture a cover is canonical iff every
+non-tree permutation is the identity.  A kill table is sized before it is
+built, against the node budget or the default one if larger, or the node
+budget alone on the lemma checks' oversized profiles.
 
 Scans decide whether a bad cover exists walking the non-tree edges most
 destructive first (:func:`_decision_order`); a witness is the first bad
@@ -27,9 +31,9 @@ A join is robustly critical when the level below is (the join rule of
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import islice, permutations, product, repeat
-from math import factorial
+from functools import lru_cache, reduce
+from itertools import combinations, islice, permutations, product, repeat
+from math import comb, factorial, perm, prod
 from operator import and_, or_
 from typing import TYPE_CHECKING, Iterator
 
@@ -304,23 +308,6 @@ def normalize_cover(cover: Cover, tree: list[tuple[int, int]] | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _gauge_edges(g: Graph, short=None) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(the spanning forest of g less ``short``, the other edges)."""
-    forest = spanning_forest(g if short is None else build_graph(g.n, set(g.edges()) - {short}))
-    in_forest = {frozenset(e) for e in forest}
-    return forest, [e for e in g.edges() if frozenset(e) not in in_forest]
-
-
-def _gauge_cover(g: Graph, k: int, tree, edges, options, combo) -> Cover:
-    """The cover with the identity on ``tree`` and option ``combo[e]`` of
-    ``options[e]`` on ``edges[e]``."""
-    identity = tuple((i, i) for i in range(k))
-    entries = {(min(u, v), max(u, v)): identity for u, v in tree}
-    for e, (u, v) in enumerate(edges):
-        entries[(u, v)] = options[e][combo[e]]
-    return Cover(g, (k,) * g.n, tuple((u, v, entries[(u, v)]) for u, v in g.edges()))
-
-
 def enumerate_full_covers(
     g: Graph, k: int, limits: SearchLimits | None = None
 ) -> Iterator[Cover]:
@@ -332,13 +319,25 @@ def enumerate_full_covers(
     explicit truncation signal."""
     if k < 1:
         raise CoverError(f"enumerate_full_covers needs k >= 1, got {k}")
-    spanning_tree(g)  # connectivity precondition
-    tree, nontree = _gauge_edges(g)
+    tree = {(min(e), max(e)) for e in spanning_tree(g)}  # connectivity precondition
+    identity = tuple((i, i) for i in range(k))
     pairs = [tuple(enumerate(p)) for p in permutations(range(k))]
     budget = (limits or SearchLimits()).start()
-    for combo in product(range(len(pairs)), repeat=len(nontree)):
+    for entries in product(*[[identity] if e in tree else pairs for e in g.edges()]):
         budget.spend()
-        yield _gauge_cover(g, k, tree, nontree, [pairs] * len(nontree), combo)
+        yield Cover(g, (k,) * g.n, tuple((u, v, m) for (u, v), m in zip(g.edges(), entries)))
+
+
+@lru_cache(maxsize=None)
+def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The injections of size min(a, b) from indices 0..a-1 into 0..b-1, as
+    sorted pair tuples, ordered ascending by their pair set."""
+    low = min(a, b)
+    return tuple(sorted(
+        tuple(zip(sources, targets))
+        for sources in combinations(range(a), low)
+        for targets in permutations(range(b), low)
+    ))
 
 
 _ZEROS = b"0" * 256
@@ -389,17 +388,6 @@ def _tree_colorings(sizes, forest):
             ge = (d & (c ^ top) | (d ^ c ^ top) & ((d & low | top) - (c & low))) & top
             colors[child] = (d + (ge >> 7)).to_bytes(rows, "big")
         yield rows, colors
-
-
-def _table_bits(rows: int, counts) -> int:
-    """The bits of a kill table over ``rows`` rows with ``counts[e]``
-    options at edge e (the rows alone with none), every scan's size rule."""
-    return rows * max(sum(counts), 1)
-
-
-def _check_table(bits: int, cap: int, budget: Budget) -> None:
-    if bits > cap:
-        raise BudgetExceeded(f"kill table of {bits} bits exceeds the node budget", spent=budget.spent)
 
 
 def _kill_masks(blocks, sizes, edges, options, spend) -> tuple[int, list[list[int]]]:
@@ -676,61 +664,110 @@ def _decision_order(kill) -> list[int]:
 
 
 class _GaugeScan:
-    """Gauge-fixed k-fold covers, walked by :func:`_survivor_walk`.
+    """Gauge-fixed covers with list sizes ``sizes``, walked by
+    :func:`_survivor_walk`.
 
-    The spanning forest of g less ``short`` (if given) carries the identity,
-    and each other edge (``nontree``, canonical order) the k! permutations,
-    or on ``short`` the k * k! near-full injections; every full cover, and
-    every near-full one short on ``short``, relabels to one of these.  A
-    survivor is a proper coloring of the forest, one bit of a bitset
-    (:func:`_tree_colorings`); an option kills the colorings it matches
+    On the spanning forest of g less ``short`` (if given), an edge (p, c)
+    with ``sizes[p] <= sizes[c]`` is fixed to the identity on p's indices
+    (``tree``), which relabeling c makes of any of its perm(sizes[c],
+    sizes[p]) maximal injections.  Every other edge (``nontree``, canonical
+    order) is walked: a forest edge into a shorter list over its
+    comb(sizes[p], sizes[c]) order-preserving matchings, each standing for
+    sizes[c]! injections; ``short`` over its k * k! near-full injections;
+    any other over its :func:`maximal_injections`, the leader tables' k!
+    permutations when both ends have k.  Every maximal cover, and every
+    near-full one short on ``short``, relabels to one of these; without
+    ``short`` each stands for ``unit`` maximal covers, ``total`` in all.  A
+    survivor is an index tuple that avoids the fixed pairs, one bit of a
+    bitset (:func:`_tree_colorings`); an option kills the tuples it matches
     (``kill``) and keeps the rest (``keep``).  A cover is bad iff its
     options keep no survivor; its transversal count is how many they keep.
     ``order`` is the decision order.
 
-    Relabeling every vertex by the same sigma keeps the forest at the
-    identity and conjugates each permutation, so without ``short`` the
-    walks, in any edge order, visit only prefixes that are the lexicographic
-    leader of their conjugation orbit (:meth:`_LeaderTables.leader_step`).
-    A node carries the stabilizer of its prefix: None for all of Sym(k),
-    else a tuple of the non-identity elements.  Badness, canonicity and
-    transversal counts are invariant under the relabeling, so the first bad
-    cover or minimizer is always a leader.  Scans at one k with a non-tree
-    edge share its leader tables.
+    On uniform sizes k without ``short``, relabeling every vertex by the same
+    sigma keeps the forest at the identity and conjugates each permutation,
+    so :meth:`find_bad` and :meth:`min_transversals`, in any edge order,
+    visit only prefixes that are the lexicographic leader of their
+    conjugation orbit (:meth:`_LeaderTables.leader_step`).  A node carries
+    the stabilizer of its prefix: None for all of Sym(k), else a tuple of the
+    non-identity elements.  Badness, canonicity and transversal counts are
+    invariant under the relabeling, so the first bad cover or minimizer is
+    always a leader.  Scans at one k share its leader tables.
 
-    A table over :func:`_table_bits`' cap, the node budget or the default
-    one if larger, raises :class:`BudgetExceeded` before anything is built.
-    Work is accounted per cover decided; subtrees dismissed by the survivor
-    bound or by symmetry are charged in full.
+    ``unit``, ``total`` and the table's bits, one per survivor and option,
+    are counted before any option is listed.  A table over ``cap``, or if
+    None over both the node budget and the default one, raises
+    :class:`BudgetExceeded` before anything is built.  Work is accounted per
+    cover decided; subtrees dismissed by the survivor bound or by symmetry
+    are charged in full.
     """
 
-    def __init__(self, g: Graph, k: int, budget: Budget, short=None):
+    def __init__(self, g: Graph, sizes, budget: Budget, short=None, cap=None):
         self.g = g
-        self.k = k
+        self.sizes = sizes = tuple(sizes)
         self.budget = budget
-        self.tree, self.nontree = _gauge_edges(g, short)
-        self.nperm = factorial(k)
+        forest = spanning_forest(g if short is None else build_graph(g.n, set(g.edges()) - {short}))
+        self.tree, loose, fixed, self.unit = [], {}, set(), 1
+        rows = list(sizes)  # choices per vertex: a fixed child avoids its parent's index
+        for p, c in forest:
+            e = (p, c) if p < c else (c, p)
+            if sizes[p] <= sizes[c]:
+                self.tree.append((p, c))
+                fixed.add(e)
+                self.unit *= perm(sizes[c], sizes[p])
+                rows[c] -= 1
+            else:
+                loose[e] = p
+        self.nontree = [e for e in g.edges() if e not in fixed]
         self.depth_total = len(self.nontree)
-        rows = k ** (g.n - len(self.tree)) * (k - 1) ** len(self.tree)
-        counts = [self.nperm * (k if e == short else 1) for e in self.nontree]
-        _check_table(_table_bits(rows, counts), max(budget.max_nodes, DEFAULT_NODE_BUDGET), budget)
-        pairs, self._leader_step = (), None
-        if self.nontree:
-            tables = _leader_tables(k, budget.spend)
-            pairs = tables.pairs
-            if short is None:
-                self._leader_step = tables.leader_step
-        near = [p[:i] + p[i + 1 :] for p in pairs for i in range(k)] if short else None
-        self.options = [near if e == short else pairs for e in self.nontree]
+        counts = []
+        for u, v in self.nontree:
+            low = min(sizes[u], sizes[v])
+            if (u, v) in loose:
+                counts.append(comb(max(sizes[u], sizes[v]), low))
+                self.unit *= factorial(low)
+            else:
+                near = low if (u, v) == short else 1  # which of the k pairs is missing
+                counts.append(comb(sizes[u], low) * perm(sizes[v], low) * near)
+        self.total = self.unit * prod(counts)
+        bits = prod(rows) * max(sum(counts), 1)
+        if bits > (max(budget.max_nodes, DEFAULT_NODE_BUDGET) if cap is None else cap):
+            raise BudgetExceeded(
+                f"kill table of {bits} bits exceeds the node budget", spent=budget.spent
+            )
+        self.options, self._leader_step = [], None
+        leaders = short is None and len(set(sizes)) == 1
+        for u, v in self.nontree:
+            a, b = sizes[u], sizes[v]
+            if (u, v) in loose:
+                if loose[(u, v)] == u:
+                    self.options.append([tuple(zip(s, range(b))) for s in combinations(range(a), b)])
+                else:
+                    self.options.append([tuple(zip(range(a), s)) for s in combinations(range(b), a)])
+            elif a != b:
+                self.options.append(maximal_injections(a, b))
+            else:
+                tables = _leader_tables(a, budget.spend)
+                if (u, v) == short:
+                    self.options.append([p[:i] + p[i + 1 :] for p in tables.pairs for i in range(a)])
+                else:
+                    self.options.append(tables.pairs)
+                if leaders:
+                    self._leader_step = tables.leader_step
         self.full_mask, self.kill = _kill_masks(
-            _tree_colorings((k,) * g.n, self.tree), (k,) * g.n, self.nontree, self.options,
-            budget.spend,
+            _tree_colorings(sizes, self.tree), sizes, self.nontree, self.options, budget.spend
         )
         self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
         self.order = _decision_order(self.kill)
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
-        return _gauge_cover(self.g, self.k, self.tree, self.nontree, self.options, combo)
+        """The cover of option ``combo[e]`` on ``nontree[e]`` and the
+        identity on p's indices on each fixed (p, c)."""
+        entries = {
+            (min(p, c), max(p, c)): tuple((i, i) for i in range(self.sizes[p])) for p, c in self.tree
+        }
+        entries.update((e, opts[pick]) for e, opts, pick in zip(self.nontree, self.options, combo))
+        return Cover(self.g, self.sizes, tuple((u, v, entries[(u, v)]) for u, v in self.g.edges()))
 
     def find_bad(self, skip_canonical: bool, order=None):
         """The first bad gauge-fixed cover (not the all-identity one if
@@ -748,7 +785,7 @@ class _GaugeScan:
                 picks[depth:] = [0] * (total - depth)  # the walk reopens them
                 if not skip_canonical or any(picks):
                     break
-                if depth < total and self.nperm > 1:
+                if depth < total and len(self.kill[order[-1]]) > 1:
                     picks[-1] = 1  # the first non-identity completion
                     break
             self.budget.spend(1)  # colorable, or the canonical cover skipped
@@ -785,7 +822,7 @@ class _GaugeScan:
                 depth, survivors = walk.send(self.best_value)
         except StopIteration:
             return self.best_value, self.best_combo
-        spend(self.nperm ** (total - depth))
+        spend(prod(map(len, self.kill[depth:])))
         self.best_value = 0
         self.best_combo = tuple(picks[:depth]) + (0,) * (total - depth)
         return self.best_value, self.best_combo
@@ -873,7 +910,7 @@ def _robust_verdict(
                 charge = factorial(fold) ** levels[i + 1].m
                 budget.spend(charge)
             elif i:
-                scan = _GaugeScan(levels[i], fold, budget)
+                scan = _GaugeScan(levels[i], (fold,) * levels[i].n, budget)
                 robust = scan.find_bad(True, scan.order) is None
     except BudgetExceeded:
         return RobustVerdict(UNKNOWN, k, None, 0)
@@ -888,7 +925,7 @@ def _scan_verdict(g: Graph, k: int, budget: Budget) -> RobustVerdict:
     is the scan's lexicographically first; it is re-verified."""
     start = budget.spent
     try:
-        scan = _GaugeScan(g, k - 1, budget)
+        scan = _GaugeScan(g, (k - 1,) * g.n, budget)
         combo = scan.find_bad(True, scan.order)
         if combo is not None and scan.order != sorted(scan.order):
             start = budget.spent  # the witness's walk counts its own covers
@@ -920,7 +957,7 @@ def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
     while k < greedy_cap:
         budget = (limits or SearchLimits()).start()
         try:
-            scan = _GaugeScan(g, k, budget)
+            scan = _GaugeScan(g, (k,) * g.n, budget)
             combo = scan.find_bad(False, scan.order)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
@@ -959,7 +996,7 @@ def pdp_value(g: Graph, k: int, limits: SearchLimits | None = None) -> PdpResult
     budget = (limits or SearchLimits()).start()
     scan = None  # no best value when the budget trips building the scan
     try:
-        scan = _GaugeScan(g, k, budget)
+        scan = _GaugeScan(g, (k,) * g.n, budget)
         value, combo = scan.min_transversals()
     except BudgetExceeded as exc:
         raise BudgetExceeded(

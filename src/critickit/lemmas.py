@@ -4,11 +4,11 @@ exhaustively on concrete small graphs.
 Adding matched pairs to a cover only removes transversals, so every partial
 cover extends to a *maximal* one (each edge matches min(a, b) pairs) that is
 bad whenever it is.  The excess check therefore decides profiles with a list
-larger than k-1 over their maximal covers, gauge-fixed along a spanning
-forest: a forest edge into a list at least as long as its parent's is
-relabeled to the identity, every other edge keeps its options, and a kill
-table over the index tuples that avoid the identity's pairs decides them
-(:class:`_ProfileCovers`).
+larger than k-1 over their maximal covers, on the gauge-fixed scan of the
+profile's sizes (:class:`~critickit.covers._GaugeScan`): a forest edge into
+a list at least as long as its parent's is relabeled to the identity, every
+other edge keeps its options, and a kill table over the index tuples that
+avoid the identity's pairs decides them.
 
 On the all-(k-1) profile the checks decide *near-full* covers instead: one
 edge one pair short of a permutation, every other edge a permutation.  A bad
@@ -27,12 +27,14 @@ cover every bit.  The checks find their bad covers with :func:`_bad_picks`,
 the survivor walk (on lex-leaders alone for the induction check), or with
 the full-cover scan's own walk.  Only bad covers are materialized as
 :class:`Cover` objects.  Every cover decided is charged to a budget started
-from the check's limits: on a profile table each gauge-fixed cover charges
-the maximal covers it stands for, on the scans one unit per gauge-fixed
-cover.  When it trips, the check is ``truncated``, and so is a check whose
-table is over the size rule of :func:`~critickit.covers._table_bits`, before
-the table or any option is built.  A pass reports every cover of the
-profile checked, counted by formula.
+from the check's limits: on an oversized profile each gauge-fixed cover
+charges the ``unit`` maximal covers it stands for, on the (k-1)-fold scans
+one unit per gauge-fixed cover.  When it trips, the check is ``truncated``,
+and so is a check whose kill table, a bit per survivor and option, is over
+its cap before the table or any option is built: the node budget alone on
+an oversized profile, the node budget or the default one if larger on the
+(k-1)-fold scans.  A pass reports every cover of the profile checked,
+counted by formula.
 
 Each check returns a :class:`LemmaReport`; counterexample payloads carry
 enough data to replay the violation through the cover and list modules.
@@ -40,9 +42,8 @@ enough data to replay the violation through the cover and list modules.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
-from math import comb, factorial, perm, prod
+from itertools import permutations, product
+from math import comb, perm
 
 from .base import (
     ALL_PASS,
@@ -57,20 +58,16 @@ from .base import (
 from .coloring import classify_criticality
 from .covers import (
     Cover,
-    _check_table,
     _GaugeScan,
-    _kill_masks,
     _robust_verdict,
     _scan_verdict,
     _survivor_walk,
-    _table_bits,
-    _tree_colorings,
     canonical_labeling,
     complete_to_full,
     robust_criticality_verdict,
 )
 from .errors import BudgetExceeded, DisconnectedError, GraphError
-from .graphs import Graph, clique, encode_graph6, induced_subgraph, join, spanning_forest, spanning_tree
+from .graphs import Graph, clique, encode_graph6, induced_subgraph, join, spanning_tree
 from .jsonio import SCHEMA_LEMMA, cover_to_doc
 from .limits import SearchLimits
 
@@ -109,18 +106,6 @@ class LemmaReport(Record):
             "counterexample": self.counterexample,
             "detail": self.detail,
         }
-
-
-@lru_cache(maxsize=None)
-def maximal_injections(a: int, b: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The injections of size min(a, b) from indices 0..a-1 into 0..b-1, as
-    sorted pair tuples, ordered ascending by their pair set."""
-    low = min(a, b)
-    return tuple(sorted(
-        tuple(zip(sources, targets))
-        for sources in combinations(range(a), low)
-        for targets in permutations(range(b), low)
-    ))
 
 
 def _partial_covers(g: Graph, fold: int) -> int:
@@ -165,7 +150,7 @@ def _bad_near_full(g: Graph, fold: int, budget):
     (:class:`~critickit.covers._GaugeScan` given ``short``); every cover
     decided is charged to ``budget``."""
     for short in g.edges():
-        scan = _GaugeScan(g, fold, budget, short)
+        scan = _GaugeScan(g, (fold,) * g.n, budget, short)
         for picks in _bad_picks(scan.full_mask, scan.kill, scan.keep, budget.spend):
             yield scan.cover_at(picks)
 
@@ -176,101 +161,24 @@ def _bad_noncanonical(g: Graph, fold: int, budget):
     of the gauge-fixed scan but the canonical cover."""
     for cover in _bad_near_full(g, fold, budget):
         yield budget.spent, cover
-    scan = _GaugeScan(g, fold, budget)
+    scan = _GaugeScan(g, (fold,) * g.n, budget)
     combo = scan.find_bad(True, scan.order)
     if combo is not None:
         yield budget.spent, scan.cover_at(combo)
 
 
-class _ProfileCovers:
-    """The maximal covers of a size profile up to per-vertex relabeling,
-    gauge-fixed along :func:`~critickit.graphs.spanning_forest`.  A forest
-    edge (p, c) with ``sizes[p] <= sizes[c]`` is *fixed* to the identity on
-    p's indices, which relabeling c makes of any of its ``perm(sizes[c],
-    sizes[p])`` options.  Every other edge is *walked*, in canonical order:
-    a forest edge into a shorter list over its ``comb(sizes[p], sizes[c])``
-    order-preserving matchings, each standing for ``sizes[c]!`` options,
-    any other edge over its :func:`maximal_injections`.  So each gauge-fixed
-    cover stands for ``unit`` maximal covers, ``total`` in all.  ``unit``,
-    ``total`` and ``bits``, the size of the kill table over the index tuples
-    that avoid the fixed pairs (:func:`~critickit.covers._table_bits`), are
-    counted before any option is listed."""
+def _bad_maximal(scan: _GaugeScan):
+    """Every bad gauge-fixed cover of an oversized profile's scan in
+    ``product`` order, as (maximal covers charged up to and including it,
+    cover): each gauge-fixed cover decided charges the ``scan.unit`` maximal
+    covers it stands for to ``scan.budget``."""
+    budget = scan.budget
 
-    def __init__(self, g: Graph, sizes):
-        self.g = g
-        self.sizes = sizes = tuple(sizes)
-        self.fixed, self.loose = [], {}  # loose: edge (u, v) -> its parent
-        for p, c in spanning_forest(g):
-            if sizes[p] <= sizes[c]:
-                self.fixed.append((p, c))
-            else:
-                self.loose[(min(p, c), max(p, c))] = p
-        fixed = {(min(e), max(e)) for e in self.fixed}
-        self.walked = [e for e in g.edges() if e not in fixed]
-        counts, self.unit = [], prod(perm(sizes[c], sizes[p]) for p, c in self.fixed)
-        for u, v in self.walked:
-            low = min(sizes[u], sizes[v])
-            if (u, v) in self.loose:
-                counts.append(comb(max(sizes[u], sizes[v]), low))
-                self.unit *= factorial(low)
-            else:
-                counts.append(comb(sizes[u], low) * perm(sizes[v], low))
-        self.total = self.unit * prod(counts)
-        children = {c for _, c in self.fixed}
-        rows = prod(size - (v in children) for v, size in enumerate(sizes))
-        self.bits = _table_bits(rows, counts)
+    def spend(units=1):
+        budget.spend(units * scan.unit)
 
-    @cached_property
-    def options(self) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-        options = []
-        for u, v in self.walked:
-            a, b = self.sizes[u], self.sizes[v]
-            if (u, v) not in self.loose:
-                options.append(maximal_injections(a, b))
-            elif self.loose[(u, v)] == u:
-                options.append(tuple(tuple(zip(s, range(b))) for s in combinations(range(a), b)))
-            else:
-                options.append(tuple(tuple(zip(range(a), s)) for s in combinations(range(b), a)))
-        return options
-
-    def cover_at(self, picks) -> Cover:
-        entries = {
-            (min(p, c), max(p, c)): tuple((i, i) for i in range(self.sizes[p])) for p, c in self.fixed
-        }
-        for e, edge in enumerate(self.walked):
-            entries[edge] = self.options[e][picks[e]]
-        return Cover(self.g, self.sizes, tuple((u, v, entries[(u, v)]) for u, v in self.g.edges()))
-
-    def _kill_table(self, spend) -> tuple[int, list[list[int]]]:
-        """(mask of every row, per walked edge and option the rows whose
-        endpoint indices form one of the option's pairs), from
-        :func:`~critickit.covers._kill_masks` over the rows of
-        :func:`~critickit.covers._tree_colorings` on the fixed edges, which
-        checks the deadline on ``spend``."""
-        return _kill_masks(
-            _tree_colorings(self.sizes, self.fixed), self.sizes, self.walked, self.options, spend
-        )
-
-    def iter_bad(self, limits: SearchLimits):
-        """The bad gauge-fixed covers in ``product`` order, each as (maximal
-        covers charged up to and including it, picks).  Charges ``unit``
-        per gauge-fixed cover decided to a budget started from ``limits``
-        on the first step, and raises :class:`BudgetExceeded` when it trips.
-
-        When the kill table's size in bits exceeds the node budget, the
-        first step raises :class:`BudgetExceeded` with nothing spent and no
-        option listed; otherwise it builds the table, so a cap that trips
-        while the table is read is raised there too."""
-        budget = limits.start()
-        _check_table(self.bits, budget.max_nodes, budget)
-
-        def spend(units=1):
-            budget.spend(units * self.unit)
-
-        full, kill = self._kill_table(spend)
-        keep = [[full ^ mask for mask in masks] for masks in kill]
-        for picks in _bad_picks(full, kill, keep, spend):
-            yield budget.spent, picks
+    for picks in _bad_picks(scan.full_mask, scan.kill, scan.keep, spend):
+        yield budget.spent, scan.cover_at(picks)
 
 
 def check_excess_lemma(
@@ -281,7 +189,7 @@ def check_excess_lemma(
     cover exists once some list is strictly larger.
 
     Such an oversized profile is decided over its maximal covers up to
-    relabeling (:class:`_ProfileCovers`): a bad cover extends to a bad
+    relabeling (:func:`_bad_maximal`): a bad cover extends to a bad
     maximal cover, and any bad cover of it is a counterexample.  The
     all-(k-1) profile is decided over its near-full covers, any bad one a
     counterexample, then its full covers by the gauge-fixed scan, any bad
@@ -311,13 +219,13 @@ def check_excess_lemma(
             "excess", word, 0, SKIPPED_PRECONDITION, "-",
             detail=f"profile {sizes} has a list smaller than k-1={fold}",
         )
-    if any(s != fold for s in sizes):
-        profile = _ProfileCovers(g, sizes)
-        total = profile.total
-        bad = ((checked, profile.cover_at(picks)) for checked, picks in profile.iter_bad(limits))
-    else:
-        total, bad = _partial_covers(g, fold), _bad_noncanonical(g, fold, limits.start())
+    budget = limits.start()
     try:
+        if any(s != fold for s in sizes):
+            scan = _GaugeScan(g, sizes, budget, cap=budget.max_nodes)
+            total, bad = scan.total, _bad_maximal(scan)
+        else:
+            total, bad = _partial_covers(g, fold), _bad_noncanonical(g, fold, budget)
         found = next(bad, None)
     except BudgetExceeded as exc:
         return LemmaReport(
@@ -496,7 +404,7 @@ def check_induction_lemma(
     labelings = 0
     label_perms = list(permutations(range(fold)))
     try:
-        scan = _GaugeScan(g, fold, budget)
+        scan = _GaugeScan(g, (fold,) * g.n, budget)
         for combo in _bad_picks(
             scan.full_mask, scan.kill, scan.keep, budget.spend, scan._leader_step
         ):

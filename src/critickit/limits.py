@@ -10,11 +10,12 @@ gauge-fixed scans, the lemma checks' near-full and full covers among them,
 and on an oversized profile's gauge-fixed table, per gauge-fixed cover the
 maximal covers it stands for.  Every scan is sized by one rule before it
 builds anything: its kill table takes a bit per row and option
-(``covers._table_bits``).  A profile table over the node
-budget, or a gauge-fixed table over both the node budget and the default
-one, stops the scan having charged nothing.  Assignment searches charge one
-unit per enumeration node, and the coloring and transversal counts one unit
-per backtrack and one per coloring or transversal counted, 4096 at a time.
+(``covers._GaugeScan``).  A table over its cap stops the scan having
+charged nothing: the node budget alone on an oversized profile, both the
+node budget and the default one on every other scan.  Assignment searches
+charge one unit per enumeration node, and the coloring and transversal
+counts one unit per backtrack and one per coloring or transversal counted,
+4096 at a time.
 The robust verdict decides a join g = h + a, a dominating vertex, from a
 robustly critical h with one charge of every gauge-fixed cover of g, after
 the levels below have charged the same budget.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
+from math import prod
 
 from critickit import BudgetExceeded, Cover, Graph, ListAssignment, SearchLimits, build_graph
 from critickit.coloring import ColoringVerdict, find_coloring
@@ -417,7 +418,7 @@ def oracle_find_bad(scan, skip_canonical: bool, order=None):
     kills = [scan.kill[e] for e in order]
 
     def size(depth):
-        return scan.nperm ** (total - depth)
+        return prod(map(len, kills[depth:]))
 
     def dfs(depth, survivors, prefix, identity, stab):
         if survivors == 0:
@@ -469,7 +470,7 @@ def oracle_min_transversals(scan):
     scan.best_value = scan.best_combo = None
 
     def size(depth):
-        return scan.nperm ** (total - depth)
+        return prod(map(len, scan.kill[depth:]))
 
     def dfs(depth, survivors, prefix, stab):
         """True once a cover with no transversal is found."""
@@ -514,11 +515,11 @@ def oracle_induction_report(g: Graph, members, fold: int, limits: SearchLimits):
 
     word = encode_graph6(g)
     budget = limits.start()
-    scan = _GaugeScan(g, fold, budget)
+    scan = _GaugeScan(g, (fold,) * g.n, budget)
     checked = 0
     label_perms = list(permutations(range(fold)))
     try:
-        for combo in product(range(scan.nperm), repeat=scan.depth_total):
+        for combo in product(*(range(len(masks)) for masks in scan.kill)):
             budget.spend()
             checked += 1
             killed = 0

@@ -534,7 +534,7 @@ def test_gauge_scan_witness_matches_naive():
                 if is_bad(cover) and canonical_labeling(cover) is None:
                     naive = cover
                     break
-            scan = _GaugeScan(g, k, SearchLimits().start())
+            scan = _GaugeScan(g, (k,) * g.n, SearchLimits().start())
             combo = scan.find_bad(skip_canonical=True)
             if naive is None:
                 assert combo is None
@@ -576,11 +576,11 @@ def test_gauge_scan_leaders_match_naive_at_k3():
                 if is_bad(cover) and not (skip_canonical and index == 0):
                     naive = cover
                     break
-            scan = _GaugeScan(g, 3, SearchLimits().start())
+            scan = _GaugeScan(g, (3,) * g.n, SearchLimits().start())
             combo = scan.find_bad(skip_canonical)
             assert (None if combo is None else scan.cover_at(combo)) == naive
         value, minimizer = _first_naive(g, 3, count_transversals)
-        scan = _GaugeScan(g, 3, SearchLimits().start())
+        scan = _GaugeScan(g, (3,) * g.n, SearchLimits().start())
         assert scan.min_transversals()[0] == value
         assert scan.cover_at(scan.best_combo) == minimizer
 
@@ -634,7 +634,7 @@ def test_tripped_root_step_caches_nothing():
 
     covers._LEADER_TABLES.clear()
     budget = TripAtZeroCharges(SearchLimits())
-    scan = covers._GaugeScan(clique(3), 6, budget)
+    scan = covers._GaugeScan(clique(3), (6,) * 3, budget)
     budget.armed = True
     with pytest.raises(BudgetExceeded):
         scan.find_bad(False)
@@ -642,7 +642,7 @@ def test_tripped_root_step_caches_nothing():
     tables = covers._leader_tables(6)
     assert tables is scan._leader_step.__self__ and None not in tables._steps
     budget = SearchLimits().start()
-    assert covers._GaugeScan(clique(3), 6, budget).find_bad(False) is None
+    assert covers._GaugeScan(clique(3), (6,) * 3, budget).find_bad(False) is None
     assert tables._steps[None] == covers._LeaderTables(6).leader_step(None)
     assert budget.spent == 720
 
@@ -671,10 +671,10 @@ def test_leader_tables_check_the_deadline_while_listed():
 
     covers._LEADER_TABLES.pop(7, None)
     with pytest.raises(BudgetExceeded):
-        covers._GaugeScan(clique(3), 7, TripAtFirstCharge(SearchLimits()))
+        covers._GaugeScan(clique(3), (7,) * 3, TripAtFirstCharge(SearchLimits()))
     assert 7 not in covers._LEADER_TABLES
     budget = RecordingBudget(SearchLimits())
-    assert covers._GaugeScan(clique(3), 7, budget).find_bad(True) is None
+    assert covers._GaugeScan(clique(3), (7,) * 3, budget).find_bad(True) is None
     assert budget.calls[0] == 0 and 7 in covers._LEADER_TABLES
 
 
@@ -682,7 +682,7 @@ def test_k5_full_scan_decided():
     from critickit.covers import _GaugeScan
 
     budget = SearchLimits(max_nodes=2 * 10**8).start()
-    assert _GaugeScan(clique(5), 4, budget).find_bad(True) is None
+    assert _GaugeScan(clique(5), (4,) * 5, budget).find_bad(True) is None
     assert budget.spent == 191_102_976
     # the verdict decides K5 from K4 by the join rule and reports the same count
     verdict = robust_criticality_verdict(clique(5), SearchLimits(max_nodes=2 * 10**8))
@@ -767,7 +767,7 @@ def test_routed_verdict_matches_the_scan():
         if (
             any(len(h.adj[v]) == h.n - 1 for v in range(h.n))
             or h.m > 6
-            or _GaugeScan(h, 2, SearchLimits().start()).find_bad(True) is None
+            or _GaugeScan(h, (2,) * h.n, SearchLimits().start()).find_bad(True) is None
         ):
             continue
         hosts.append(_relabeled(join(h, clique(1)), rng))
@@ -800,7 +800,7 @@ def test_gauge_scan_setup_keeps_the_time_budget():
     from critickit.covers import _GaugeScan
 
     with pytest.raises(BudgetExceeded):
-        _GaugeScan(generate_ekab(5, 2, 3), 4, SearchLimits(max_millis=1).start())
+        _GaugeScan(generate_ekab(5, 2, 3), (4,) * 9, SearchLimits(max_millis=1).start())
 
 
 def _walk_cases():
@@ -824,7 +824,7 @@ def _recorded(g, k, max_nodes, call):
     from critickit.covers import _GaugeScan
 
     budget = RecordingBudget(SearchLimits(max_nodes=max_nodes))
-    scan = _GaugeScan(g, k, budget)
+    scan = _GaugeScan(g, (k,) * g.n, budget)
     try:
         outcome = call(scan)
     except BudgetExceeded as exc:
@@ -943,7 +943,7 @@ def test_kill_masks_match_pair_construction(monkeypatch):
             full = [tuple(enumerate(p)) for p in permutations(range(k))]
             near = sorted(p for p in _partial_injections(k, k) if len(p) == k - 1)
             for short in [None] + g.edges()[:2]:
-                scan = covers._GaugeScan(g, k, SearchLimits().start(), short)
+                scan = covers._GaugeScan(g, (k,) * g.n, SearchLimits().start(), short)
                 colorings = oracle_tree_colorings((k,) * g.n, scan.tree)
                 assert sorted(colorings) == [
                     t
@@ -1076,7 +1076,7 @@ def test_deep_scan_needs_no_recursion():
     from critickit.covers import _GaugeScan
 
     g = grid_graph(33)
-    scan = _GaugeScan(g, 2, SearchLimits().start())
+    scan = _GaugeScan(g, (2,) * g.n, SearchLimits().start())
     assert scan.depth_total == 1024
     combo = scan.find_bad(False)
     assert combo == (0,) * 1023 + (1,)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -16,23 +16,26 @@ from critickit import (
     check_induction_lemma,
     check_join_preserves,
     check_pair_reduction,
+    chromatic_number,
     clique,
     cycle,
     generate_ekab,
     join,
 )
-from critickit import lemmas
+from critickit import covers, lemmas
 from critickit.covers import (
     ROBUSTLY_CRITICAL,
+    _GaugeScan,
     cover_violation,
     find_transversal,
     is_full,
+    maximal_injections,
     relabel_cover,
 )
 from critickit.errors import BudgetExceeded
 from critickit.graphs import connected_components, spanning_forest
 from critickit.jsonio import cover_from_doc
-from critickit.lemmas import LemmaReport, _ProfileCovers, maximal_injections
+from critickit.lemmas import LemmaReport
 from helpers import (
     _partial_injections,
     brute_find_transversal,
@@ -99,22 +102,36 @@ def test_excess_c5_at_fold_3_is_exhaustive_or_truncated(monkeypatch):
     assert report == LemmaReport("excess", "Dhc", 7776, "all_pass", "exhaustive")
     # a budget of exactly the table's size fits it but not the covers: the
     # table is built, and the walk trips on the root's one charge of all
-    # 7776 covers
+    # 7776 covers (the precondition's scan of C5 at fold 2 builds its own)
     built = []
-    build = lemmas._kill_masks
-    monkeypatch.setattr(lemmas, "_kill_masks", lambda *args: built.append(1) or build(*args))
+    build = covers._kill_masks
+
+    def recording_build(blocks, sizes, *args):
+        if sizes == (3,) * 5:
+            built.append(1)
+        return build(blocks, sizes, *args)
+
+    monkeypatch.setattr(covers, "_kill_masks", recording_build)
     report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=288))
     assert (report.outcome, report.mode, report.checked) == ("truncated", "exhaustive", 0)
     assert built == [1]
 
 
 def test_excess_stops_before_a_kill_table_over_budget(monkeypatch):
-    # the 288-bit table exceeds 287: neither it nor any option is built
+    # the 288-bit table exceeds 287: neither it nor any option is built,
+    # while the precondition's scan of C5 at fold 2 builds its own
     def unreachable(*args):
         raise AssertionError("built over budget")
 
-    monkeypatch.setattr(_ProfileCovers, "_kill_table", unreachable)
-    monkeypatch.setattr(lemmas, "maximal_injections", unreachable)
+    build, tables = covers._kill_masks, covers._leader_tables
+    monkeypatch.setattr(
+        covers, "_kill_masks",
+        lambda blocks, sizes, *args: unreachable() if sizes == (3,) * 5 else build(blocks, sizes, *args),
+    )
+    monkeypatch.setattr(
+        covers, "_leader_tables", lambda k, spend=None: unreachable() if k == 3 else tables(k, spend)
+    )
+    monkeypatch.setattr(covers, "maximal_injections", unreachable)
     report = check_excess_lemma(cycle(5), (3, 3, 3, 3, 3), SearchLimits(max_nodes=287))
     assert report == LemmaReport(
         "excess", "Dhc", 0, "truncated", "exhaustive",
@@ -154,8 +171,6 @@ def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
     # spanning forest at fold 4 take far longer than 1 ms to read into a
     # kill table, whose deadline check must end in a truncated report, not
     # an exception out of the lemma check
-    from critickit import covers
-
     tripped = []
     build = covers._kill_masks
 
@@ -166,7 +181,6 @@ def test_time_cap_tripping_in_the_kill_table_build_truncates(monkeypatch):
             tripped.append(sizes)
             raise
 
-    monkeypatch.setattr(lemmas, "_kill_masks", recording_build)
     monkeypatch.setattr(covers, "_kill_masks", recording_build)
     monkeypatch.setattr(
         lemmas, "robust_criticality_verdict",
@@ -201,33 +215,41 @@ def test_profile_scan_matches_per_cover_oracle():
     # walk finds unit times fewer bad covers than the walk over every
     # maximal cover, each a bad maximal cover, and a walk with none charges
     # exactly every maximal cover; a walk that trips on the node budget has
-    # charged no more than the budget
+    # charged no more than the budget.  Uniform profiles, every list one
+    # longer than a (k-1)-fold cover's, are given leader tables by the scan,
+    # which the walk over maximal covers must not use
     rng = random.Random(6)
     paths = set()
+
+    def bad_maximal(g, sizes, max_nodes):
+        budget = SearchLimits(max_nodes=max_nodes).start()
+        return list(lemmas._bad_maximal(_GaugeScan(g, sizes, budget, cap=max_nodes)))
+
     for max_nodes in (40, 300, HUGE):
         hosts = NON_ROBUST_HOSTS + [
             random_graph(rng, rng.randint(1, 5), connected=True) for _ in range(16)
         ]
-        for g in hosts:
-            sizes = tuple(rng.choice((1, 2, 3)) for _ in range(g.n))
-            profile = _ProfileCovers(g, sizes)
+        profiles = [(g, tuple(rng.choice((1, 2, 3)) for _ in range(g.n))) for g in hosts]
+        profiles += [(g, (chromatic_number(g),) * g.n) for g in hosts]
+        for g, sizes in profiles:
+            profile = _GaugeScan(g, sizes, SearchLimits().start(), cap=HUGE)
             if profile.total > 20_000:
                 continue  # too many covers for the oracle
             total, want = oracle_profile_bad_picks(g, sizes, HUGE, None, True)
             case = (g.edges(), sizes, max_nodes)
             assert profile.total == total, case
+            bits = profile.full_mask.bit_length() * max(sum(map(len, profile.kill)), 1)
             try:
-                got = list(profile.iter_bad(SearchLimits(max_nodes=max_nodes)))
+                got = bad_maximal(g, sizes, max_nodes)
             except BudgetExceeded as exc:
                 assert exc.spent <= max_nodes, case
-                paths.add("table" if profile.bits > max_nodes else "walk")
+                paths.add("table" if bits > max_nodes else "walk")
                 continue
             assert len(want) == profile.unit * len(got), case
             charged = 0
-            for checked, picks in got:
+            for checked, cover in got:
                 assert charged < checked <= total, case
                 charged = checked
-                cover = profile.cover_at(picks)
                 assert cover_violation(cover) is None, case
                 assert brute_find_transversal(cover) is None, case
                 assert all(
@@ -235,11 +257,26 @@ def test_profile_scan_matches_per_cover_oracle():
                 ), case
             if not got and total > 1:
                 with pytest.raises(BudgetExceeded):
-                    list(profile.iter_bad(SearchLimits(max_nodes=total - 1)))
+                    bad_maximal(g, sizes, total - 1)
             paths.add(bool(got))
     # exhaustive walks with and without a bad cover, and truncations before
     # the kill table and in the walk
     assert paths == {True, False, "table", "walk"}
+    # no uniform profile within the oracle's reach has a bad cover at k >= 3
+    # but the canonical one, its own conjugation orbit, so a walk on leaders
+    # alone would pass the loop above.  K4 with a vertex joined to two of its
+    # vertices has 6 bad gauge-fixed covers at (3, ..., 3), 3 of them
+    # leaders: the walk gives all 6 in product order, as a per-cover search
+    # over the scan's options does
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+    scan = _GaugeScan(g, (3,) * 5, SearchLimits().start(), cap=HUGE)
+    want = [
+        scan.cover_at(combo)
+        for combo in product(*(range(len(options)) for options in scan.options))
+        if brute_find_transversal(scan.cover_at(combo)) is None
+    ]
+    assert len(want) == 6 and scan._leader_step is not None
+    assert [cover for _, cover in bad_maximal(g, (3,) * 5, HUGE)] == want
 
 
 def test_maximal_injections_are_the_maximal_partial_ones():
@@ -363,26 +400,30 @@ def test_profile_kill_table_matches_pair_construction():
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 5), connected=True)
         sizes = tuple(rng.randint(1, 4) for _ in range(g.n))
-        profile = _ProfileCovers(g, sizes)
+        scan = _GaugeScan(g, sizes, SearchLimits().start(), cap=HUGE)
         case = (g.edges(), sizes)
         forest = spanning_forest(g)
-        assert profile.fixed == [(p, c) for p, c in forest if sizes[p] <= sizes[c]], case
+        assert scan.tree == [(p, c) for p, c in forest if sizes[p] <= sizes[c]], case
         loose = {tuple(sorted(e)): e for e in forest if sizes[e[0]] > sizes[e[1]]}
-        assert sorted(profile.walked + [tuple(sorted(e)) for e in profile.fixed]) == g.edges()
-        for (u, v), options in zip(profile.walked, profile.options):
+        assert sorted(scan.nontree + [tuple(sorted(e)) for e in scan.tree]) == g.edges()
+        for (u, v), options in zip(scan.nontree, scan.options):
             if (u, v) not in loose:
-                assert options == maximal_injections(sizes[u], sizes[v]), case
+                assert tuple(options) == maximal_injections(sizes[u], sizes[v]), case
                 continue
             p, c = loose[(u, v)]
             normal = [tuple(zip(s, range(sizes[c]))) for s in combinations(range(sizes[p]), sizes[c])]
-            assert options == tuple(
+            assert tuple(options) == tuple(
                 pairs if p == u else tuple((j, i) for i, j in pairs) for pairs in normal
             ), case
-        rows = oracle_tree_colorings(sizes, profile.fixed)
-        full, kill = profile._kill_table(lambda units: None)
-        assert full == (1 << len(rows)) - 1, case
-        assert kill == oracle_kill_masks(rows, profile.walked, profile.options), case
-        assert profile.bits == len(rows) * max(sum(map(len, kill)), 1), case
+        rows = oracle_tree_colorings(sizes, scan.tree)
+        assert scan.full_mask == (1 << len(rows)) - 1, case
+        assert scan.kill == oracle_kill_masks(rows, scan.nontree, scan.options), case
+        # the table's size is counted before it is built: it fits a cap of
+        # its own bits, and one less stops the scan
+        bits = len(rows) * max(sum(map(len, scan.kill)), 1)
+        assert _GaugeScan(g, sizes, SearchLimits().start(), cap=bits).kill == scan.kill, case
+        with pytest.raises(BudgetExceeded):
+            _GaugeScan(g, sizes, SearchLimits().start(), cap=bits - 1)
 
 
 def test_bad_cover_exists_iff_bad_maximal_cover_exists():
