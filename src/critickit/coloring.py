@@ -20,7 +20,8 @@ criticality, a vertex on an edge whose deletion drops the chromatic number
 needs no search (deleting it deletes the edge), so when every edge drops
 it only isolated vertices are asked about, and each is a witness iff n >=
 2.  A join with a critical level below is critical with no question about
-the join itself (:func:`classify_criticality`).
+the join itself, and K1 and the odd cycles, the 1- and 3-critical graphs,
+need no question at all (:func:`classify_criticality`).
 """
 
 from __future__ import annotations
@@ -297,16 +298,34 @@ def classify_criticality(g: Graph, levels: list[Graph] | None = None) -> Colorin
     (k-1)-colorable and a, v share a new color.  Deleting an edge or vertex
     of H, or a itself, leaves a graph whose chromatic number is that of the
     rest of H, at most k - 1, plus 1.
+
+    A bottom that is K1 or an odd cycle is critical with no question asked.
+    K1 is the one 1-critical graph.  The 3-critical graphs are exactly the
+    odd cycles: an odd cycle is not 2-colorable, and deleting any edge or
+    vertex leaves paths; a 3-critical graph is not bipartite, so it has an
+    odd cycle, and being critical it is that cycle.
     """
     if g.n < 1:
         raise GraphError("criticality is defined for graphs with at least one vertex")
     levels = levels or _apex_levels(g)
-    bottom = _deletion_verdict(levels[-1])
+    h = levels[-1]
+    if h.n == 1 or _is_odd_cycle(h):
+        bottom = ColoringVerdict(1 if h.n == 1 else 3, True, True, None)
+    else:
+        bottom = _deletion_verdict(h)
     if len(levels) == 1:
         return bottom
     if bottom.is_critical:
         return ColoringVerdict(bottom.chromatic_number + len(levels) - 1, True, True, None)
     return _deletion_verdict(g)
+
+
+def _is_odd_cycle(g: Graph) -> bool:
+    """Whether g is connected, 2-regular and of odd order: an odd cycle, and
+    so one of the 3-critical graphs, which are exactly the odd cycles."""
+    if g.n % 2 == 0 or any(len(near) != 2 for near in g.adj):
+        return False
+    return len(connected_components(g)) == 1
 
 
 def _deletion_verdict(g: Graph) -> ColoringVerdict:

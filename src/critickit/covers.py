@@ -26,12 +26,13 @@ destructive first (:func:`_decision_order`); a witness is the first bad
 cover in canonical edge order, found by walking again in that order.
 
 A join is robustly critical when the level below is (the join rule of
-:func:`robust_criticality_verdict`), decided with no scan.
+:func:`robust_criticality_verdict`), decided with no scan; so are K2 and
+the odd cycles, the critical graphs of chromatic number 2 and 3.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, islice, permutations, product, repeat
 from math import comb, factorial, perm, prod
 from operator import and_, or_
@@ -43,6 +44,7 @@ from .coloring import (
     _apex_levels,
     _choices,
     _color_matchings,
+    _is_odd_cycle,
     chromatic_number,
     classify_criticality,
 )
@@ -682,7 +684,7 @@ class _GaugeScan:
     bitset (:func:`_tree_colorings`); an option kills the tuples it matches
     (``kill``) and keeps the rest (``keep``).  A cover is bad iff its
     options keep no survivor; its transversal count is how many they keep.
-    ``order`` is the decision order.
+    ``order`` is the decision order, computed on first use.
 
     On uniform sizes k without ``short``, relabeling every vertex by the same
     sigma keeps the forest at the identity and conjugates each permutation,
@@ -758,7 +760,11 @@ class _GaugeScan:
             _tree_colorings(sizes, self.tree), sizes, self.nontree, self.options, budget.spend
         )
         self.keep = [[self.full_mask ^ mask for mask in masks] for masks in self.kill]
-        self.order = _decision_order(self.kill)
+
+    @cached_property
+    def order(self) -> list[int]:
+        """The decision order (:func:`_decision_order`), sorted on first use."""
+        return _decision_order(self.kill)
 
     def cover_at(self, combo: tuple[int, ...]) -> Cover:
         """The cover of option ``combo[e]`` on ``nontree[e]`` and the
@@ -868,6 +874,16 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     scanned until one is robustly critical; each level above it is then
     robustly critical by the join rule, charged m!^|E(h)|, the scan's count.
 
+    A level at fold 1 or 2 is not scanned.  Being critical with chromatic
+    number 2 or 3 it is K2 or an odd cycle, and robustly critical: K2's one
+    full 1-fold cover is canonical, and a full 2-fold cover of an odd cycle
+    is, relabeled along a spanning path, the identity there and on the
+    closing edge either the identity, which is canonical, or the swap,
+    under which indices alternating along the path are a transversal (the
+    path's ends, at even distance, take the same index, which the swap
+    does not match).  Such a level charges the scan's count,
+    fold!^(|E| - |V| + 1) (1 or 2), one unit per cover.
+
     The join rule: g = h + a critical, a dominating, chi(g) = m + 1, and h
     robustly critical make g robustly critical.  In the star gauge at a, a
     full m-fold cover sigma of g is one permutation p_e per edge e of h.
@@ -879,9 +895,10 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     fixes every c, and sigma is the identity.
 
     The chain runs on one budget from ``limits``; a trip gives ``unknown``.
-    ``covers_scanned`` counts g's own level only: the charge, or the last
-    walk of g's scan (:func:`_scan_verdict`), and 0 when a lower level or
-    the charge trips.
+    ``covers_scanned`` counts g's own level only: the join rule's charge,
+    the covers charged so far when g is K2 or an odd cycle, or the last walk
+    of g's scan (:func:`_scan_verdict`), and 0 when a lower level or the
+    join rule's charge trips.
     """
     return _robust_verdict(g, limits, None)
 
@@ -905,15 +922,24 @@ def _robust_verdict(
     robust = False  # the verdict of the level below, none at the bottom
     try:
         for i in range(len(levels) - 1, -1, -1):
-            fold = k - 1 - i
+            fold, h = k - 1 - i, levels[i]
             if robust:
                 charge = factorial(fold) ** levels[i + 1].m
                 budget.spend(charge)
+            elif (fold, h.n, h.m) == (1, 2, 1) or fold == 2 and _is_odd_cycle(h):
+                # K2 or an odd cycle, robust (docstring); the shape is tested
+                # with the fold, so a classification handed in by the caller
+                # cannot route a level it does not fit
+                charge = factorial(fold) ** (h.m - h.n + 1)
+                for _ in range(charge):
+                    budget.spend()
+                robust = True
             elif i:
-                scan = _GaugeScan(levels[i], (fold,) * levels[i].n, budget)
+                scan = _GaugeScan(h, (fold,) * h.n, budget)
                 robust = scan.find_bad(True, scan.order) is None
-    except BudgetExceeded:
-        return RobustVerdict(UNKNOWN, k, None, 0)
+    except BudgetExceeded as exc:
+        # only g's own level, here K2 or an odd cycle, counts what it charged
+        return RobustVerdict(UNKNOWN, k, None, 0 if robust or i else exc.spent)
     if robust:
         return RobustVerdict(ROBUSTLY_CRITICAL, k, None, charge)
     return _scan_verdict(g, k, budget)
@@ -946,15 +972,22 @@ def dp_chromatic_number(g: Graph, limits: SearchLimits | None = None) -> int:
 
     Once k exceeds the degeneracy, every cover is colorable by greedy choice
     along a peeling order (each earlier neighbor forbids at most one index),
-    so scanning is only needed below that.  On budget exhaustion raises
-    :class:`BudgetExceeded` with ``lower_bound`` set to the best proven bound.
+    so scanning is only needed below that.  By the DP version of Brooks'
+    theorem (Bernshteyn, Kostochka and Pron, Sib. Math. J. 2017), a
+    connected graph of maximum degree D >= 3 other than K_{D+1} has
+    DP-chromatic number at most D, so there scanning stops below D too.  On
+    budget exhaustion raises :class:`BudgetExceeded` with ``lower_bound``
+    set to the best proven bound.
     """
     if g.n == 0:
         return 0
     spanning_tree(g)
-    greedy_cap = degeneracy(g) + 1
+    cap = degeneracy(g) + 1
+    top = max(map(len, g.adj))
+    if top >= 3 and g.m < g.n * (g.n - 1) // 2:  # DP Brooks
+        cap = min(cap, top)
     k = chromatic_number(g)
-    while k < greedy_cap:
+    while k < cap:
         budget = (limits or SearchLimits()).start()
         try:
             scan = _GaugeScan(g, (k,) * g.n, budget)

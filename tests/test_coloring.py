@@ -23,7 +23,7 @@ from critickit import (
     is_k_colorable,
     join,
 )
-from critickit.coloring import _greedy_clique, _questions, _search_order
+from critickit.coloring import _deletion_verdict, _greedy_clique, _questions, _search_order
 from critickit.graphs import connected_components
 from helpers import (
     brute_count_colorings,
@@ -192,6 +192,32 @@ def test_criticality_matches_per_deletion_reference():
         assert chromatic_number(g) == verdict.chromatic_number
         k = verdict.chromatic_number
         assert is_k_colorable(g, k) and not is_k_colorable(g, k - 1)
+
+
+def _disjoint(*parts):
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    return build_graph(n, edges)
+
+
+def test_theorem_bottoms_match_the_deletion_search():
+    # K1 and the odd cycles are classified with no deletion search; the
+    # verdict and witness are still the search's on networkx's atlas, on
+    # C3 to C15 and their joins with K1 and K2, on every cycle with one
+    # chord, and on disjoint odd cycles, 2-regular but not connected, of
+    # even order (C3 + C5) and of odd order (C3 + C3 + C3)
+    from networkx.generators.atlas import graph_atlas_g
+
+    hosts = [build_graph(a.number_of_nodes(), list(a.edges())) for a in graph_atlas_g()[1:]]
+    for n in range(3, 16):
+        hosts += [cycle(n), join(cycle(n), clique(1)), join(cycle(n), clique(2))]
+        hosts += [build_graph(n, cycle(n).edges() + [(0, j)]) for j in range(2, n - 1)]
+    hosts += [_disjoint(cycle(3), cycle(5)), _disjoint(cycle(3), cycle(3), cycle(3))]
+    for g in hosts:
+        assert classify_criticality(g) == _deletion_verdict(g), g.edges()
+    assert not classify_criticality(hosts[-1]).is_critical
 
 
 def _relabeled(g, rng):

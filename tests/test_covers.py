@@ -45,7 +45,7 @@ from critickit import (
     validate_cover,
 )
 from critickit.coloring import ColoringVerdict
-from critickit.graphs import parse_graph6
+from critickit.graphs import connected_components, parse_graph6
 from helpers import (
     RecordingBudget,
     _partial_injections,
@@ -465,7 +465,92 @@ def test_dp_matches_plain_enumeration():
         assert not any(is_bad(c) for c in enumerate_full_covers(g, value))
 
 
+def _plain_dp(g, limits):
+    """The DP-chromatic number by scanning every k from chi up to the
+    degeneracy + 1 bound, with no theorem route."""
+    from critickit.covers import _GaugeScan
+    from critickit.graphs import degeneracy
+
+    k = chromatic_number(g)
+    while k < degeneracy(g) + 1:
+        try:
+            if _GaugeScan(g, (k,) * g.n, limits.start()).find_bad(False) is None:
+                return k
+        except BudgetExceeded as exc:
+            raise BudgetExceeded("undecided", spent=exc.spent, lower_bound=k) from exc
+        k += 1
+    return k
+
+
+def test_dp_brooks_matches_the_plain_scan():
+    # every connected graph of networkx's atlas at 10**5 covers: where the
+    # plain scan decides, DP Brooks gives its value; where it stops at
+    # lower bound b, a decided value is at least b and is the maximum degree
+    # of a regular graph other than a clique
+    from networkx.generators.atlas import graph_atlas_g
+
+    limits = SearchLimits(max_nodes=10**5)
+    decided = []
+    for a in graph_atlas_g()[1:]:
+        g = build_graph(a.number_of_nodes(), list(a.edges()))
+        if len(connected_components(g)) > 1:
+            continue
+        try:
+            value = dp_chromatic_number(g, limits)
+        except BudgetExceeded:
+            value = None
+        try:
+            assert value == _plain_dp(g, limits), g.edges()
+        except BudgetExceeded as exc:
+            if value is not None:
+                degrees = set(map(len, g.adj))
+                assert value >= exc.lower_bound and degrees == {value} and g.m < math.comb(g.n, 2)
+                decided.append((g.n, g.m))
+    # the octahedron and two 4-regular graphs on 7 vertices, C7(2,3) among them
+    assert decided == [(6, 12), (7, 14), (7, 14)]
+
+
+def test_dp_brooks_decides_c13_1_5():
+    # 4-regular, not K5 and chi = 4: no scan is needed
+    assert dp_chromatic_number(parse_graph6("LhEIHEPQHGaPaP"), SearchLimits(max_nodes=1)) == 4
+
+
 # ------------------------------------------------------------------- robust
+
+
+# (decision, k, covers_scanned) at budgets 1, 2, 3, 7775, 7776 and 10**7:
+# each odd cycle, K2 and the bottoms of the joins below are decided by
+# theorem, every other level by its scan or the join rule
+_U, _R = "unknown", "robustly_critical"
+LOW_FOLD_PINS = {
+    "K2": (clique(2), [(_R, 2, 1)] * 6),
+    "K3": (clique(3), [(_U, 3, 0)] * 2 + [(_R, 3, 2)] * 4),
+    "C5": (cycle(5), [(_U, 3, 1)] + [(_R, 3, 2)] * 5),
+    "C7": (cycle(7), [(_U, 3, 1)] + [(_R, 3, 2)] * 5),
+    "C15": (cycle(15), [(_U, 3, 1)] + [(_R, 3, 2)] * 5),
+    "C5+K1": (join(cycle(5), clique(1)), [(_U, 4, 0)] * 5 + [(_R, 4, 7776)]),
+    "C7+K2": (join(cycle(7), clique(2)), [(_U, 5, 0)] * 6),
+    "K4": (clique(4), [(_U, 4, 0)] * 3 + [(_R, 4, 216)] * 3),
+    # fold 3 is scanned: E(4,2,2) is robust after its scan's 6**5 covers,
+    # and C13(1,5) keeps its bad non-canonical cover
+    "E(4,2,2)": (generate_ekab(4, 2, 2), [
+        (_U, 4, 1), (_U, 4, 2), (_U, 4, 3), (_U, 4, 6480), (_R, 4, 7776), (_R, 4, 7776),
+    ]),
+    "C13(1,5)": (parse_graph6("LhEIHEPQHGaPaP"), [
+        (_U, 4, 1), (_U, 4, 2), (_U, 4, 3), (_U, 4, 6480), (_U, 4, 7776),
+        ("noncanonical_bad_cover_found", 4, 876_963),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(LOW_FOLD_PINS))
+def test_low_fold_verdicts_keep_the_scans_counts(name):
+    g, want = LOW_FOLD_PINS[name]
+    got = []
+    for budget in (1, 2, 3, 7775, 7776, 10**7):
+        verdict = robust_criticality_verdict(g, SearchLimits(max_nodes=budget))
+        got.append((verdict.decision, verdict.k, verdict.covers_scanned))
+    assert got == want
 
 
 def test_c5_robustly_critical():
