@@ -26,8 +26,10 @@ destructive first (:func:`_decision_order`); a witness is the first bad
 cover in canonical edge order, found by walking again in that order.
 
 A join is robustly critical when the level below is (the join rule of
-:func:`robust_criticality_verdict`), decided with no scan; so are K2 and
-the odd cycles, the critical graphs of chromatic number 2 and 3.
+:func:`robust_criticality_verdict`), decided with no scan; so is a graph
+less two non-adjacent vertices with at most one common neighbor (the pair
+rule), and so are K2 and the odd cycles, the critical graphs of chromatic
+number 2 and 3.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .coloring import (
     classify_criticality,
 )
 from .errors import BudgetExceeded, CoverError, GraphError
-from .graphs import Graph, build_graph, degeneracy, spanning_forest, spanning_tree
+from .graphs import Graph, build_graph, degeneracy, induced_subgraph, spanning_forest, spanning_tree
 from .limits import DEFAULT_NODE_BUDGET, Budget, SearchLimits
 
 if TYPE_CHECKING:
@@ -867,12 +869,17 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     critical graph always has a bad full extension and scanning full covers
     is enough.
 
-    While m >= 2 and the graph has a dominating vertex, the least one is
-    peeled, in the peel g's classification runs on
-    (:func:`~critickit.coloring.classify_criticality`): each level is
-    critical with the fold one less.  From the bottom up, levels are
-    scanned until one is robustly critical; each level above it is then
-    robustly critical by the join rule, charged m!^|E(h)|, the scan's count.
+    The verdict runs down a chain of levels, each critical with the fold one
+    less than the level above, built from the top (:func:`_chain`): while
+    the fold is at least 2 and a level has a dominating vertex, the least
+    one is peeled, in the peel g's classification runs on
+    (:func:`~critickit.coloring.classify_criticality`); at a level h with
+    none and fold f >= 3, the first pair x < y of the pair rule's kind is
+    removed (:func:`_pair_below`), and the chain goes on from h - x - y.  The chain is then decided from the bottom: a
+    K2 or odd-cycle bottom by theorem, any other by its scan; a level above
+    a robustly critical one by the join or pair rule, charged
+    fold!^(|E| - |V| + 1), the scan's count; a level above one that is not
+    robustly critical by its own scan.
 
     A level at fold 1 or 2 is not scanned.  Being critical with chromatic
     number 2 or 3 it is K2 or an odd cycle, and robustly critical: K2's one
@@ -882,7 +889,7 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     under which indices alternating along the path are a transversal (the
     path's ends, at even distance, take the same index, which the swap
     does not match).  Such a level charges the scan's count,
-    fold!^(|E| - |V| + 1) (1 or 2), one unit per cover.
+    fold!^(|E| - |V| + 1) (1 or 2), spending what fits before it trips.
 
     The join rule: g = h + a critical, a dominating, chi(g) = m + 1, and h
     robustly critical make g robustly critical.  In the star gauge at a, a
@@ -894,13 +901,45 @@ def robust_criticality_verdict(g: Graph, limits: SearchLimits | None = None) -> 
     m) renamed to l would be a transversal.  So each R_c is full: each p_e
     fixes every c, and sigma is the identity.
 
+    The pair rule: let x, y be non-adjacent vertices of h with at most one
+    common neighbor, every vertex of h' = h - x - y adjacent to x or y, and
+    h' robustly critical with chi(h') = f.  Then every bad full f-fold
+    cover of h is canonical, in two steps.
+
+    (i) The excess step: a cover of h' whose lists all have at least f - 1
+    indices, and one list, at v, at least f, is colorable.  If it were bad,
+    trim every list to f - 1 indices in two ways that differ only at v.
+    Both trims are bad, so both are canonical and full (as for R_c above),
+    and at a neighbor u of v the f indices of v the two trims keep then
+    inject into u's f - 1 indices, which is impossible.
+
+    (ii) The pair step: let H be a bad full f-fold cover of h.  Pick a at x
+    and b at y with the same image at the common neighbor, if any, and
+    delete their images.  The rest of H on h' is bad: a transversal of it
+    with a at x and b at y would be one of H.  Every list of h' keeps at
+    least f - 1 indices, so by (i) each keeps exactly f - 1, and the rest
+    is a bad (f-1)-fold cover of h', full and canonical.  So each matching
+    of h' is a bijection that carries the rest onto the rest, and the
+    deleted indices form one more sheet, R_a, of H on h'.  Then H
+    restricted to h' is canonical, and labeling a and b by R_a's sheet
+    makes every edge at x and y the identity: H is canonical.
+
+    The pair step never reads h's classification, so one handed in by the
+    caller cannot make it disagree with h's scan; h's criticality is needed
+    only to reduce partial covers to full ones, as for the join rule.
+
     The chain runs on one budget from ``limits``; a trip gives ``unknown``.
-    ``covers_scanned`` counts g's own level only: the join rule's charge,
-    the covers charged so far when g is K2 or an odd cycle, or the last walk
-    of g's scan (:func:`_scan_verdict`), and 0 when a lower level or the
-    join rule's charge trips.
+    ``covers_scanned`` counts g's own level only: the charge of the join
+    rule, of the pair rule or of the theorem when g is K2 or an odd cycle,
+    or the last walk of g's scan (:func:`_scan_verdict`).  On a trip it is
+    what the pair rule or the theorem charged at g before tripping (both
+    spend what fits), and 0 when a lower level or the join rule's charge
+    trips.
     """
     return _robust_verdict(g, limits, None)
+
+
+_JOIN, _PAIR, _THEOREM = "join", "pair", "theorem"
 
 
 def _robust_verdict(
@@ -918,31 +957,85 @@ def _robust_verdict(
     if not verdict.is_critical:
         return RobustVerdict(NOT_CRITICAL, k, verdict.witness, 0)
     budget = (limits or SearchLimits()).start()
-    levels = levels[: k - 1]  # fold k - 1 at g, one less per level, down to 1
+    chain = _chain(levels, k - 1)
     robust = False  # the verdict of the level below, none at the bottom
     try:
-        for i in range(len(levels) - 1, -1, -1):
-            fold, h = k - 1 - i, levels[i]
-            if robust:
-                charge = factorial(fold) ** levels[i + 1].m
-                budget.spend(charge)
-            elif (fold, h.n, h.m) == (1, 2, 1) or fold == 2 and _is_odd_cycle(h):
-                # K2 or an odd cycle, robust (docstring); the shape is tested
-                # with the fold, so a classification handed in by the caller
-                # cannot route a level it does not fit
+        for i in range(len(chain) - 1, -1, -1):
+            h, fold, step = chain[i]
+            start = budget.spent
+            if robust or step == _THEOREM:  # every level above the bottom has a step
                 charge = factorial(fold) ** (h.m - h.n + 1)
-                for _ in range(charge):
-                    budget.spend()
+                if step == _JOIN:
+                    budget.spend(charge)
+                else:
+                    _charge(budget, charge)
                 robust = True
             elif i:
                 scan = _GaugeScan(h, (fold,) * h.n, budget)
                 robust = scan.find_bad(True, scan.order) is None
     except BudgetExceeded as exc:
-        # only g's own level, here K2 or an odd cycle, counts what it charged
-        return RobustVerdict(UNKNOWN, k, None, 0 if robust or i else exc.spent)
+        # only g's own level counts what it charged: K2, an odd cycle or a
+        # pair step spend what fits, a join's charge trips whole
+        own = i == 0 and step != _JOIN
+        return RobustVerdict(UNKNOWN, k, None, exc.spent - start if own else 0)
     if robust:
         return RobustVerdict(ROBUSTLY_CRITICAL, k, None, charge)
     return _scan_verdict(g, k, budget)
+
+
+def _charge(budget: Budget, units: int) -> None:
+    """Spend ``units`` on ``budget`` as far as they fit, then trip."""
+    fits = min(units, budget.max_nodes - budget.spent)
+    budget.spend(fits)
+    if fits < units:
+        raise BudgetExceeded(f"node budget {budget.max_nodes} exhausted", spent=budget.spent)
+
+
+def _chain(levels: list[Graph], fold: int) -> list[tuple[Graph, int, str | None]]:
+    """The levels of :func:`robust_criticality_verdict` from g, at ``fold``,
+    down, as (level, fold, step): ``levels`` is g's
+    :func:`~critickit.coloring._apex_levels`.  A level's step is how it is
+    decided from the level below, by the join or the pair rule; the bottom's
+    is the theorem if it is K2 or an odd cycle, else None (its scan).  The
+    shapes are tested with the fold, so a classification handed in by the
+    caller cannot route a level it does not fit."""
+    chain = []
+    while levels := levels[:fold]:  # the fold one less per level, down to 1
+        chain += [(h, fold - i, _JOIN) for i, h in enumerate(levels)]
+        h, fold, _ = chain[-1]
+        if (fold, h.n, h.m) == (1, 2, 1) or fold == 2 and _is_odd_cycle(h):
+            chain[-1] = (h, fold, _THEOREM)
+            break
+        levels = _pair_below(h, fold) if fold >= 3 else None
+        if levels is None:
+            chain[-1] = (h, fold, None)
+            break
+        chain[-1] = (h, fold, _PAIR)
+        fold -= 1
+    return chain
+
+
+def _pair_below(h: Graph, fold: int) -> list[Graph] | None:
+    """The apex levels of h less the first pair x < y of the pair rule
+    (:func:`robust_criticality_verdict`), or None: x and y non-adjacent,
+    with at most one common neighbor and every other vertex adjacent to one
+    of them, and what is left critical with chromatic number ``fold``.  Its
+    degrees are tested first, against the fold - 1 of every critical graph
+    of chromatic number ``fold``; being critical, what is left is
+    connected."""
+    for x, y in combinations(range(h.n), 2):
+        near_x, near_y = h.adj[x], h.adj[y]
+        if y in near_x or len(near_x & near_y) > 1 or len(near_x | near_y) < h.n - 2:
+            continue
+        rest = [v for v in range(h.n) if v != x and v != y]
+        if any(len(h.adj[v]) - (v in near_x) - (v in near_y) < fold - 1 for v in rest):
+            continue
+        below = induced_subgraph(h, rest)
+        levels = _apex_levels(below)
+        verdict = classify_criticality(below, levels)
+        if verdict.is_critical and verdict.chromatic_number == fold:
+            return levels
+    return None
 
 
 def _scan_verdict(g: Graph, k: int, budget: Budget) -> RobustVerdict:

@@ -59,7 +59,6 @@ from .coloring import classify_criticality
 from .covers import (
     Cover,
     _GaugeScan,
-    _robust_verdict,
     _scan_verdict,
     _survivor_walk,
     canonical_labeling,
@@ -287,7 +286,8 @@ def check_pair_reduction(
 ) -> LemmaReport:
     """If two non-adjacent vertices with at most one common neighbor can be
     removed from a critical graph leaving a robustly critical one, the graph
-    itself is robustly critical."""
+    itself is robustly critical, checked by the graph's own scan (never by
+    the pair rule of :func:`robust_criticality_verdict`, the lemma itself)."""
     limits = limits or SearchLimits()
     word = encode_graph6(g)
 
@@ -314,7 +314,7 @@ def check_pair_reduction(
             f"graph minus {{{x}, {y}}} is not verified robustly critical "
             f"(got {rv_reduced.decision})"
         )
-    rv = _robust_verdict(g, limits, cv)
+    rv = _scan_verdict(g, cv.chromatic_number, limits.start())
     if rv.decision == ROBUSTLY_CRITICAL:
         return LemmaReport("pair", word, rv.covers_scanned, ALL_PASS, EXHAUSTIVE)
     if rv.decision == UNKNOWN:

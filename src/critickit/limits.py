@@ -19,8 +19,9 @@ counts one unit per backtrack and one per coloring or transversal counted,
 The robust verdict decides a join g = h + a, a dominating vertex, from a
 robustly critical h with one charge of every gauge-fixed cover of g, after
 the levels below have charged the same budget.  A level that is K2 or an
-odd cycle is decided by theorem, with no scan, and charges its gauge-fixed
-covers, 1 or 2, one unit each, as its scan would.
+odd cycle is decided by theorem, with no scan, and so is a level h from a
+robustly critical h - x - y by the pair rule; each charges its gauge-fixed
+covers as its scan would, spending what fits before it trips.
 Work that is not metered checks the deadline with zero-unit charges:
 building a cover scan's kill masks, its leader tables (every 4096
 permutations listed) and their root step, and the bad-assignment search's

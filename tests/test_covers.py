@@ -531,10 +531,11 @@ LOW_FOLD_PINS = {
     "C5+K1": (join(cycle(5), clique(1)), [(_U, 4, 0)] * 5 + [(_R, 4, 7776)]),
     "C7+K2": (join(cycle(7), clique(2)), [(_U, 5, 0)] * 6),
     "K4": (clique(4), [(_U, 4, 0)] * 3 + [(_R, 4, 216)] * 3),
-    # fold 3 is scanned: E(4,2,2) is robust after its scan's 6**5 covers,
-    # and C13(1,5) keeps its bad non-canonical cover
+    # fold 3: E(4,2,2) is robust by the pair rule from C5, charged its
+    # scan's 6**5 covers after C5's 2, and C13(1,5), with no pair, keeps
+    # its scan's bad non-canonical cover
     "E(4,2,2)": (generate_ekab(4, 2, 2), [
-        (_U, 4, 1), (_U, 4, 2), (_U, 4, 3), (_U, 4, 6480), (_R, 4, 7776), (_R, 4, 7776),
+        (_U, 4, 0), (_U, 4, 0), (_U, 4, 1), (_U, 4, 7773), (_U, 4, 7774), (_R, 4, 7776),
     ]),
     "C13(1,5)": (parse_graph6("LhEIHEPQHGaPaP"), [
         (_U, 4, 1), (_U, 4, 2), (_U, 4, 3), (_U, 4, 6480), (_U, 4, 7776),
@@ -861,6 +862,70 @@ def test_routed_verdict_matches_the_scan():
         assert _scan_matches(forced, g, 4), g.edges()
         decided.add(forced(g, SearchLimits()).decision)
     assert decided == {"robustly_critical", "noncanonical_bad_cover_found"}
+
+
+HAJOS_C9 = "J^?GIE?AK^_"  # the rank-9 Hajos graph, one pair above C9
+
+
+def test_pair_verdicts_match_the_scan():
+    # every critical graph with chi >= 4 on <= 7 vertices (networkx's atlas)
+    # whose scan fits 2e8 covers, E(4,a,b) under seeded relabelings, C7 with
+    # two seeded vertices x, y added whose neighborhoods cover it and meet in
+    # at most one vertex, and the rank-9 Hajos graph: verdict and count are
+    # the whole-graph scan's, most of them decided by the pair rule
+    from networkx.generators.atlas import graph_atlas_g
+
+    from critickit import covers
+    from critickit.coloring import _apex_levels
+
+    hosts = []
+    for a in graph_atlas_g():
+        g = build_graph(a.number_of_nodes(), list(a.edges()))
+        if g.n <= 7 and (k := chromatic_number(g)) >= 4 and classify_criticality(g).is_critical:
+            if math.factorial(k - 1) ** (g.m - g.n + 1) <= 2 * 10**8:
+                hosts.append(g)
+    assert len(hosts) == 5
+    rng = random.Random(25)
+    hosts += [_relabeled(generate_ekab(4, a, b), rng) for a, b in [(2, 2), (1, 2), (2, 1)] for _ in range(3)]
+    extended = 0
+    while extended < 6:
+        near_x = {v for v in range(7) if rng.random() < 0.5}
+        near_y = set(range(7)) - near_x | set(rng.sample(sorted(near_x), min(len(near_x), rng.randrange(2))))
+        g = build_graph(9, cycle(7).edges() + [(7, v) for v in near_x] + [(8, v) for v in near_y])
+        cv = classify_criticality(g)
+        if cv.is_critical and cv.chromatic_number == 4:
+            hosts.append(_relabeled(g, rng))
+            extended += 1
+    hosts.append(parse_graph6(HAJOS_C9))
+    paired = 0
+    for g in hosts:
+        k = chromatic_number(g)
+        paired += any(step == "pair" for _, _, step in covers._chain(_apex_levels(g), k - 1))
+        assert _scan_matches(robust_criticality_verdict, g, k), g.edges()
+    assert paired == 17
+
+
+@pytest.mark.parametrize(
+    "name,g,budget",
+    [
+        ("E(5,2,3)", generate_ekab(5, 2, 3), 10**16),
+        ("E(5,3,3)", generate_ekab(5, 3, 3), 10**16),
+        ("E(5,1,3)", generate_ekab(5, 1, 3), 10**16),
+        ("Hajos C9", parse_graph6(HAJOS_C9), 10**8),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_pair_rule_decides_what_the_scan_cannot_finish(name, g, budget):
+    # E(5,a,b) reaches C5 by two pairs, the Hajos graph C9 by one: each is
+    # decided at once, charged its scan's count (m-1)!^(|E| - |V| + 1)
+    start = time.monotonic()
+    verdict = robust_criticality_verdict(g, SearchLimits(max_nodes=budget))
+    assert time.monotonic() - start < 1.0
+    k = chromatic_number(g)
+    assert (verdict.decision, verdict.k, verdict.covers_scanned) == (
+        "robustly_critical", k, math.factorial(k - 1) ** (g.m - g.n + 1),
+    )
+    assert verdict.covers_scanned == {5: 24**11, 4: 6**9}[k]
 
 
 def test_join_rule_charges_the_scans_count():

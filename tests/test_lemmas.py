@@ -480,8 +480,8 @@ def test_pair_e422():
 
 
 def test_pair_classifies_each_graph_once(monkeypatch):
-    # the precondition's classification of the graph is handed to its own
-    # robust scan, so only the graph and the reduced graph are classified
+    # the precondition's classification of the graph gives its own scan the
+    # chromatic number, so only the graph and the reduced graph are classified
     from critickit import coloring, covers
 
     sizes = []
@@ -495,6 +495,24 @@ def test_pair_classifies_each_graph_once(monkeypatch):
     report = check_pair_reduction(generate_ekab(4, 2, 2), 0, 3)
     assert report.outcome == "all_pass"
     assert sizes == [7, 5]
+
+
+def test_pair_scans_the_graph_itself(monkeypatch):
+    # the check must not decide g by the pair rule, the lemma it checks:
+    # C5 is decided by theorem, and g by its own 7-vertex scan
+    from critickit import covers
+
+    hosts = []
+
+    class Recording(covers._GaugeScan):
+        def __init__(self, g, *args, **kwargs):
+            hosts.append(g.n)
+            super().__init__(g, *args, **kwargs)
+
+    monkeypatch.setattr(covers, "_GaugeScan", Recording)
+    report = check_pair_reduction(generate_ekab(4, 2, 2), 0, 3)
+    assert (report.outcome, report.checked) == ("all_pass", 6**5)
+    assert hosts == [7]
 
 
 def test_pair_c5_antipodal_skips():
